@@ -34,9 +34,12 @@ class Dendrogram:
     """The full merge history over ``n_leaves`` items.
 
     :param n_leaves: number of original items (must be >= 1).
-    :param merges: ``n_leaves - 1`` merges in creation order; heights must
-        be non-decreasing for a well-formed ultrametric tree (monotonic
-        linkages guarantee this; ward heights are checked too).
+    :param merges: ``n_leaves - 1`` merges in creation order.  Each merge
+        may only reference leaves or earlier merges, and every node but the
+        root must be merged exactly once.  Heights are not checked; the
+        linkages in :mod:`repro.clustering.linkage` produce them in
+        non-decreasing order up to float rounding.
+    :raises ClusteringError: when any of these structural rules is broken.
     """
 
     def __init__(self, n_leaves: int, merges: list[Merge]) -> None:
@@ -54,8 +57,6 @@ class Dendrogram:
             for child in (merge.left, merge.right):
                 if not 0 <= child < node:
                     raise ClusteringError(f"merge {k} references invalid node {child}")
-                if child in self._children and child >= n_leaves:
-                    pass  # internal nodes appear as a child exactly once; checked below
             self._children[node] = (merge.left, merge.right)
         # Every node except the root must be a child exactly once.
         seen: set[int] = set()

@@ -8,13 +8,140 @@ recurrence; the paper defines it as the literal double sum
 This suite re-implements agglomeration naively from that definition and
 checks the optimized version produces the identical merge tree — heights
 and cluster memberships — on random inputs.
+
+It also keeps the full-scan merge loop that the cached row-minimum search
+replaced, as :func:`reference_agglomerate`.  Both share the Lance-Williams
+update, so they must agree merge for merge, to the last bit of every
+height, for every linkage and on tie-heavy inputs too.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.linkage import Linkage, agglomerate
-from repro.distance.matrix import distance_matrix
+from repro.clustering.dendrogram import Dendrogram, Merge
+from repro.clustering.linkage import Linkage, _lance_williams_update, agglomerate
+from repro.distance.engine import DistanceEngine
+from repro.distance.matrix import CondensedMatrix, distance_matrix
+from repro.distance.packet import PacketDistance
+from repro.errors import ClusteringError
+
+
+def reference_agglomerate(
+    matrix: CondensedMatrix, linkage: Linkage = Linkage.GROUP_AVERAGE
+) -> Dendrogram:
+    """Agglomeration by a full scan of the working matrix at every merge.
+
+    Each step copies the n x n matrix, masks inactive slots and takes the
+    first ``argmin``: the lexicographically smallest closest pair.  O(n^2)
+    per merge; kept only as the oracle for :func:`agglomerate`.
+    """
+    n = matrix.n
+    if n < 1:
+        raise ClusteringError("cannot cluster zero items")
+    if n == 1:
+        return Dendrogram(1, [])
+
+    # Working square matrix of current cluster distances. Inactive rows are
+    # masked with +inf. node_ids[i] holds the *node id* for slot i.
+    square = matrix.to_square()
+    np.fill_diagonal(square, np.inf)
+    sizes = np.ones(n, dtype=int)
+    node_ids = np.arange(n)
+    active = np.ones(n, dtype=bool)
+    merges: list[Merge] = []
+
+    for step in range(n - 1):
+        slot_x, slot_y = _nearest_active_pair(square, active)
+        height = float(square[slot_x, slot_y])
+        size_x = int(sizes[slot_x])
+        size_y = int(sizes[slot_y])
+        new_size = size_x + size_y
+        merges.append(
+            Merge(
+                left=int(node_ids[slot_x]),
+                right=int(node_ids[slot_y]),
+                height=height,
+                size=new_size,
+            )
+        )
+        # Merge y into x's slot; deactivate y.
+        _lance_williams_update(square, active, slot_x, slot_y, size_x, size_y, sizes, linkage)
+        sizes[slot_x] = new_size
+        node_ids[slot_x] = n + step
+        active[slot_y] = False
+        square[slot_y, :] = np.inf
+        square[:, slot_y] = np.inf
+
+    return Dendrogram(n, merges)
+
+
+def _nearest_active_pair(square: np.ndarray, active: np.ndarray) -> tuple[int, int]:
+    """Indices of the closest active pair, smallest-id tie break."""
+    masked = square.copy()
+    inactive = ~active
+    masked[inactive, :] = np.inf
+    masked[:, inactive] = np.inf
+    flat = int(np.argmin(masked))
+    i, j = divmod(flat, masked.shape[1])
+    if not np.isfinite(masked[i, j]):
+        raise ClusteringError("no active pair remains")
+    return (i, j) if i < j else (j, i)
+
+
+def merge_tuples(dendrogram: Dendrogram) -> list[tuple[int, int, float, int]]:
+    return [(m.left, m.right, m.height, m.size) for m in dendrogram.merges]
+
+
+def assert_same_merges_as_reference(matrix: CondensedMatrix) -> None:
+    for linkage in Linkage:
+        ours = merge_tuples(agglomerate(matrix, linkage))
+        reference = merge_tuples(reference_agglomerate(matrix, linkage))
+        assert ours == reference, linkage
+
+
+def condensed_from_seed(n: int, seed: int, *, tie_levels: int | None) -> CondensedMatrix:
+    """Random condensed distances; multiples of 0.25 when ``tie_levels`` is set."""
+    rng = np.random.default_rng(seed)
+    size = n * (n - 1) // 2
+    if tie_levels is None:
+        values = rng.uniform(0.0, 10.0, size)
+    else:
+        values = rng.integers(0, tie_levels, size) * 0.25
+    return CondensedMatrix(n, values)
+
+
+class TestAgainstReferenceLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 80), st.integers(0, 2**32 - 1))
+    def test_continuous_values(self, n, seed):
+        assert_same_merges_as_reference(condensed_from_seed(n, seed, tie_levels=None))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 80), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_tie_heavy_values(self, n, seed, tie_levels):
+        assert_same_merges_as_reference(condensed_from_seed(n, seed, tie_levels=tie_levels))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.lists(
+                st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                min_size=n * (n - 1) // 2,
+                max_size=n * (n - 1) // 2,
+            ).map(lambda values: CondensedMatrix(n, np.asarray(values, dtype=float)))
+        )
+    )
+    def test_small_tied_matrices(self, matrix):
+        assert_same_merges_as_reference(matrix)
+
+    def test_engine_matrix(self, small_split):
+        suspicious, __ = small_split
+        packets = list(suspicious[:200])
+        assert len(packets) == 200
+        matrix = DistanceEngine(PacketDistance.paper()).matrix(packets)
+        assert np.unique(matrix.values).size < matrix.values.size  # real ties
+        assert_same_merges_as_reference(matrix)
 
 
 def brute_force_group_average(points):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clustering.cut import cut_by_height
 from repro.clustering.linkage import Linkage, agglomerate, cluster_assignments
 from repro.distance.matrix import CondensedMatrix, distance_matrix
 from repro.errors import ClusteringError
@@ -70,24 +71,49 @@ class TestGroupAverageSemantics:
 
 
 class TestAgainstScipy:
-    @pytest.mark.parametrize(
-        "linkage,scipy_method",
-        [
-            (Linkage.GROUP_AVERAGE, "average"),
-            (Linkage.SINGLE, "single"),
-            (Linkage.COMPLETE, "complete"),
-        ],
-    )
+    """scipy as a second oracle, on tie-free random inputs."""
+
+    METHODS = [
+        (Linkage.GROUP_AVERAGE, "average"),
+        (Linkage.SINGLE, "single"),
+        (Linkage.COMPLETE, "complete"),
+    ]
+    CASES = [(2, 0), (5, 1), (25, 42), (70, 9)]
+
+    @staticmethod
+    def tie_free_matrix(n, seed):
+        values = np.random.default_rng(seed).uniform(0.0, 50.0, n * (n - 1) // 2)
+        assert np.unique(values).size == values.size
+        return CondensedMatrix(n, values)
+
+    @pytest.mark.parametrize("linkage,scipy_method", METHODS)
     def test_merge_heights_match_scipy(self, linkage, scipy_method):
         hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
-        rng = np.random.default_rng(42)
-        points = list(rng.uniform(0, 50, size=25))
-        m = matrix_from_points(points)
-        ours = agglomerate(m, linkage)
-        theirs = hierarchy.linkage(m.values, method=scipy_method)
-        our_heights = sorted(merge.height for merge in ours.merges)
-        their_heights = sorted(theirs[:, 2])
-        assert np.allclose(our_heights, their_heights, atol=1e-9)
+        for n, seed in self.CASES:
+            m = self.tie_free_matrix(n, seed)
+            ours = agglomerate(m, linkage)
+            theirs = hierarchy.linkage(m.values, method=scipy_method)
+            our_heights = sorted(merge.height for merge in ours.merges)
+            their_heights = sorted(theirs[:, 2])
+            assert np.allclose(our_heights, their_heights, rtol=1e-12, atol=0.0), n
+
+    @pytest.mark.parametrize("linkage,scipy_method", METHODS)
+    def test_flat_clusters_match_fcluster(self, linkage, scipy_method):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        for n, seed in self.CASES[2:]:
+            m = self.tie_free_matrix(n, seed)
+            ours = agglomerate(m, linkage)
+            theirs = hierarchy.linkage(m.values, method=scipy_method)
+            heights = sorted(merge.height for merge in ours.merges)
+            for k in (len(heights) // 4, len(heights) // 2, 3 * len(heights) // 4):
+                # Cut midway between two merge heights, clear of float noise.
+                cut = (heights[k] + heights[k + 1]) / 2
+                our_partition = {frozenset(ours.leaves(node)) for node in cut_by_height(ours, cut)}
+                labels = hierarchy.fcluster(theirs, cut, criterion="distance")
+                their_partition = {
+                    frozenset(np.flatnonzero(labels == label).tolist()) for label in set(labels)
+                }
+                assert our_partition == their_partition, (n, cut)
 
     def test_ward_heights_match_scipy(self):
         hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
@@ -99,6 +125,33 @@ class TestAgainstScipy:
         assert np.allclose(
             sorted(merge.height for merge in ours.merges), sorted(theirs[:, 2]), atol=1e-8
         )
+
+
+class TestInputValidation:
+    """Distances must be finite and non-negative; the error names the pair."""
+
+    @staticmethod
+    def matrix_with(bad_value):
+        # n=4: condensed index 4 is the pair (1, 3).
+        values = np.array([1.0, 2.0, 3.0, 4.0, bad_value, 6.0])
+        return CondensedMatrix(4, values)
+
+    def test_nan_distance_rejected(self):
+        with pytest.raises(ClusteringError, match=r"distance \(1, 3\) is nan"):
+            agglomerate(self.matrix_with(float("nan")))
+
+    def test_infinite_distance_rejected(self):
+        with pytest.raises(ClusteringError, match=r"distance \(1, 3\) is inf"):
+            agglomerate(self.matrix_with(float("inf")))
+
+    def test_negative_distance_rejected(self):
+        with pytest.raises(ClusteringError, match=r"distance \(1, 3\) is -0.5"):
+            agglomerate(self.matrix_with(-0.5))
+
+    def test_first_offending_pair_is_named(self):
+        values = np.array([1.0, 2.0, -1.0, 4.0, float("nan"), 6.0])
+        with pytest.raises(ClusteringError, match=r"distance \(0, 3\) is -1.0"):
+            agglomerate(CondensedMatrix(4, values), Linkage.SINGLE)
 
 
 class TestAssignments:
