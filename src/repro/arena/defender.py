@@ -44,7 +44,9 @@ class DefenderConfig:
     :param attach_exemplars: attach probe cap per candidate cluster.
     :param max_cached_pairs: LRU bound on the clusterer's pair cache so
         defender memory stays flat over unbounded arena rounds.
-    :param workers: distance engine worker count.
+    :param workers: distance engine worker count (default 1 = serial:
+        under a pool the engine's cache counters depend on which worker
+        took which chunk, and arena reports must replay byte for byte).
     """
 
     threshold: float = 1.2

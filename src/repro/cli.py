@@ -682,6 +682,15 @@ def cmd_fig4(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``--workers`` help for the commands whose output carries engine cache
+#: counters; they stay serial by default so reruns reproduce those counters.
+SERIAL_WORKERS_HELP = (
+    "distance-engine processes (0 = one per usable CPU; default 1 = serial, "
+    "which keeps the engine cache counters in the output deterministic: under "
+    "a pool they depend on which worker took which chunk)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -707,8 +716,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", required=True)
     p.add_argument("--sample", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="distance-engine processes (0 = one per CPU)")
+    p.add_argument("--workers", type=int, default=0,
+                   help="distance-engine processes (0 = one per usable CPU; "
+                        "the signatures are identical for every value)")
     p.add_argument("--out", default="signatures.json")
     p.set_defaults(func=cmd_generate)
 
@@ -786,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compact-every", type=int, default=4,
                    help="ingest batches between dirty-block compactions")
     p.add_argument("--workers", type=int, default=1,
-                   help="distance-engine processes (0 = one per CPU)")
+                   help=SERIAL_WORKERS_HELP)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--quick", action="store_true",
                    help="smoke scale; exactness + sub-linearity gates still apply")
@@ -843,7 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recall tolerance band around pre-attack recall")
     p.add_argument("--threshold", type=float, default=1.2,
                    help="absolute clustering/generation cut height")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help=SERIAL_WORKERS_HELP)
     p.add_argument("--budget-recovery", type=int, default=3,
                    help="max rounds-to-recovery per family")
     p.add_argument("--budget-half-life", type=float, default=3.0,
@@ -961,7 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=40, help="M packets to cluster")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
-                   help="distance-engine processes (0 = one per CPU)")
+                   help=SERIAL_WORKERS_HELP)
     p.add_argument("--out", default="trace_out", help="artifact directory")
     add_json_flag(p)
     p.set_defaults(func=cmd_trace)

@@ -27,8 +27,9 @@ from repro.signatures.matcher import SignatureMatcher
 class PipelineConfig:
     """Pipeline policy: distance + clustering + generation knobs.
 
-    :param workers: process count for the distance-matrix build (``1`` =
-        serial, ``0`` = one per CPU); output is bit-identical either way.
+    :param workers: process count for the distance-matrix build (``0``,
+        the default, = one per usable CPU; ``1`` = serial); output is
+        bit-identical either way.
     :param blocking: optional candidate-pair prefilter for the matrix
         build (see :class:`~repro.core.server.ServerConfig`).
     """
@@ -36,7 +37,7 @@ class PipelineConfig:
     distance: PacketDistance = field(default_factory=PacketDistance.paper)
     linkage: Linkage = Linkage.GROUP_AVERAGE
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-    workers: int = 1
+    workers: int = 0
     blocking: BlockingConfig | None = None
 
 

@@ -39,8 +39,8 @@ class ServerConfig:
     :param linkage: clustering criterion (paper: group average).
     :param generator: signature-generation policy.
     :param workers: process count for the pairwise distance build
-        (``1`` = in-process serial, ``0`` = one per CPU; results are
-        bit-identical for every setting).
+        (``0``, the default, = one per usable CPU; ``1`` = in-process
+        serial; results are bit-identical for every setting).
     :param blocking: optional candidate-pair prefilter.  When set, the
         distance matrix is built blocked (NCD only inside candidate
         blocks) and the dendrogram cut uses the blocking threshold as an
@@ -50,7 +50,7 @@ class ServerConfig:
 
     linkage: Linkage = Linkage.GROUP_AVERAGE
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-    workers: int = 1
+    workers: int = 0
     blocking: BlockingConfig | None = None
 
 

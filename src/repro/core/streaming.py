@@ -152,7 +152,8 @@ class StreamingClusterer:
     :param metric: pair metric; defaults to the paper's packet distance.
     :param config: streaming policy.
     :param engine: distance engine to evaluate pairs with (worker count,
-        fault plan, chunking); defaults to a serial engine over ``metric``.
+        fault plan, chunking); defaults to an engine over ``metric`` on
+        every usable CPU.
     :param obs: optional observability bundle (``stream_attach`` /
         ``stream_compact`` spans, ``stream_*`` counters).
     """

@@ -20,10 +20,17 @@ serial :func:`repro.distance.matrix.distance_matrix` loop:
    :meth:`NcdCalculator.precompute` (in the parent, before any fan-out),
    leaving only the concatenated ``C(xy)`` terms for the pair loop.
 3. **Multiprocessing fan-out.**  The condensed pair index space is cut
-   into contiguous chunks and mapped over a worker pool.  Workers receive
-   the pre-serialized evaluator exactly once (pool initializer), not per
-   pair; chunk results are reassembled in index order, so the output is
-   deterministic and independent of worker count or scheduling.
+   into contiguous chunks of ``chunk_pairs`` pairs — the bounds depend on
+   nothing else, so chunk spans and fault ledgers are the same at every
+   worker count — and mapped over a worker pool.  The pool runs only
+   when a batch spans at least two chunks and two workers are available
+   (below that a fork costs more than it saves: two workers ran at
+   0.52–0.63× serial on 1–2k pairs on a 2-vCPU host); every smaller
+   batch runs in-process.
+   Workers receive the pre-serialized evaluator exactly once (pool
+   initializer), not per pair; chunk results are reassembled in index
+   order, so the output is deterministic and independent of worker
+   count or scheduling.
 
 The engine also supports **incremental extension**: given the condensed
 matrix over M items, :meth:`DistanceEngine.extend` appends k new items by
@@ -81,9 +88,32 @@ from repro.simulation.rng import derive_rng
 DEFAULT_CHUNK_PAIRS = 4096
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else ``os.cpu_count()``.
+
+    Affinity-aware, so ``taskset`` and cgroup cpuset pinning are honoured
+    (``os.cpu_count()`` reports every CPU of the machine).  A CPU-time
+    quota that leaves the affinity set untouched is not visible here.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 @dataclass(slots=True)
 class EngineStats:
-    """Machine-readable account of one engine run (feeds ``BENCH_perf.json``)."""
+    """Machine-readable account of one engine run (feeds ``BENCH_perf.json``).
+
+    Once ``workers_used > 1`` the cache counters (``pair_hits`` /
+    ``pair_misses``, ``singles`` hits and misses, and the matching
+    ``engine_pair_*`` / ``engine_singles_*`` obs counters) are not
+    deterministic: every worker fills its own component cache, so the
+    split between hits and misses depends on which worker took which
+    chunk.  Their sum and every computed distance are unaffected.
+    Callers whose committed artifacts include these counters run with
+    ``workers=1``.
+    """
 
     n_items: int = 0
     n_pairs: int = 0
@@ -397,10 +427,14 @@ class DistanceEngine:
 
     :param metric: the pair metric (``PacketDistance`` unlocks the
         decomposed fast path; any callable works).
-    :param workers: process count. ``1`` (default) evaluates in-process —
-        the right setting for tests and small M; ``0`` means "one per
-        CPU".  Results are bit-identical for every worker count.
-    :param chunk_pairs: condensed-index pairs per pool task.
+    :param workers: process count; ``0`` (default) means one per usable
+        CPU (:func:`usable_cpus`), ``1`` always evaluates in-process.  A
+        batch goes to the pool only when it spans at least two chunks
+        (see :meth:`_pool_size`).  Results are bit-identical for every
+        worker count; the cache counters in :attr:`stats` are not (see
+        :class:`EngineStats`).
+    :param chunk_pairs: condensed-index pairs per chunk.  Chunk bounds
+        depend on this alone, never on ``workers``.
     :param obs: optional observability bundle.  The engine emits one
         ``engine_chunk`` span per pool task (ticks advanced by pairs
         evaluated) and surfaces :class:`CacheStats` deltas as monotonic
@@ -423,7 +457,7 @@ class DistanceEngine:
         self,
         metric: Callable | None = None,
         *,
-        workers: int = 1,
+        workers: int = 0,
         chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
         obs: Observability | None = None,
         fault_plan: WorkerFaultPlan | None = None,
@@ -434,7 +468,7 @@ class DistanceEngine:
         if chunk_pairs < 1:
             raise DistanceError(f"chunk_pairs must be positive, got {chunk_pairs}")
         self.metric = metric if metric is not None else PacketDistance.paper()
-        self.workers = workers or (os.cpu_count() or 1)
+        self.workers = workers or usable_cpus()
         self.chunk_pairs = chunk_pairs
         self.obs = obs or NULL_OBS
         self.fault_plan = fault_plan
@@ -583,6 +617,16 @@ class DistanceEngine:
         self.stats = EngineStats(mode="generic")
         return _GenericEvaluator(self.metric, items)
 
+    def _pool_size(self, total: int) -> int:
+        """Processes a batch of ``total`` pairs is spread over (``<= 1``: in-process).
+
+        The one routing rule: the pool runs iff this exceeds one, i.e. the
+        batch spans at least two chunks and two workers are available.
+        One chunk (at most ``chunk_pairs`` pairs) therefore always runs
+        in-process, on every host.
+        """
+        return min(self.workers, math.ceil(total / self.chunk_pairs))
+
     def _compute(
         self,
         evaluator,
@@ -596,10 +640,10 @@ class DistanceEngine:
         self.stats.workers_requested = self.workers
         if total == 0:
             return np.empty(0, dtype=float)
-        workers = min(self.workers, total)
-        chunk = max(1, min(self.chunk_pairs, math.ceil(total / max(1, workers))))
+        chunk = self.chunk_pairs
         tasks = [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
         self.stats.chunks = len(tasks)
+        workers = self._pool_size(total)
 
         payload: bytes | None = None
         if workers > 1:
@@ -624,7 +668,7 @@ class DistanceEngine:
             )
 
         values = np.empty(total, dtype=float)
-        if workers <= 1 or payload is None:
+        if workers <= 1:
             self.stats.workers_used = 1
             if rows is None:
                 rows, cols = np.triu_indices(n_full, k=1)
@@ -642,7 +686,6 @@ class DistanceEngine:
                     progress(done, total)
             return values
 
-        workers = min(workers, len(tasks))
         self.stats.workers_used = workers
         with _pool_context().Pool(
             processes=workers, initializer=_worker_init, initargs=(payload,)
@@ -691,17 +734,16 @@ class DistanceEngine:
         self.stats.recovered = False
         if rows is None:
             rows, cols = np.triu_indices(n_full, k=1)
-        pool_workers = min(workers, len(tasks)) if payload is not None else 1
-        self.stats.workers_used = max(1, pool_workers)
+        self.stats.workers_used = workers
         values = np.empty(total, dtype=float)
         done_pairs = 0
         pending = [(index, start, stop, 0) for index, (start, stop) in enumerate(tasks)]
 
         pool_cm = (
             _pool_context().Pool(
-                processes=pool_workers, initializer=_worker_init, initargs=(payload,)
+                processes=workers, initializer=_worker_init, initargs=(payload,)
             )
-            if pool_workers > 1
+            if workers > 1
             else contextlib.nullcontext(None)
         )
         with pool_cm as pool:
@@ -832,7 +874,7 @@ def engine_matrix(
     items: Sequence,
     metric: Callable,
     *,
-    workers: int = 1,
+    workers: int = 0,
     progress: Callable[[int, int], None] | None = None,
 ) -> CondensedMatrix:
     """One-shot convenience wrapper: build a matrix through the engine."""
@@ -963,9 +1005,10 @@ class PairStream:
     def distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
         """Distances for ``pairs``; only cache misses are evaluated.
 
-        Large miss batches (>= the engine's chunk size) go through the
-        engine's chunked — possibly multi-process — dispatch; small ones
-        are evaluated serially in-process.
+        Miss batches the engine would spread over a pool (see
+        :meth:`DistanceEngine._pool_size`) go through its chunked
+        dispatch; all others are evaluated in-process on the persistent
+        evaluator, whose component caches they warm.
         """
         out = np.empty(len(pairs), dtype=float)
         missing: list[tuple[int, int]] = []
@@ -988,7 +1031,7 @@ class PairStream:
         if missing:
             rows = np.fromiter((k[0] for k in missing), dtype=np.intp, count=len(missing))
             cols = np.fromiter((k[1] for k in missing), dtype=np.intp, count=len(missing))
-            if len(missing) >= self.engine.chunk_pairs and self.engine.workers > 1:
+            if self.engine._pool_size(len(missing)) > 1:
                 values = self.engine._compute(
                     self._evaluator, len(rows),
                     n_full=None, rows=rows, cols=cols, progress=None,

@@ -109,7 +109,9 @@ def run_chaos_sweep(
     :param retry: device retry policy (default: 3 attempts, fast backoff).
     :param detector_mode: keyword-baseline escalation used in degraded mode.
     :param workers: distance-engine process count for signature generation
-        (sweep output is bit-identical for any setting).
+        (sweep output is bit-identical for any setting; the default stays
+        serial because under a pool the engine's cache counters depend on
+        which worker took which chunk).
     """
     retry = retry or RetryPolicy(max_attempts=3, base_delay=1.0, multiplier=2.0, jitter=0.25)
     server = SignatureServer(check, config=ServerConfig(workers=workers))
@@ -273,7 +275,8 @@ def run_pipeline_chaos_sweep(
     :param n_sample: N for signature generation.
     :param seed: determinism root for sampling, faults, and crash draws.
     :param workers: distance-engine process count (output is bit-identical
-        for any setting).
+        for any setting; the default stays serial because under a pool the
+        engine's cache counters depend on which worker took which chunk).
     :param retry: chunk re-dispatch policy (default: engine default).
     :param max_restarts: supervisor crash budget per point.
     :param chunk_pairs: pairs per engine chunk — deliberately small so a

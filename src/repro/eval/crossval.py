@@ -44,7 +44,8 @@ def generate_from(
     """Cluster + generate over an explicit training sample.
 
     The pairwise matrix goes through the distance engine, honouring the
-    config's ``workers`` knob (serial by default, bit-identical always).
+    config's ``workers`` knob (every usable CPU by default, bit-identical
+    always).
     """
     config = config or PipelineConfig()
     matrix = DistanceEngine(config.distance, workers=config.workers).matrix(list(packets))

@@ -25,7 +25,6 @@ honest trajectory of both correctness and speed.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.clustering.linkage import Linkage, agglomerate
-from repro.distance.engine import DistanceEngine
+from repro.distance.engine import DistanceEngine, usable_cpus
 from repro.distance.matrix import distance_matrix
 from repro.distance.packet import PacketDistance
 from repro.obs import Observability
@@ -42,15 +41,12 @@ from repro.signatures.matcher import SignatureMatcher
 
 
 def cpu_count() -> int:
-    """Usable CPU count (affinity-aware on Linux).
+    """Usable CPU count, as the distance engine resolves ``workers=0``.
 
     Shared by the perf and serving benches so their reports agree on what
     hardware a number was produced on.
     """
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+    return usable_cpus()
 
 
 @dataclass(frozen=True, slots=True)

@@ -127,7 +127,7 @@ def run_traced_serving(
     """
     from repro.core.distribution import SignatureChannel, SignatureFetcher
     from repro.core.flowcontrol import FlowControlApp
-    from repro.core.server import SignatureServer
+    from repro.core.server import ServerConfig, SignatureServer
     from repro.serving.gateway import GatewayConfig, ReloadEvent, ScreeningGateway
     from repro.serving.loadgen import FleetLoadGenerator, LoadProfile
     from repro.serving.telemetry import ServingTelemetry
@@ -142,7 +142,9 @@ def run_traced_serving(
     obs = Observability.create(seed=seed, config=config)
     metrics = obs.metrics
     corpus = build_corpus(n_apps=n_apps, seed=seed)
-    server = SignatureServer(corpus.payload_check(), obs=obs)
+    # Serial: the exported engine cache counters depend on chunk-to-worker
+    # assignment under a pool, and these files must be byte-identical.
+    server = SignatureServer(corpus.payload_check(), config=ServerConfig(workers=1), obs=obs)
     server.ingest(corpus.trace)
     v1 = server.generate(sample, seed=seed).signatures
     v2 = server.generate(sample, seed=seed + 1).signatures

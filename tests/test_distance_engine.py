@@ -5,10 +5,20 @@ caching, its output must be bit-identical to the serial
 :func:`repro.distance.matrix.distance_matrix` loop.
 """
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.distance.engine import DistanceEngine, MatrixCache, engine_matrix
+from repro.distance import engine as engine_module
+from repro.distance.engine import (
+    DEFAULT_CHUNK_PAIRS,
+    DistanceEngine,
+    MatrixCache,
+    PairStream,
+    engine_matrix,
+    usable_cpus,
+)
 from repro.distance.matrix import distance_matrix
 from repro.distance.ncd import NcdCalculator
 from repro.distance.packet import PacketDistance
@@ -233,6 +243,94 @@ class TestEdges:
     def test_one_shot_wrapper(self, packets, reference):
         built = engine_matrix(packets, PacketDistance.paper(), workers=2)
         assert np.array_equal(built.values, reference.values)
+
+
+def _no_pool():
+    raise AssertionError("a process pool was created")
+
+
+def _chunk_spans(obs):
+    return [
+        (s.attrs["chunk"], s.attrs["pairs"], s.start_tick, s.end_tick)
+        for s in obs.tracer.spans_named("engine_chunk")
+    ]
+
+
+class TestRouting:
+    """One rule picks serial or pool: at least two chunks and two workers."""
+
+    ITEMS = [float(i * i % 23) for i in range(21)]  # 210 pairs: one default chunk
+
+    def test_zero_workers_follow_cpu_affinity(self, monkeypatch, packets):
+        # Pinned to one CPU of a larger machine (taskset, cgroup cpuset):
+        # the engine must not fork several workers onto that one CPU.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(engine_module, "_pool_context", _no_pool)
+        assert usable_cpus() == 1
+        engine = DistanceEngine(chunk_pairs=8)  # 91 pairs -> 12 chunks
+        built = engine.matrix(packets)
+        assert engine.workers == 1
+        assert engine.stats.workers_used == 1
+        assert engine.stats.chunks == 12
+        reference = distance_matrix(packets, PacketDistance.paper())
+        assert built.values.tobytes() == reference.values.tobytes()
+
+    def test_bench_cpu_count_is_the_engine_count(self, monkeypatch):
+        from repro.eval.perf import cpu_count
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert cpu_count() == usable_cpus() == 3
+
+    def test_one_chunk_batch_never_creates_a_pool(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_pool_context", _no_pool)
+        engine = DistanceEngine(abs_metric, workers=4)
+        built = engine.matrix(self.ITEMS)
+        assert len(built.values) < DEFAULT_CHUNK_PAIRS
+        assert engine.stats.chunks == 1
+        assert engine.stats.workers_used == 1
+
+    def test_chunk_spans_independent_of_worker_count(self):
+        from repro.obs import Observability
+
+        span_lists = []
+        for workers in (1, 2, 4):
+            obs = Observability.create(seed=0)
+            DistanceEngine(abs_metric, workers=workers, obs=obs).matrix(self.ITEMS)
+            span_lists.append(_chunk_spans(obs))
+        assert [span[:2] for span in span_lists[0]] == [(0, 210)]
+        assert span_lists[0] == span_lists[1] == span_lists[2]
+
+    def test_pool_chunks_match_serial_chunks(self):
+        from repro.obs import Observability
+
+        span_lists = []
+        for workers in (1, 2):
+            obs = Observability.create(seed=0)
+            engine = DistanceEngine(abs_metric, workers=workers, chunk_pairs=64, obs=obs)
+            engine.matrix(self.ITEMS)
+            assert engine.stats.workers_used == workers
+            span_lists.append(_chunk_spans(obs))
+        assert [pairs for __, pairs, *__ in span_lists[0]] == [64, 64, 64, 18]
+        assert span_lists[0] == span_lists[1]
+
+    def test_pair_stream_pool_batch_matches_serial(self, packets):
+        chunk = 16
+        pairs = [(i, j) for i in range(len(packets)) for j in range(i + 1, len(packets))]
+        pairs = pairs[: 2 * chunk]
+        results = []
+        for workers in (1, 2):
+            engine = DistanceEngine(PacketDistance.paper(), workers=workers, chunk_pairs=chunk)
+            stream = PairStream(engine)
+            stream.extend(packets)
+            results.append(stream.distances(pairs))
+            assert stream.pairs_evaluated == 2 * chunk
+            # The 2-worker miss batch spans two chunks, so it took the pool.
+            assert engine.stats.workers_used == workers
+        assert results[0].tobytes() == results[1].tobytes()
+        reference = distance_matrix(packets, PacketDistance.paper())
+        expected = [reference.get(i, j) for i, j in pairs]
+        assert results[0].tolist() == expected
 
 
 class TestNcdPrecompute:

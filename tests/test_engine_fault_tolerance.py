@@ -63,6 +63,27 @@ class TestFaultRecovery:
             )
         assert ledgers[0] == ledgers[1]
 
+    def test_ledger_identical_at_default_chunking(self):
+        # ~200 pairs is one default-size chunk at every worker count, so
+        # the chunk list, and with it the fault ledger, cannot depend on
+        # the pool size.
+        ledgers = []
+        for workers in (1, 2, 4):
+            plan = WorkerFaultPlan.uniform(0.5, seed=7)
+            engine = DistanceEngine(abs_metric, workers=workers, fault_plan=plan)
+            built = engine.matrix(ITEMS[:21])
+            assert len(built.values) == 210
+            assert engine.stats.chunks == 1
+            assert engine.stats.recovered
+            ledgers.append(
+                (
+                    engine.stats.chunks_retried,
+                    engine.stats.chunks_quarantined,
+                    engine.stats.faults_injected,
+                )
+            )
+        assert ledgers[0] == ledgers[1] == ledgers[2]
+
     def test_poison_detected_and_quarantined(self, baseline):
         plan = WorkerFaultPlan(seed=3, poison=1.0)
         engine = DistanceEngine(abs_metric, chunk_pairs=16, fault_plan=plan)
