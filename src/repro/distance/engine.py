@@ -23,10 +23,11 @@ serial :func:`repro.distance.matrix.distance_matrix` loop:
    into contiguous chunks of ``chunk_pairs`` pairs — the bounds depend on
    nothing else, so chunk spans and fault ledgers are the same at every
    worker count — and mapped over a worker pool.  The pool runs only
-   when a batch spans at least two chunks and two workers are available
-   (below that a fork costs more than it saves: two workers ran at
-   0.52–0.63× serial on 1–2k pairs on a 2-vCPU host); every smaller
-   batch runs in-process.
+   when a batch holds at least two full chunks and two workers are
+   available; every smaller batch runs in-process.  Below that a fork
+   costs more than it saves: on a 2-vCPU host, two workers forced onto
+   4,186–7,626 pairs ran at 0.73–0.78× serial, while at two full chunks
+   and beyond they ran at 1.12× (8,256 pairs) to 1.83× (523,776).
    Workers receive the pre-serialized evaluator exactly once (pool
    initializer), not per pair; chunk results are reassembled in index
    order, so the output is deterministic and independent of worker
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import math
 import multiprocessing
 import os
 import pickle
@@ -429,10 +429,10 @@ class DistanceEngine:
         decomposed fast path; any callable works).
     :param workers: process count; ``0`` (default) means one per usable
         CPU (:func:`usable_cpus`), ``1`` always evaluates in-process.  A
-        batch goes to the pool only when it spans at least two chunks
-        (see :meth:`_pool_size`).  Results are bit-identical for every
-        worker count; the cache counters in :attr:`stats` are not (see
-        :class:`EngineStats`).
+        batch goes to the pool only when it holds at least two full
+        chunks (see :meth:`_pool_size`).  Results are bit-identical for
+        every worker count; the cache counters in :attr:`stats` are not
+        (see :class:`EngineStats`).
     :param chunk_pairs: condensed-index pairs per chunk.  Chunk bounds
         depend on this alone, never on ``workers``.
     :param obs: optional observability bundle.  The engine emits one
@@ -621,11 +621,13 @@ class DistanceEngine:
         """Processes a batch of ``total`` pairs is spread over (``<= 1``: in-process).
 
         The one routing rule: the pool runs iff this exceeds one, i.e. the
-        batch spans at least two chunks and two workers are available.
-        One chunk (at most ``chunk_pairs`` pairs) therefore always runs
-        in-process, on every host.
+        batch holds at least two *full* chunks and two workers are
+        available.  Counting only full chunks keeps a batch of one chunk
+        plus a remainder (``chunk_pairs < total < 2 * chunk_pairs``)
+        in-process: on a pool, one worker would do a whole chunk while the
+        batch still paid for the fork.
         """
-        return min(self.workers, math.ceil(total / self.chunk_pairs))
+        return min(self.workers, total // self.chunk_pairs)
 
     def _compute(
         self,

@@ -1,10 +1,13 @@
 """The command-line interface, exercised end to end through files."""
 
+import functools
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.distance.engine import DistanceEngine
+from repro.eval import perf
 
 
 @pytest.fixture(scope="module")
@@ -458,7 +461,11 @@ class TestSloVerb:
 
 
 class TestBench:
-    def test_quick_bench_writes_report(self, tmp_path, capsys):
+    def test_quick_bench_writes_report(self, tmp_path, capsys, monkeypatch):
+        # Small chunks, so the 120-pair parallel arm reaches the pool.
+        monkeypatch.setattr(
+            perf, "DistanceEngine", functools.partial(DistanceEngine, chunk_pairs=16)
+        )
         out = tmp_path / "BENCH_perf.json"
         code = main(
             [
@@ -474,6 +481,7 @@ class TestBench:
         assert data["bench"] == "perf"
         assert data["identical"] is True
         assert data["workers"] == 2
+        assert data["cache_parallel"]["workers_used"] == 2
         assert data["violations"] == []
 
 
@@ -509,7 +517,11 @@ class TestFederate:
 class TestJsonFlag:
     """The shared --json report path (bench/serve/chaos/trace/metrics)."""
 
-    def test_bench_json_is_parseable_and_exclusive(self, capsys):
+    def test_bench_json_is_parseable_and_exclusive(self, capsys, monkeypatch):
+        # Small chunks, so the 120-pair parallel arm reaches the pool.
+        monkeypatch.setattr(
+            perf, "DistanceEngine", functools.partial(DistanceEngine, chunk_pairs=16)
+        )
         code = main(
             [
                 "bench", "--quick", "--apps", "30", "--sample", "16",
@@ -522,6 +534,7 @@ class TestJsonFlag:
         assert data["ok"] is True
         assert "stages" in data and "cache_counters" in data
         assert data["stages"]["stages"]["matrix_serial"]["count"] == 1
+        assert data["cache_parallel"]["workers_used"] == 2
         assert data["cache_counters"]["engine_pair_misses"] > 0
 
     def test_chaos_json_reports_points(self, capsys):

@@ -5,6 +5,7 @@ caching, its output must be bit-identical to the serial
 :func:`repro.distance.matrix.distance_matrix` loop.
 """
 
+import functools
 import os
 
 import numpy as np
@@ -240,9 +241,19 @@ class TestEdges:
         reference = distance_matrix(packets[:4], PacketDistance.paper())
         assert np.array_equal(built.values, reference.values)
 
-    def test_one_shot_wrapper(self, packets, reference):
+    def test_one_shot_wrapper(self, monkeypatch, packets, reference):
+        # Small chunks, so the 91-pair build reaches the 2-worker pool.
+        monkeypatch.setattr(
+            engine_module, "DistanceEngine", functools.partial(DistanceEngine, chunk_pairs=16)
+        )
+        pools = []
+        pool_context = engine_module._pool_context
+        monkeypatch.setattr(
+            engine_module, "_pool_context", lambda: pools.append(1) or pool_context()
+        )
         built = engine_matrix(packets, PacketDistance.paper(), workers=2)
         assert np.array_equal(built.values, reference.values)
+        assert pools
 
 
 def _no_pool():
@@ -257,7 +268,7 @@ def _chunk_spans(obs):
 
 
 class TestRouting:
-    """One rule picks serial or pool: at least two chunks and two workers."""
+    """One rule picks serial or pool: at least two full chunks and two workers."""
 
     ITEMS = [float(i * i % 23) for i in range(21)]  # 210 pairs: one default chunk
 
@@ -289,6 +300,17 @@ class TestRouting:
         assert len(built.values) < DEFAULT_CHUNK_PAIRS
         assert engine.stats.chunks == 1
         assert engine.stats.workers_used == 1
+
+    def test_pool_needs_two_full_chunks(self, monkeypatch):
+        # 210 pairs: two full chunks of 105 take the pool; one chunk of
+        # 106 plus a remainder of 104 stays in-process.
+        engine = DistanceEngine(abs_metric, workers=2, chunk_pairs=105)
+        engine.matrix(self.ITEMS)
+        assert (engine.stats.chunks, engine.stats.workers_used) == (2, 2)
+        monkeypatch.setattr(engine_module, "_pool_context", _no_pool)
+        engine = DistanceEngine(abs_metric, workers=2, chunk_pairs=106)
+        engine.matrix(self.ITEMS)
+        assert (engine.stats.chunks, engine.stats.workers_used) == (2, 1)
 
     def test_chunk_spans_independent_of_worker_count(self):
         from repro.obs import Observability
@@ -325,7 +347,7 @@ class TestRouting:
             stream.extend(packets)
             results.append(stream.distances(pairs))
             assert stream.pairs_evaluated == 2 * chunk
-            # The 2-worker miss batch spans two chunks, so it took the pool.
+            # The 2-worker miss batch holds two full chunks, so it took the pool.
             assert engine.stats.workers_used == workers
         assert results[0].tobytes() == results[1].tobytes()
         reference = distance_matrix(packets, PacketDistance.paper())

@@ -1,7 +1,10 @@
 """The perf bench harness and its budget gates."""
 
+import functools
 import json
 
+from repro.distance.engine import DistanceEngine
+from repro.eval import perf
 from repro.eval.perf import PerfBudget, PerfReport, run_perf_bench
 
 
@@ -87,13 +90,18 @@ class TestPerfReport:
 
 
 class TestRunPerfBench:
-    def test_smoke_run_is_correct_and_complete(self, tmp_path):
+    def test_smoke_run_is_correct_and_complete(self, tmp_path, monkeypatch):
         budget = PerfBudget(
             min_parallel_speedup=None, min_engine_speedup=None, min_pair_hit_rate=None
+        )
+        # Small chunks, so the 120-pair parallel arm reaches the pool.
+        monkeypatch.setattr(
+            perf, "DistanceEngine", functools.partial(DistanceEngine, chunk_pairs=16)
         )
         report = run_perf_bench(
             n_apps=30, sample=16, workers=2, seed=3, screen_packets=300, budget=budget
         )
+        assert report.parallel_stats["workers_used"] == 2
         assert report.identical
         assert report.m == 16
         assert report.n_pairs == 120

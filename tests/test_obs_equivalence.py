@@ -105,11 +105,15 @@ class TestEngineUnchanged:
     def test_parallel_matrix_identical_with_observation(self, small_split):
         suspicious, __ = small_split
         packets = suspicious[:24]
-        plain = DistanceEngine(PacketDistance.paper(), workers=2).matrix(packets)
+        # 276 pairs in chunks of 64: enough full chunks for the 2-worker pool.
+        plain_engine = DistanceEngine(PacketDistance.paper(), workers=2, chunk_pairs=64)
+        plain = plain_engine.matrix(packets)
         obs = Observability.create(seed=0)
-        observed = DistanceEngine(PacketDistance.paper(), workers=2, obs=obs).matrix(packets)
+        engine = DistanceEngine(PacketDistance.paper(), workers=2, chunk_pairs=64, obs=obs)
+        observed = engine.matrix(packets)
+        assert plain_engine.stats.workers_used == engine.stats.workers_used == 2
         assert np.array_equal(plain.values, observed.values)
-        assert obs.tracer.spans_named("engine_chunk")
+        assert len(obs.tracer.spans_named("engine_chunk")) == 5
 
 
 class TestServingTelemetryShim:
