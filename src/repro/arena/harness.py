@@ -41,8 +41,8 @@ from typing import Sequence
 from repro.arena.defender import DefenderConfig, DefenderLoop
 from repro.arena.mutations import MutationFamily, MutationPlan, plans_for
 from repro.core.pipeline import PipelineConfig
+from repro.distance.engine import usable_cpus
 from repro.eval.crossval import generate_from
-from repro.eval.perf import cpu_count
 from repro.obs import NULL_OBS, Observability
 from repro.serving.gateway import (
     GatewayConfig,
@@ -400,7 +400,7 @@ def run_arena(
         leak=leak,
         benign=benign,
         workers=workers,
-        cpu_count=cpu_count(),
+        cpu_count=usable_cpus(),
         boot={"n_signatures": len(boot), "set_version": 1},
         families=families_out,
         ground_truth_intact=ground_truth_intact,

@@ -16,31 +16,25 @@
     repro report  --apps 300 --seed 0
     repro fig4    --apps 300 --seed 0
     repro chaos   --apps 80 --seed 0 --rates 0,0.1,0.25,0.5
-    repro bench   --apps 300 --sample 200 --workers 4 --out BENCH_perf.json
-    repro stream  --apps 300 --base 256 --batch 128 --batches 14 \
-                  --out BENCH_streaming.json
-    repro serve   --apps 120 --events 4000 --shards 4 --out BENCH_serving.json
+    repro arena   --apps 120 --seed 0 --out BENCH_arena.json
     repro service --apps 120 --port 8080 --db service.sqlite3
-    repro service-bench --clients 1000 --ops 6 --out BENCH_service.json \
-                  --trace-dir service_trace
-    repro slo     --bench BENCH_service.json
-    repro slo     --access-log service_trace/access_log.jsonl
+    repro slo     --access-log access_log.jsonl
     repro trace   --apps 60 --sample 40 --seed 0 --out trace_out
     repro metrics --apps 60 --events 1200 --seed 0 --out metrics_out
 
-``serve`` and ``service`` are deliberately distinct verbs: ``serve``
-runs the *offline, in-process* screening-gateway bench on simulated
-ticks (no sockets); ``service`` boots the *network-facing* HTTP
-signature service on a real port, and ``service-bench`` drives a live
-instance with the closed-loop socket load harness.
+``service`` boots the network-facing HTTP signature service on a real
+port; every other verb runs in-process on files and simulated ticks.
+Speed is measured by the benchmark of record, ``python3 -m bench.run``,
+which boots ``repro service`` for its socket workloads.
 
-``bench``, ``serve``, ``chaos``, ``trace``, and ``metrics`` accept
+``arena``, ``chaos``, ``slo``, ``trace``, and ``metrics`` accept
 ``--json`` to print their report as stable JSON instead of the table
-(exit codes unchanged — ``bench``/``serve`` still exit nonzero on a
-budget violation).
+(exit codes unchanged — ``arena`` still exits nonzero on a budget
+violation).
 
 Trace paths ending in ``.gz`` are read/written gzip-compressed.
-Every command is pure computation over files — no network, no device.
+Every command except ``service`` is pure computation over files — no
+network, no device.
 Installed as the ``repro`` console script; also runnable via
 ``python -m repro.cli``.
 """
@@ -310,84 +304,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.eval.perf import PerfBudget, run_perf_bench
-
-    if args.quick:
-        # Smoke configuration: a small corpus, and only the correctness
-        # gate — timing floors are meaningless at smoke scale.
-        n_apps = min(args.apps, 60)
-        sample = min(args.sample, 40)
-        screen = min(args.screen, 1500)
-        budget = PerfBudget(
-            min_parallel_speedup=None, min_engine_speedup=None, min_pair_hit_rate=None
-        )
-    else:
-        n_apps, sample, screen = args.apps, args.sample, args.screen
-        budget = PerfBudget(
-            min_parallel_speedup=args.budget_speedup,
-            min_engine_speedup=args.budget_engine_speedup,
-        )
-    report = run_perf_bench(
-        n_apps=n_apps,
-        sample=sample,
-        workers=args.workers,
-        seed=args.seed,
-        screen_packets=screen,
-        budget=budget,
-    )
-    emit_report(args, report.render(), report.to_dict())
-    if args.out:
-        report.save(args.out)
-        if not args.json:
-            print(f"wrote {args.out}")
-    return 0 if report.ok else 1
-
-
-def cmd_stream(args: argparse.Namespace) -> int:
-    from repro.distance.blocking import BlockingMode
-    from repro.eval.streaming import StreamingBudget, run_streaming_bench
-
-    if args.quick:
-        # Smoke configuration: the exactness audit and sub-linearity
-        # gates still apply in full — only the corpus scale shrinks (and
-        # with it the >=10x scale floor, meaningless at smoke size).
-        n_apps = min(args.apps, 60)
-        base = min(args.base, 80)
-        batch = min(args.batch, 40)
-        batches = min(args.batches, 6)
-        budget = StreamingBudget(min_scale=None)
-    else:
-        n_apps, base, batch, batches = args.apps, args.base, args.batch, args.batches
-        budget = StreamingBudget(
-            min_scale=args.budget_scale,
-            max_attach_tail_ratio=args.budget_tail_ratio,
-            max_pair_fraction=args.budget_pair_fraction,
-        )
-    report = run_streaming_bench(
-        n_apps=n_apps,
-        base=base,
-        batch_size=batch,
-        batches=batches,
-        threshold=args.threshold,
-        mode=BlockingMode(args.mode),
-        compact_every=args.compact_every,
-        workers=args.workers,
-        seed=args.seed,
-        budget=budget,
-    )
-    emit_report(args, report.render(), report.to_dict())
-    if args.out:
-        report.save(args.out)
-        if not args.json:
-            print(f"wrote {args.out}")
-    if args.audit_out:
-        report.save_audit(args.audit_out)
-        if not args.json:
-            print(f"wrote {args.audit_out}")
-    return 0 if report.ok else 1
-
-
 def cmd_arena(args: argparse.Namespace) -> int:
     from repro.arena import ArenaBudget, run_arena
 
@@ -429,40 +345,6 @@ def cmd_arena(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serving.bench import ServingBudget, run_serving_bench
-    from repro.serving.gateway import ShedPolicy
-
-    if args.quick:
-        # Smoke configuration: small corpus and stream; the equivalence
-        # and reload gates still apply — only scale shrinks.
-        n_apps = min(args.apps, 60)
-        events = min(args.events, 1200)
-        sample = min(args.sample, 40)
-    else:
-        n_apps, events, sample = args.apps, args.events, args.sample
-    report = run_serving_bench(
-        n_apps=n_apps,
-        events=events,
-        sample=sample,
-        seed=args.seed,
-        batch_size=args.batch,
-        n_shards=args.shards,
-        queue_capacity=args.queue,
-        shed_policy=ShedPolicy(args.policy),
-        budget=ServingBudget(),
-        telemetry_dir=args.telemetry or None,
-    )
-    emit_report(args, report.render(), report.to_dict())
-    if args.out:
-        report.save(args.out)
-        if not args.json:
-            print(f"wrote {args.out}")
-    if args.telemetry and not args.json:
-        print(f"wrote telemetry JSONL under {args.telemetry}/")
-    return 0 if report.ok else 1
-
-
 def _boot_signatures(args: argparse.Namespace) -> list:
     """Boot set for ``repro service``: a file if given, else generated."""
     if args.signatures:
@@ -497,37 +379,6 @@ def cmd_service(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_service_bench(args: argparse.Namespace) -> int:
-    from repro.service.loadgen import ServiceBudget, run_service_bench
-
-    if args.quick:
-        # Smoke configuration: a small fleet of clients; the identity,
-        # zero-5xx, and shed-rate gates still apply — only scale shrinks.
-        n_apps = min(args.apps, 40)
-        n_clients = min(args.clients, 60)
-        sample = min(args.sample, 40)
-        budget = ServiceBudget(min_requests=100)
-    else:
-        n_apps, n_clients, sample = args.apps, args.clients, args.sample
-        budget = ServiceBudget(min_requests=max(100, n_clients * args.ops // 2))
-    report = run_service_bench(
-        n_apps=n_apps,
-        n_clients=n_clients,
-        ops_per_client=args.ops,
-        sample=sample,
-        seed=args.seed,
-        pool_workers=args.pool,
-        budget=budget,
-        trace_dir=args.trace_dir or None,
-    )
-    emit_report(args, report.render(), report.to_dict())
-    if args.out:
-        report.save(args.out)
-        if not args.json:
-            print(f"wrote {args.out}")
-    return 0 if report.ok else 1
-
-
 def _render_slo(payload: dict) -> str:
     """Human rendering of one SLO report section."""
     verdict = "OK" if payload.get("ok") else "VIOLATED"
@@ -552,26 +403,11 @@ def _render_slo(payload: dict) -> str:
 
 
 def cmd_slo(args: argparse.Namespace) -> int:
-    from repro.eval.benchcheck import check_slo_section
-    from repro.obs.slo import replay_access_log
+    from repro.obs.slo import check_slo_section, replay_access_log
 
-    if bool(args.bench) == bool(args.access_log):
-        print("slo: pass exactly one of --bench or --access-log", file=sys.stderr)
-        return 2
-    if args.bench:
-        report = json.loads(Path(args.bench).read_text(encoding="utf-8"))
-        section = report.get("slo") if report.get("bench") != "slo" else report
-        if not isinstance(section, dict):
-            print(f"{args.bench}: no 'slo' section found", file=sys.stderr)
-            return 2
-        payload = dict(section)
-        payload.setdefault("bench", "slo")
-        payload["source"] = str(args.bench)
-    else:
-        engine = replay_access_log(args.access_log)
-        payload = engine.report()
-        payload["bench"] = "slo"
-        payload["source"] = str(args.access_log)
+    payload = replay_access_log(args.access_log).report()
+    payload["bench"] = "slo"
+    payload["source"] = str(args.access_log)
     problems = check_slo_section(payload)
     text = _render_slo(payload)
     if problems:
@@ -584,38 +420,6 @@ def cmd_slo(args: argparse.Namespace) -> int:
         if not args.json:
             print(f"wrote {args.out}")
     return 0 if not problems else 1
-
-
-def cmd_federate(args: argparse.Namespace) -> int:
-    from repro.federation.bench import FederationBudget, run_federation_bench
-
-    if args.quick:
-        # Smoke configuration: a small fleet; the precision and purity
-        # gates still apply — only scale (and the throughput floor) shrinks.
-        n_apps = min(args.apps, 24)
-        n_devices = min(args.devices, 300)
-        single_reports = min(args.single_reports, 128)
-        budget = FederationBudget(min_throughput_per_s=None)
-    else:
-        n_apps, n_devices, single_reports = args.apps, args.devices, args.single_reports
-        budget = FederationBudget()
-    report = run_federation_bench(
-        n_apps=n_apps,
-        n_devices=n_devices,
-        reports_per_device=args.reports,
-        single_device_reports=single_reports,
-        min_support=args.min_support,
-        fault_rate=args.rate,
-        seed=args.seed,
-        n_shards=args.shards,
-        budget=budget,
-    )
-    emit_report(args, report.render(), report.to_dict())
-    if args.out:
-        report.save(args.out)
-        if not args.json:
-            print(f"wrote {args.out}")
-    return 0 if report.ok else 1
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -763,76 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fig4)
 
-    p = sub.add_parser("bench", help="time the hot paths, emit BENCH_perf.json")
-    p.add_argument("--apps", type=int, default=300)
-    p.add_argument("--sample", type=int, default=200, help="M packets for the matrix build")
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--screen", type=int, default=4000, help="packets for matcher throughput")
-    p.add_argument("--quick", action="store_true",
-                   help="smoke scale; enforce only serial/parallel equality")
-    p.add_argument("--budget-speedup", type=float, default=2.0,
-                   help="required parallel speedup (enforced when CPUs allow)")
-    p.add_argument("--budget-engine-speedup", type=float, default=1.5,
-                   help="required engine-vs-naive serial speedup")
-    p.add_argument("--out", default="", help="write the JSON report here")
-    add_json_flag(p)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser(
-        "stream",
-        help="run the streaming blocked-clustering bench + exactness audit; "
-        "emits BENCH_streaming.json",
-    )
-    p.add_argument("--apps", type=int, default=300)
-    p.add_argument("--base", type=int, default=256, help="packets in the initial load")
-    p.add_argument("--batch", type=int, default=128, help="packets per extension batch")
-    p.add_argument("--batches", type=int, default=14, help="extension batches")
-    p.add_argument("--threshold", type=float, default=1.2,
-                   help="absolute linkage height clusters are cut at")
-    p.add_argument("--mode", choices=("exact", "lsh"), default="exact",
-                   help="blocking prefilter: exact = provably lossless "
-                        "destination bound; lsh = destination key + minhash")
-    p.add_argument("--compact-every", type=int, default=4,
-                   help="ingest batches between dirty-block compactions")
-    p.add_argument("--workers", type=int, default=1,
-                   help=SERIAL_WORKERS_HELP)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--quick", action="store_true",
-                   help="smoke scale; exactness + sub-linearity gates still apply")
-    p.add_argument("--budget-scale", type=float, default=10.0,
-                   help="required corpus growth over the perf-bench baseline M")
-    p.add_argument("--budget-tail-ratio", type=float, default=2.0,
-                   help="max per-item attach-cost growth, last batch vs first")
-    p.add_argument("--budget-pair-fraction", type=float, default=0.6,
-                   help="max fraction of the full pair space evaluated")
-    p.add_argument("--out", default="", help="write the JSON report here")
-    p.add_argument("--audit-out", default="",
-                   help="write the standalone exactness-audit JSON here")
-    add_json_flag(p)
-    p.set_defaults(func=cmd_stream)
-
-    p = sub.add_parser(
-        "serve",
-        help="run the OFFLINE in-process screening-gateway bench on simulated "
-        "ticks (no network; see 'service' for the HTTP server); emits "
-        "BENCH_serving.json",
-    )
-    p.add_argument("--apps", type=int, default=120)
-    p.add_argument("--events", type=int, default=4000, help="arrivals per scenario")
-    p.add_argument("--sample", type=int, default=120, help="M packets per signature set")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch", type=int, default=8, help="micro-batch size")
-    p.add_argument("--shards", type=int, default=4, help="signature shards")
-    p.add_argument("--queue", type=int, default=64, help="admission queue capacity")
-    p.add_argument("--policy", choices=("degrade", "drop"), default="degrade",
-                   help="load-shedding policy when the queue is full")
-    p.add_argument("--quick", action="store_true", help="smoke scale for CI")
-    p.add_argument("--telemetry", default="", help="directory for span-log JSONL export")
-    p.add_argument("--out", default="", help="write the JSON report here")
-    add_json_flag(p)
-    p.set_defaults(func=cmd_serve)
-
     p = sub.add_parser(
         "arena",
         help="adversarial evasion arena: seeded attacker mutations vs the "
@@ -868,9 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "service",
-        help="boot the NETWORK-FACING HTTP signature service on a real port "
-        "(publish/fetch/screen/reports/metrics/healthz; see 'serve' for the "
-        "offline gateway bench)",
+        help="boot the network-facing HTTP signature service on a real port "
+        "(publish/fetch/screen/reports/metrics/healthz)",
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument("--port", type=int, default=0,
@@ -889,35 +622,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_service)
 
     p = sub.add_parser(
-        "service-bench",
-        help="closed-loop socket load harness against a live service instance; "
-        "emits BENCH_service.json",
+        "slo", help="replay a service access log through the SLO engine"
     )
-    p.add_argument("--apps", type=int, default=120)
-    p.add_argument("--clients", type=int, default=1000, help="simulated clients")
-    p.add_argument("--ops", type=int, default=6, help="operations per client")
-    p.add_argument("--sample", type=int, default=120, help="M packets per signature set")
-    p.add_argument("--pool", type=int, default=32, help="client thread-pool size")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quick", action="store_true", help="smoke scale for CI")
-    p.add_argument("--trace-dir", default="",
-                   help="enable request tracing and write span logs, the joined "
-                        "cross-process Chrome trace, the access log, and any "
-                        "flight-recorder dumps into this directory")
-    p.add_argument("--out", default="", help="write the JSON report here")
-    add_json_flag(p)
-    p.set_defaults(func=cmd_service_bench)
-
-    p = sub.add_parser(
-        "slo",
-        help="inspect an SLO report: validate the slo section of a committed "
-        "BENCH_service.json, or replay a service access log through the "
-        "SLO engine",
-    )
-    p.add_argument("--bench", default="",
-                   help="BENCH_service.json (or standalone slo report) to validate")
-    p.add_argument("--access-log", default="",
-                   help="service access_log.jsonl to replay through the SLO engine")
+    p.add_argument("--access-log", required=True,
+                   help="service access_log.jsonl to replay")
     p.add_argument("--out", default="", help="write the JSON report here")
     add_json_flag(p)
     p.set_defaults(func=cmd_slo)
@@ -944,25 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="k-anonymity gate (--target federation only)")
     add_json_flag(p)
     p.set_defaults(func=cmd_chaos)
-
-    p = sub.add_parser(
-        "federate",
-        help="run the fleet-scale federation bench; emits BENCH_federation.json",
-    )
-    p.add_argument("--apps", type=int, default=48)
-    p.add_argument("--devices", type=int, default=10_000, help="fleet size")
-    p.add_argument("--reports", type=int, default=3, help="honest reports per device")
-    p.add_argument("--single-reports", type=int, default=384,
-                   help="reports for the single-device comparison arm")
-    p.add_argument("--min-support", type=int, default=3,
-                   help="k-anonymity gate for the fleet arm")
-    p.add_argument("--rate", type=float, default=0.2, help="injected device-fault rate")
-    p.add_argument("--shards", type=int, default=16, help="ingest shards")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quick", action="store_true", help="smoke scale for CI")
-    p.add_argument("--out", default="", help="write the JSON report here")
-    add_json_flag(p)
-    p.set_defaults(func=cmd_federate)
 
     p = sub.add_parser(
         "trace",

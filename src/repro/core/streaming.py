@@ -28,8 +28,8 @@ With exact blocking and a reducible linkage, a compacted clusterer's
 partition is **identical** to a full recluster of everything seen so
 far: blocking is lossless at the threshold, and per-block reclustering
 equals global reclustering when no merge below the threshold crosses
-blocks.  The exactness audit in :mod:`repro.eval.streaming` asserts
-this on every CI run.
+blocks.  ``tests/test_core_streaming.py`` asserts this, for the
+partition and for the signatures generated from it.
 """
 
 from __future__ import annotations

@@ -103,7 +103,7 @@ def usable_cpus() -> int:
 
 @dataclass(slots=True)
 class EngineStats:
-    """Machine-readable account of one engine run (feeds ``BENCH_perf.json``).
+    """Machine-readable account of one engine run.
 
     Once ``workers_used > 1`` the cache counters (``pair_hits`` /
     ``pair_misses``, ``singles`` hits and misses, and the matching

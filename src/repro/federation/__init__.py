@@ -22,9 +22,7 @@ buggy, replaying, and outright adversarial reporters:
   k-anonymity min-support gate;
 - :mod:`repro.federation.fleet` — the round orchestrator: per-device
   report substreams -> faulty transport -> ingest -> aggregation ->
-  signature generation;
-- :mod:`repro.federation.bench` — the fleet-scale bench behind
-  ``repro federate`` (``BENCH_federation.json``).
+  signature generation.
 
 The headline guarantee, enforced by ``repro chaos --target federation``:
 at device-fault rates 0-50 %, the federated signature set is

@@ -154,7 +154,7 @@ class RequestTracer:
     Each request is handled on one thread, so the active-span stack is
     thread-local while the span list and id counters are shared under a
     lock.  Id allocation is deterministic (run-id prefix + monotonic
-    counters); timestamps are wall clock by design — the service bench is
+    counters); timestamps are wall clock by design — socket requests are
     the one deliberately wall-clocked corner of the repo.
 
     :param process: lane-group name in joined traces (``client``/``server``).

@@ -7,8 +7,7 @@ doing its own work rather than waiting on sub-stages), and, when the
 tracer captured wall clock, the same split in seconds.
 
 This is the attribution artifact: "where do the ticks and seconds go"
-answered per pipeline stage, feeding the ``stages`` section of
-``BENCH_perf.json`` and the ``repro trace`` report.
+answered per pipeline stage, feeding the ``repro trace`` report.
 """
 
 from __future__ import annotations

@@ -24,16 +24,8 @@ Persistence sits behind :class:`SignatureRepository` /
 implementations; envelope checksums are re-verified on every read and a
 corrupt row degrades to the last known good version, mirroring
 :class:`~repro.core.distribution.SignatureFetcher`.
-
-:mod:`repro.service.loadgen` is the closed-loop socket load harness
-behind ``repro service-bench`` and the committed ``BENCH_service.json``.
 """
 
-from repro.service.loadgen import (
-    ServiceBudget,
-    ServiceReport,
-    run_service_bench,
-)
 from repro.service.repository import (
     InMemoryReportRepository,
     InMemorySignatureRepository,
@@ -54,9 +46,7 @@ __all__ = [
     "InMemoryReportRepository",
     "InMemorySignatureRepository",
     "ReportRepository",
-    "ServiceBudget",
     "ServiceConfig",
-    "ServiceReport",
     "ServiceServer",
     "SignatureRepository",
     "SignatureService",
@@ -64,5 +54,4 @@ __all__ = [
     "SqliteSignatureRepository",
     "SqliteStore",
     "open_repositories",
-    "run_service_bench",
 ]

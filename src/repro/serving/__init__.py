@@ -4,9 +4,8 @@ Turns the device-side screening function into a servable system: a seeded
 fleet load generator (:mod:`repro.serving.loadgen`), batched sharded
 matching bit-identical to the scalar matcher (:mod:`repro.serving.shards`),
 a gateway with bounded admission, load shedding and hot signature reload
-(:mod:`repro.serving.gateway`), deterministic serving telemetry
-(:mod:`repro.serving.telemetry`), and the ``repro serve`` bench emitting
-``BENCH_serving.json`` (:mod:`repro.serving.bench`).
+(:mod:`repro.serving.gateway`), and deterministic serving telemetry
+(:mod:`repro.serving.telemetry`).
 """
 
 from repro.serving.gateway import (

@@ -7,7 +7,7 @@ turns a :class:`~repro.simulation.corpus.Corpus` trace into that stream:
 each packet gets an arrival *tick* (cumulative seeded-exponential
 interarrivals) and a device id, so the same ``(corpus, profile, seed)``
 always yields the byte-identical event sequence the gateway tests and
-benches rely on.
+the benchmark rely on.
 
 A :class:`LoadProfile` shapes the stream: the mean interarrival sets the
 offered load, and an optional burst window compresses interarrivals by
@@ -17,7 +17,7 @@ Two stream shapes exist:
 
 - :meth:`FleetLoadGenerator.events` — the original single interleaved
   stream (one shared RNG draws interarrivals and attributes packets to
-  devices), used by the gateway benches;
+  devices), used by the gateway tests and the benchmark;
 - :meth:`FleetLoadGenerator.device_events` — one device's **independent
   substream**, derived from a child RNG keyed by the device id alone, so
   the stream for ``device-00003`` is a pure function of

@@ -4,13 +4,13 @@ Historically this module owned the counter/histogram primitives; they now
 live in :mod:`repro.obs.metrics` (the shared observability core) and
 :class:`ServingTelemetry` delegates to a :class:`~repro.obs.metrics.Metrics`
 registry while keeping its exact public surface and export formats — the
-serving bench's JSONL and snapshot output is byte-for-byte what the
+JSONL and snapshot output is byte-for-byte what the
 pre-migration implementation produced (regression-tested in
 ``tests/test_serving_telemetry.py``).
 
 Everything is measured in *logical ticks* (the gateway's deterministic
 clock) or plain counts, so two runs with the same seed produce identical
-telemetry byte-for-byte — the serving bench can assert on it, and CI can
+telemetry byte-for-byte — tests can assert on it, and CI can
 diff exported JSONL across commits without wall-clock noise.
 
 Three primitives:
@@ -49,9 +49,8 @@ DEPTH_BOUNDS: tuple[float, ...] = (0, 1, 2, 4, 8, 16, 32, 64, 128)
 class ServingTelemetry:
     """The gateway's measurement sink.
 
-    One instance per gateway run; the serving bench snapshots it into the
-    ``BENCH_serving.json`` report and can export the raw span log as JSONL
-    for offline analysis.
+    One instance per gateway run; :meth:`snapshot` summarizes it and the
+    raw span log can be exported as JSONL for offline analysis.
 
     :param metrics: the backing registry.  Pass a shared
         :class:`~repro.obs.metrics.Metrics` to merge gateway counters with

@@ -1,13 +1,10 @@
 """The command-line interface, exercised end to end through files."""
 
-import functools
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.distance.engine import DistanceEngine
-from repro.eval import perf
 
 
 @pytest.fixture(scope="module")
@@ -167,12 +164,7 @@ class TestParser:
             main(["frobnicate"])
 
     def test_all_verbs_listed_and_dispatch(self, capsys):
-        from repro.cli import (
-            build_parser,
-            cmd_serve,
-            cmd_service,
-            cmd_service_bench,
-        )
+        from repro.cli import build_parser, cmd_service
 
         parser = build_parser()
         with pytest.raises(SystemExit):
@@ -180,17 +172,11 @@ class TestParser:
         help_text = capsys.readouterr().out
         for verb in (
             "corpus", "label", "generate", "screen", "risk", "export",
-            "analyze", "redact", "report", "fig4", "bench", "stream",
-            "serve", "arena", "service", "service-bench", "slo", "chaos",
-            "federate", "trace", "metrics",
+            "analyze", "redact", "report", "fig4", "arena", "service",
+            "slo", "chaos", "trace", "metrics",
         ):
             assert verb in help_text, verb
-        # serve (offline bench) vs service (network server) stay distinct
-        assert "OFFLINE" in help_text
-        assert "NETWORK-FACING" in help_text
-        assert parser.parse_args(["serve", "--quick"]).func is cmd_serve
         assert parser.parse_args(["service"]).func is cmd_service
-        assert parser.parse_args(["service-bench", "--quick"]).func is cmd_service_bench
 
     def test_service_verb_defaults(self):
         from repro.cli import build_parser
@@ -327,119 +313,7 @@ class TestChaos:
         assert point["faults_injected"] > 0
 
 
-class TestServe:
-    def test_quick_serve_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_serving.json"
-        telemetry = tmp_path / "telemetry"
-        code = main(
-            [
-                "serve", "--quick", "--apps", "40", "--events", "600",
-                "--sample", "30", "--seed", "4", "--out", str(out),
-                "--telemetry", str(telemetry),
-            ]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "Serving bench" in text
-        data = json.loads(out.read_text())
-        assert data["bench"] == "serving"
-        assert data["violations"] == []
-        assert {s["name"] for s in data["scenarios"]} == {"steady", "overload"}
-        assert all(s["identical"] for s in data["scenarios"])
-        jsonl = sorted(telemetry.glob("serving_*.jsonl"))
-        assert len(jsonl) == 2
-        last = json.loads(jsonl[0].read_text().splitlines()[-1])
-        assert last["kind"] == "summary"
-
-
-class TestServiceBench:
-    def test_quick_service_bench_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_service.json"
-        code = main(
-            [
-                "service-bench", "--quick", "--apps", "30", "--clients", "25",
-                "--ops", "4", "--sample", "30", "--pool", "8", "--seed", "2",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "Service bench" in text
-        assert "budget: ok" in text
-        data = json.loads(out.read_text())
-        assert data["bench"] == "service"
-        assert data["ok"] is True
-        assert data["identical"] is True
-        assert data["n_5xx"] == 0
-        assert data["server"]["backend"] == "sqlite"
-        assert data["republication"]["stale_status"] == 409
-        assert data["slo"]["ok"] is True
-        assert data["tracing"] == {"enabled": False}
-
-    def test_trace_dir_enables_tracing_and_writes_artifacts(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_service.json"
-        trace_dir = tmp_path / "service_trace"
-        code = main(
-            [
-                "service-bench", "--quick", "--apps", "30", "--clients", "25",
-                "--ops", "4", "--sample", "30", "--pool", "8", "--seed", "2",
-                "--out", str(out), "--trace-dir", str(trace_dir),
-            ]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "tracing:" in text
-        data = json.loads(out.read_text())
-        assert data["tracing"]["enabled"] is True
-        assert data["tracing"]["join"]["complete"] is True
-        assert data["checks"]["trace_join_complete"] is True
-        for name in (
-            "client_spans.jsonl", "server_spans.jsonl", "trace_joined.json",
-            "access_log.jsonl", "flight_recorder.jsonl",
-        ):
-            assert (trace_dir / name).exists(), name
-        joined = json.loads((trace_dir / "trace_joined.json").read_text())
-        assert joined["otherData"]["joined_processes"] == ["client", "server"]
-
-
 class TestSloVerb:
-    def test_bench_mode(self, tmp_path, capsys):
-        section = {
-            "bench": "service",
-            "slo": {
-                "objectives": {
-                    "availability": {
-                        "kind": "availability", "target": 0.999,
-                        "compliance": 1.0,
-                        "budget": {"allowed_bad": 1.0, "bad": 0,
-                                   "consumed": 0.0, "remaining": 1.0},
-                        "alerts": [], "ok": True,
-                    }
-                },
-                "page_alerts": 0,
-                "ticket_alerts": 0,
-                "ok": True,
-            },
-        }
-        path = tmp_path / "BENCH_service.json"
-        path.write_text(json.dumps(section))
-        code = main(["slo", "--bench", str(path)])
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "SLO report — OK" in text
-        assert "availability" in text
-
-    def test_bench_mode_flags_violations(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_bad.json"
-        path.write_text(json.dumps({"bench": "service", "slo": {
-            "objectives": {}, "page_alerts": 3, "ticket_alerts": 0, "ok": False,
-        }}))
-        code = main(["slo", "--bench", str(path)])
-        assert code == 1
-        text = capsys.readouterr().out
-        assert "VIOLATED" in text
-        assert "problem:" in text
-
     def test_access_log_mode_replays(self, tmp_path, capsys):
         log = tmp_path / "access_log.jsonl"
         lines = [
@@ -455,87 +329,9 @@ class TestSloVerb:
         assert payload["ok"] is True
         assert payload["objectives"]["availability"]["total"] == 5
 
-    def test_requires_exactly_one_source(self, capsys):
-        assert main(["slo"]) == 2
-        assert "exactly one" in capsys.readouterr().err
-
-
-class TestBench:
-    def test_quick_bench_writes_report(self, tmp_path, capsys, monkeypatch):
-        # Small chunks, so the 120-pair parallel arm reaches the pool.
-        monkeypatch.setattr(
-            perf, "DistanceEngine", functools.partial(DistanceEngine, chunk_pairs=16)
-        )
-        out = tmp_path / "BENCH_perf.json"
-        code = main(
-            [
-                "bench", "--quick", "--apps", "30", "--sample", "16",
-                "--workers", "2", "--seed", "3", "--screen", "200",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "Perf bench" in text
-        data = json.loads(out.read_text())
-        assert data["bench"] == "perf"
-        assert data["identical"] is True
-        assert data["workers"] == 2
-        assert data["cache_parallel"]["workers_used"] == 2
-        assert data["violations"] == []
-
-
-class TestFederate:
-    @pytest.fixture(scope="class")
-    def quick_run(self, tmp_path_factory):
-        # One quick bench shared by the class: the smoke-scale arms still
-        # take a few seconds each.
-        out = tmp_path_factory.mktemp("federate") / "BENCH_federation.json"
-        code = main(["federate", "--quick", "--out", str(out), "--json"])
-        return code, out
-
-    def test_quick_federate_writes_report(self, quick_run):
-        code, out = quick_run
-        assert code == 0
-        data = json.loads(out.read_text())
-        assert data["bench"] == "federation"
-        assert data["violations"] == []
-        assert {arm["name"] for arm in data["arms"]} == {"fleet", "single"}
-
-    def test_quick_federate_report_shape(self, quick_run):
-        __, out = quick_run
-        data = json.loads(out.read_text())
-        assert data["ok"] is True
-        fleet = next(arm for arm in data["arms"] if arm["name"] == "fleet")
-        single = next(arm for arm in data["arms"] if arm["name"] == "single")
-        assert fleet["material_fabricated"] == 0  # the k-gate held
-        assert fleet["precision"] >= single["precision"]
-        assert fleet["ingest"]["accepted"] > 0
-
-
 
 class TestJsonFlag:
-    """The shared --json report path (bench/serve/chaos/trace/metrics)."""
-
-    def test_bench_json_is_parseable_and_exclusive(self, capsys, monkeypatch):
-        # Small chunks, so the 120-pair parallel arm reaches the pool.
-        monkeypatch.setattr(
-            perf, "DistanceEngine", functools.partial(DistanceEngine, chunk_pairs=16)
-        )
-        code = main(
-            [
-                "bench", "--quick", "--apps", "30", "--sample", "16",
-                "--workers", "2", "--seed", "3", "--screen", "200", "--json",
-            ]
-        )
-        assert code == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["bench"] == "perf"
-        assert data["ok"] is True
-        assert "stages" in data and "cache_counters" in data
-        assert data["stages"]["stages"]["matrix_serial"]["count"] == 1
-        assert data["cache_parallel"]["workers_used"] == 2
-        assert data["cache_counters"]["engine_pair_misses"] > 0
+    """The shared --json report path."""
 
     def test_chaos_json_reports_points(self, capsys):
         code = main(
@@ -549,17 +345,6 @@ class TestJsonFlag:
         assert data["bench"] == "chaos"
         assert data["n_points"] == 2
         assert data["points"][0]["fault_rate"] == 0.0
-
-    def test_serve_json_is_parseable(self, capsys):
-        code = main(
-            [
-                "serve", "--quick", "--apps", "40", "--events", "400",
-                "--sample", "30", "--seed", "4", "--json",
-            ]
-        )
-        assert code == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["bench"] == "serving"
 
 
 class TestTrace:
@@ -655,40 +440,3 @@ class TestArena:
         args = build_parser().parse_args(["arena", "--quick"])
         assert args.quick
         assert (args.apps, args.rounds) == (120, 6)  # clamped inside cmd_arena
-
-
-class TestStream:
-    def test_quick_run_writes_report_and_audit(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_streaming.json"
-        audit_out = tmp_path / "AUDIT_streaming.json"
-        code = main(
-            [
-                "stream", "--quick", "--apps", "40", "--base", "40",
-                "--batch", "20", "--batches", "2", "--seed", "3",
-                "--out", str(out), "--audit-out", str(audit_out),
-            ]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "Streaming bench" in text
-        assert "budget: ok" in text
-        report = json.loads(out.read_text())
-        assert report["bench"] == "streaming"
-        assert report["identical"] is True
-        assert report["ok"] is True
-        audit = json.loads(audit_out.read_text())
-        assert audit["bench"] == "streaming_audit"
-        assert audit["audit"]["signatures_identical"] is True
-
-    def test_stream_json_output(self, capsys):
-        code = main(
-            [
-                "stream", "--quick", "--apps", "40", "--base", "40",
-                "--batch", "20", "--batches", "1", "--seed", "3", "--json",
-            ]
-        )
-        assert code == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["mode"] == "exact"
-        assert data["audit"]["f1"] == 1.0
-        assert data["recompute"]["pairs_evaluated"] < data["recompute"]["full_pairs"]

@@ -9,7 +9,10 @@ from repro.distance.blocking import BlockingConfig
 from repro.distance.engine import DistanceEngine
 from repro.distance.packet import PacketDistance
 from repro.errors import ClusteringError
-from repro.simulation.corpus import mini_corpus
+from repro.signatures.generator import GeneratorConfig, SignatureGenerator
+from repro.signatures.store import SignatureStore
+from repro.simulation.corpus import build_corpus, mini_corpus
+from tests.conftest import make_packet
 
 THRESHOLD = 1.2
 
@@ -148,6 +151,26 @@ class TestCompaction:
         # state needs no full pass to agree with the reference.
         assert clusterer.partition() == full_recluster(packets)
 
+    def test_compaction_repairs_a_greedy_attach(self):
+        # The third packet attaches to the first (0.27 away).  A full
+        # recluster then also merges the second: its group average to
+        # {first, third} is 1.16, under the threshold, although it is
+        # 1.27 from the first alone.  Only compaction can revisit that.
+        packets = [
+            make_packet(target="/ad?sid=alpha&udid=deadbeef0001&slot=banner"),
+            make_packet(
+                target="/ad?sid=alpha&udid=deadbeef0001&slot=interstitial",
+                cookie="uid=abc123",
+            ),
+            make_packet(target="/ad?sid=alpha&udid=deadbeef0001&slot=interstitial"),
+        ]
+        config = StreamingConfig(blocking=BlockingConfig(threshold=THRESHOLD), compact_every=0)
+        clusterer = StreamingClusterer(PacketDistance.paper(), config)
+        clusterer.ingest(packets)
+        assert clusterer.partition() == [[0, 2], [1]]
+        clusterer.compact(full=True)
+        assert clusterer.partition() == full_recluster(packets) == [[0, 1, 2]]
+
     def test_compaction_reuses_attach_pairs(self):
         packets = corpus_packets(3, n=60)
         clusterer = streamed(packets, compact_every=2)
@@ -165,3 +188,51 @@ class TestCompaction:
             data["pairs_evaluated"]
             == data["attach_pairs_evaluated"] + data["compact_pairs_evaluated"]
         )
+
+
+class TestQuickScaleAudit:
+    """Exact mode at smoke scale: 80 packets, then six batches of 40."""
+
+    @pytest.fixture(scope="class")
+    def audit(self):
+        corpus = build_corpus(n_apps=60, seed=7)
+        suspicious, __ = corpus.payload_check().split(corpus.trace)
+        packets = list(suspicious[:320])
+        assert len(packets) == 320
+        config = StreamingConfig(blocking=BlockingConfig(threshold=THRESHOLD), compact_every=4)
+        metric = PacketDistance.paper()
+        clusterer = StreamingClusterer(metric, config, engine=DistanceEngine(metric, workers=1))
+        attach = []  # (batch size, population before, attach pairs)
+        for batch in [packets[:80]] + [packets[i : i + 40] for i in range(80, 320, 40)]:
+            m_before, pairs_before = len(clusterer), clusterer.stats.attach_pairs_evaluated
+            clusterer.ingest(batch)
+            pairs = clusterer.stats.attach_pairs_evaluated - pairs_before
+            attach.append((len(batch), m_before, pairs))
+        clusterer.compact(full=True)
+        return packets, clusterer, full_recluster(packets), attach
+
+    def test_signatures_identical_to_full_recluster(self, audit):
+        packets, clusterer, full, __ = audit
+        assert clusterer.partition() == full
+        generator = SignatureGenerator(GeneratorConfig(cut_height=THRESHOLD))
+
+        def signatures(partition):
+            return SignatureStore.dumps(
+                generator.from_clusters([[packets[i] for i in c] for c in partition])
+            )
+
+        assert signatures(clusterer.partition()) == signatures(full)
+
+    def test_evaluates_at_most_sixty_percent_of_pair_space(self, audit):
+        packets, clusterer, __, __ = audit
+        m = len(packets)
+        assert clusterer.stats.pairs_evaluated <= 0.6 * (m * (m - 1) // 2)
+
+    def test_attach_cost_per_packet_stays_flat(self, audit):
+        # Per-packet attach pairs in the last batch: at most twice the
+        # first extension batch's, and at most a quarter of the
+        # population then (a naive incremental scheme pays all of it).
+        __, __, __, attach = audit
+        (head_size, __, head_pairs), (tail_size, tail_m, tail_pairs) = attach[1], attach[-1]
+        assert tail_pairs / tail_size <= 2.0 * head_pairs / head_size
+        assert tail_pairs / tail_size <= 0.25 * tail_m

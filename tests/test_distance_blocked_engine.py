@@ -7,6 +7,8 @@ clusters as the full matrix — the exact-mode losslessness proof made
 operational.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,62 @@ def flat_clusters(matrix, linkage=Linkage.GROUP_AVERAGE):
     )
 
 
+def partition_agreement(
+    ours: list[list[int]], reference: list[list[int]], n_items: int
+) -> dict:
+    """Pairwise co-membership agreement between two partitions.
+
+    Counting-based (contingency cells, no materialized pair sets).
+    Precision/recall are over same-cluster pairs with ``reference`` as
+    truth.
+    """
+    label_ours: dict[int, int] = {}
+    for cluster_id, members in enumerate(ours):
+        for member in members:
+            label_ours[member] = cluster_id
+    label_ref: dict[int, int] = {}
+    for cluster_id, members in enumerate(reference):
+        for member in members:
+            label_ref[member] = cluster_id
+
+    def same_pairs(counts: Counter) -> int:
+        return sum(count * (count - 1) // 2 for count in counts.values())
+
+    same_ours = same_pairs(Counter(label_ours.values()))
+    same_ref = same_pairs(Counter(label_ref.values()))
+    same_both = same_pairs(
+        Counter((label_ours[item], label_ref[item]) for item in range(n_items))
+    )
+    precision = same_both / same_ours if same_ours else 1.0
+    recall = same_both / same_ref if same_ref else 1.0
+    f1 = (
+        2 * precision * recall / (precision + recall)
+        if precision + recall
+        else 0.0
+    )
+    return {"precision": precision, "recall": recall, "f1": f1}
+
+
+class TestPartitionAgreement:
+    def test_identical_partitions(self):
+        result = partition_agreement([[0, 1, 2], [3, 4]], [[3, 4], [0, 1, 2]], 5)
+        assert result["precision"] == result["recall"] == result["f1"] == 1.0
+
+    def test_split_cluster_scores(self):
+        # ours splits the reference's single 4-cluster into two halves:
+        # all our co-pairs are true (precision 1), 2 of 6 survive (recall
+        # 1/3), F1 = 0.5.
+        result = partition_agreement([[0, 1], [2, 3]], [[0, 1, 2, 3]], 4)
+        assert result["precision"] == 1.0
+        assert result["recall"] == pytest.approx(1 / 3)
+        assert result["f1"] == pytest.approx(0.5)
+
+    def test_all_singletons_vs_one_cluster(self):
+        result = partition_agreement([[0], [1], [2]], [[0, 1, 2]], 3)
+        assert result["precision"] == 1.0  # vacuous: no same-pairs claimed
+        assert result["recall"] == 0.0
+
+
 class TestBlockedMatrix:
     def test_within_block_values_bit_identical(self, packets, full):
         engine = DistanceEngine(PacketDistance.paper())
@@ -67,10 +125,7 @@ class TestBlockedMatrix:
         assert flat_clusters(blocked, linkage) == flat_clusters(full, linkage)
 
     def test_lsh_mode_cut_agrees_within_audit_floor(self, packets, full):
-        # LSH is approximate — the contract is the audited agreement floor
-        # the streaming budget enforces, not identity.
-        from repro.eval.streaming import partition_agreement
-
+        # LSH is approximate: the contract is an agreement floor, not identity.
         engine = DistanceEngine(PacketDistance.paper())
         blocked, assignment = engine.blocked_matrix(
             packets,

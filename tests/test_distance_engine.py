@@ -287,12 +287,6 @@ class TestRouting:
         reference = distance_matrix(packets, PacketDistance.paper())
         assert built.values.tobytes() == reference.values.tobytes()
 
-    def test_bench_cpu_count_is_the_engine_count(self, monkeypatch):
-        from repro.eval.perf import cpu_count
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        assert cpu_count() == usable_cpus() == 3
-
     def test_one_chunk_batch_never_creates_a_pool(self, monkeypatch):
         monkeypatch.setattr(engine_module, "_pool_context", _no_pool)
         engine = DistanceEngine(abs_metric, workers=4)

@@ -9,6 +9,7 @@ from repro.federation.aggregate import DirSupportStore
 from repro.federation.faults import DeviceFaultPlan
 from repro.federation.fleet import run_federation
 from repro.obs import Observability
+from repro.signatures.matcher import SignatureMatcher
 
 
 @pytest.fixture(scope="session")
@@ -79,6 +80,41 @@ class TestDeterminism:
         )
         assert result.fabricated_pool  # poison was accepted at ingest...
         assert not any(p.meta.get("fabricated") for p in result.material)  # ...never signed
+
+
+class TestFleetVersusSingleDevice:
+    def test_fleet_precision_at_least_single_device_under_poison(self, small_corpus, small_split):
+        # One lab device has no crowd to corroborate against (min_support=1),
+        # so its accepted poison reaches its signatures; the fleet's k-gate
+        # keeps it out.  Both sets screen the labelled corpus plus every
+        # fabrication either arm accepted.
+        fleet = run_federation(
+            small_corpus,
+            seed=3,
+            n_devices=12,
+            reports_per_device=6,
+            min_support=2,
+            fault_plan=DeviceFaultPlan(seed=5, poison=0.5),
+        )
+        single = run_federation(
+            small_corpus,
+            seed=3,
+            n_devices=1,
+            reports_per_device=72,
+            min_support=1,
+            fault_plan=DeviceFaultPlan(seed=5, poison=0.5),
+        )
+        suspicious, normal = small_split
+        negatives = [*normal, *fleet.fabricated_pool, *single.fabricated_pool]
+
+        def precision(signatures):
+            matcher = SignatureMatcher(signatures)
+            hits = sum(matcher.match(p).matched for p in suspicious)
+            false_hits = sum(matcher.match(p).matched for p in negatives)
+            return hits / (hits + false_hits)
+
+        assert single.fabricated_pool  # the poison really landed
+        assert precision(fleet.signatures) >= precision(single.signatures)
 
 
 class TestPluggableStore:

@@ -13,6 +13,7 @@ from repro.obs.slo import (
     BurnRule,
     SloEngine,
     SloObjective,
+    check_slo_section,
     replay_access_log,
 )
 
@@ -223,3 +224,42 @@ class TestDeterminismAndReplay:
         # shed decisions are not in the access log: vacuously compliant
         assert report["objectives"]["shed_rate"]["total"] == 0
         assert report["objectives"]["shed_rate"]["ok"] is True
+
+
+def healthy_section(**overrides) -> dict:
+    engine = SloEngine()
+    for _ in range(20):
+        engine.record_request(status=200, ms=1.0)
+    section = engine.report()
+    section.update(overrides)
+    return section
+
+
+class TestCheckSloSection:
+    def test_valid_standalone_report_is_clean(self):
+        assert check_slo_section(healthy_section()) == []
+
+    def test_failed_objective_is_drift(self):
+        section = healthy_section()
+        section["objectives"]["availability"]["ok"] = False
+        problems = check_slo_section(section)
+        assert any("'availability' is not ok" in p for p in problems)
+
+    def test_page_alerts_are_drift(self):
+        problems = check_slo_section(healthy_section(page_alerts=1))
+        assert any("page-severity" in p for p in problems)
+
+    def test_empty_objectives_are_drift(self):
+        problems = check_slo_section(healthy_section(objectives={}))
+        assert any("no objectives" in p for p in problems)
+
+    def test_objective_missing_keys_is_drift(self):
+        section = healthy_section(objectives={"availability": {"kind": "availability"}})
+        assert any("missing 'budget'" in p for p in check_slo_section(section))
+
+    def test_false_verdict_is_drift(self):
+        problems = check_slo_section(healthy_section(ok=False))
+        assert any("must be true" in p for p in problems)
+
+    def test_non_object_section_is_drift(self):
+        assert any("expected an object" in p for p in check_slo_section([1, 2]))

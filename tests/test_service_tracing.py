@@ -11,7 +11,9 @@ The contracts under test here:
   accounting, not just registered);
 - ``/healthz`` exposes the restart-detection pair: a seed-derived
   ``run_id`` that survives restarts and an ``uptime_ticks`` that resets
-  with the process.
+  with the process;
+- a traced client's request spans join the server's span trees, and the
+  access log of that run replays through the SLO engine with no page.
 """
 
 import http.client
@@ -20,9 +22,16 @@ import time
 
 import pytest
 
-from repro.obs.context import TraceContext
+from repro.federation.report import DeviceReport, encode_report, token_for
+from repro.obs.context import (
+    RequestTracer,
+    TraceContext,
+    audit_trace_join,
+    request_span_line,
+)
+from repro.obs.slo import replay_access_log
 from repro.service.server import ServiceConfig, ServiceServer, SignatureService
-from repro.service.wire import encode_event
+from repro.service.wire import encode_event, inject_traceparent
 from repro.serving.loadgen import ScreeningEvent
 from repro.signatures.conjunction import ConjunctionSignature
 from repro.simulation.rng import derive_rng
@@ -296,3 +305,43 @@ class TestAccessLog:
         record = service.observe_request("fetch", 200, 1.0)
         assert record["kind"] == "access"
         assert service._access_log is None
+
+
+class TestClientServerJoin:
+    def test_client_traces_join_and_access_log_meets_slo(self, traced, small_corpus):
+        service, request, access_log = traced
+        client = RequestTracer("client", run_id="tracing-test-client")
+        packets = small_corpus.trace.packets
+        records = [
+            encode_report(
+                DeviceReport(
+                    device_id="trace-device",
+                    seq=i + 1,
+                    token=token_for(packets[i]),
+                    packet=packets[i],
+                )
+            )
+            for i in range(3)
+        ]
+        screen = {"events": [encode_event(e) for e in events_from(small_corpus)]}
+        calls = [
+            ("fetch", "GET", "/v1/signatures", None),
+            ("screen", "POST", "/v1/screen", json.dumps(screen).encode()),
+            ("report", "POST", "/v1/reports", json.dumps({"reports": records}).encode()),
+            ("fetch", "GET", "/v1/signatures?since=1", None),
+        ]
+        for route, method, path, body in calls:
+            with client.request(route) as span:
+                headers = inject_traceparent({}, span.context)
+                status, __b, __h = request(method, path, body, headers=headers)
+            assert status in (200, 304), (route, status)
+
+        join = audit_trace_join(
+            [request_span_line(span) for span in client.closed_spans],
+            [request_span_line(span) for span in service.request_tracer.closed_spans],
+        )
+        assert join["complete"], join
+        assert join["n_joined"] == len(calls)
+        slo = replay_access_log(access_log).report()
+        assert slo["ok"], slo
+        assert slo["page_alerts"] == 0
