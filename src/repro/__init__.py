@@ -52,7 +52,7 @@ from repro.signatures.matcher import ProbabilisticMatcher, SignatureMatcher
 from repro.signatures.store import SignatureStore
 from repro.service.server import ServiceServer, SignatureService
 from repro.simulation.corpus import Corpus, build_corpus, mini_corpus, paper_corpus
-from repro.supervision import CheckpointStore, CrashPlan, StagedPipeline, Supervisor
+from repro.supervision import CheckpointStore, CrashPlan, Supervisor
 
 __version__ = "1.0.0"
 
@@ -104,7 +104,6 @@ __all__ = [
     "WorkerFaultPlan",
     "CheckpointStore",
     "CrashPlan",
-    "StagedPipeline",
     "Supervisor",
     # network service
     "SignatureService",

@@ -248,7 +248,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             render_pipeline_chaos,
             run_pipeline_chaos_sweep,
         )
-        from repro.supervision import PIPELINE_STAGES
+        from repro.core.pipeline import PIPELINE_STAGES
 
         crash_stages = [s.strip() for s in args.crash_stages.split(",") if s.strip()]
         unknown = [s for s in crash_stages if s not in PIPELINE_STAGES]

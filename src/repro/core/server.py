@@ -8,17 +8,16 @@ signatures from the dendrogram.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.clustering.dendrogram import Dendrogram
 from repro.clustering.linkage import Linkage, agglomerate
 from repro.dataset.split import sample_packets
 from repro.dataset.trace import Trace
-from repro.distance.blocking import BlockingConfig
-from repro.distance.engine import DistanceEngine
+from repro.distance.engine import DEFAULT_CHUNK_PAIRS, DistanceEngine
+from repro.distance.matrix import CondensedMatrix
 from repro.distance.packet import PacketDistance
 from repro.errors import ReproError, SignatureError
 from repro.http.packet import HttpPacket
@@ -41,17 +40,11 @@ class ServerConfig:
     :param workers: process count for the pairwise distance build
         (``0``, the default, = one per usable CPU; ``1`` = in-process
         serial; results are bit-identical for every setting).
-    :param blocking: optional candidate-pair prefilter.  When set, the
-        distance matrix is built blocked (NCD only inside candidate
-        blocks) and the dendrogram cut uses the blocking threshold as an
-        absolute height — in ``BlockingMode.EXACT`` the resulting flat
-        clusters are provably identical to the unblocked pipeline's.
     """
 
     linkage: Linkage = Linkage.GROUP_AVERAGE
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     workers: int = 0
-    blocking: BlockingConfig | None = None
 
 
 @dataclass(slots=True)
@@ -59,6 +52,7 @@ class GenerationResult:
     """Everything one generation run produced (for inspection and tests)."""
 
     sample: list[HttpPacket]
+    matrix: CondensedMatrix
     dendrogram: Dendrogram
     signatures: list[ConjunctionSignature]
 
@@ -79,6 +73,7 @@ class SignatureServer:
         runs its supervised dispatch loop, and the matrix stays
         bit-identical to the fault-free run.
     :param retry: chunk re-dispatch policy used with ``fault_plan``.
+    :param chunk_pairs: pairs per distance-engine chunk.
     """
 
     def __init__(
@@ -90,31 +85,21 @@ class SignatureServer:
         obs: Observability | None = None,
         fault_plan: WorkerFaultPlan | None = None,
         retry: RetryPolicy | None = None,
+        chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
     ) -> None:
         self.payload_check = payload_check
         self.distance = distance or PacketDistance.paper()
         self.config = config or ServerConfig()
-        if (
-            self.config.blocking is not None
-            and self.config.generator.cut_height is None
-        ):
-            # Blocked matrices key on the absolute threshold; align the
-            # cut so generation agrees with the blocking guarantee.
-            self.config = dataclasses.replace(
-                self.config,
-                generator=dataclasses.replace(
-                    self.config.generator,
-                    cut_height=self.config.blocking.threshold,
-                ),
-            )
         self.obs = obs or NULL_OBS
         self.engine = DistanceEngine(
             self.distance,
             workers=self.config.workers,
+            chunk_pairs=chunk_pairs,
             obs=self.obs,
             fault_plan=fault_plan,
             retry=retry,
         )
+        self.generator = SignatureGenerator(self.config.generator)
         self.quarantine = Quarantine(capacity=quarantine_capacity)
         self._suspicious: list[HttpPacket] = []
         self._normal: list[HttpPacket] = []
@@ -167,58 +152,87 @@ class SignatureServer:
 
     # -- generation ---------------------------------------------------------------
 
-    def generate(self, n_sample: int, seed: int = 0) -> GenerationResult:
+    def generate(
+        self,
+        n_sample: int,
+        seed: int = 0,
+        *,
+        suspicious: list[HttpPacket] | None = None,
+        stage: Callable[..., Any] | None = None,
+    ) -> GenerationResult:
         """Sample, cluster, and generate signatures (Sections IV-D, IV-E).
 
         :param n_sample: M, the number of suspicious packets to cluster.
         :param seed: sampling seed.
-        :raises SignatureError: when no suspicious traffic was ingested or
+        :param suspicious: the population to sample from (default: every
+            suspicious packet ingested so far).
+        :param stage: runs each stage as ``stage(name, compute, **span_attrs)``
+            (default :meth:`stage`); the pipeline passes its checkpointing one.
+        :raises SignatureError: when there is no suspicious traffic or
             the sample size is not positive.
         """
-        if not self._suspicious:
-            raise SignatureError("no suspicious packets ingested; call ingest() first")
+        population = self._suspicious if suspicious is None else suspicious
+        stage = stage or self.stage
+        if not population:
+            raise SignatureError("no suspicious packets to cluster; call ingest() first")
         if n_sample <= 0:
             raise SignatureError(f"sample size must be positive, got {n_sample}")
-        n_sample = min(n_sample, len(self._suspicious))
-        with self.obs.span("sample", track="pipeline", n_sample=n_sample, seed=seed):
-            sample = sample_packets(self._suspicious, n_sample, seed=seed)
-            self.obs.advance(len(sample))
-        dendrogram = self.cluster(sample)
-        generator = SignatureGenerator(self.config.generator)
-        with self.obs.span("cut", track="pipeline") as cut_span:
-            clusters = generator.clusters_from_dendrogram(dendrogram, sample)
-            self.obs.advance(len(clusters))
-            if cut_span is not None:
-                cut_span.attrs["n_clusters"] = len(clusters)
-        with self.obs.span("signature_gen", track="pipeline") as gen_span:
-            signatures = generator.from_clusters(clusters)
-            self.obs.advance(sum(len(cluster) for cluster in clusters))
-            if gen_span is not None:
-                gen_span.attrs["n_signatures"] = len(signatures)
+        n_sample = min(n_sample, len(population))
+        sample = stage(
+            "sample",
+            lambda: self.sample(population, n_sample, seed),
+            n_sample=n_sample,
+            seed=seed,
+        )
+        n = len(sample)
+        matrix = stage(
+            "distance_matrix",
+            lambda: self.engine.matrix(sample),
+            n_items=n,
+            n_pairs=n * (n - 1) // 2,
+        )
+        dendrogram = stage("linkage", lambda: self.linkage(matrix), n_items=n)
+        clusters = stage("cut", lambda: self.cut(dendrogram, sample), size_attr="n_clusters")
+        signatures = stage(
+            "signature_gen", lambda: self.signature_gen(clusters), size_attr="n_signatures"
+        )
         self.obs.inc("server_generations")
         self.obs.inc("server_signatures_generated", len(signatures))
-        return GenerationResult(sample=sample, dendrogram=dendrogram, signatures=signatures)
+        return GenerationResult(sample, matrix, dendrogram, signatures)
 
-    def cluster(self, packets: list[HttpPacket]) -> Dendrogram:
-        """Group-average hierarchical clustering over ``packets``.
+    def stage(self, name: str, compute: Callable, size_attr: str | None = None, **span_attrs):
+        """Run one generation stage inside its ``pipeline`` span.
 
-        The pairwise matrix is built by the distance engine — cached and,
-        when ``config.workers`` allows, computed across a process pool.
+        :param size_attr: span attribute set to ``len(output)`` once the
+            stage has run.
         """
-        n = len(packets)
-        with self.obs.span(
-            "distance_matrix", track="pipeline", n_items=n, n_pairs=n * (n - 1) // 2
-        ):
-            if self.config.blocking is not None:
-                matrix, __ = self.engine.blocked_matrix(
-                    packets, blocking=self.config.blocking
-                )
-            else:
-                matrix = self.engine.matrix(packets)
-        with self.obs.span("linkage", track="pipeline", n_items=n):
-            dendrogram = agglomerate(matrix, self.config.linkage)
-            self.obs.advance(max(0, n - 1))
+        with self.obs.span(name, track="pipeline", **span_attrs) as span:
+            value = compute()
+            if span is not None and size_attr is not None:
+                span.attrs[size_attr] = len(value)
+        return value
+
+    # -- stage bodies: each advances the logical clock by the work it did ------------
+
+    def sample(self, population: list[HttpPacket], n_sample: int, seed: int) -> list[HttpPacket]:
+        sample = sample_packets(population, n_sample, seed=seed)
+        self.obs.advance(len(sample))
+        return sample
+
+    def linkage(self, matrix: CondensedMatrix) -> Dendrogram:
+        dendrogram = agglomerate(matrix, self.config.linkage)
+        self.obs.advance(max(0, matrix.n - 1))
         return dendrogram
+
+    def cut(self, dendrogram: Dendrogram, sample: list[HttpPacket]) -> list[list[HttpPacket]]:
+        clusters = self.generator.clusters_from_dendrogram(dendrogram, sample)
+        self.obs.advance(len(clusters))
+        return clusters
+
+    def signature_gen(self, clusters: list[list[HttpPacket]]) -> list[ConjunctionSignature]:
+        signatures = self.generator.from_clusters(clusters)
+        self.obs.advance(sum(len(cluster) for cluster in clusters))
+        return signatures
 
     # -- publication -----------------------------------------------------------------
 

@@ -257,7 +257,7 @@ def run_pipeline_chaos_sweep(
 ) -> list[PipelineChaosPoint]:
     """Sweep chunk-fault rates over the supervised pipeline.
 
-    A fault-free :class:`~repro.supervision.runner.StagedPipeline` run
+    A fault-free :class:`~repro.core.pipeline.DetectionPipeline` run
     establishes the baseline (condensed matrix bytes, serialized signature
     set).  Then, per swept rate, a fresh checkpoint store and a
     :class:`~repro.supervision.supervisor.Supervisor` drive the pipeline
@@ -282,13 +282,13 @@ def run_pipeline_chaos_sweep(
     :param chunk_pairs: pairs per engine chunk — deliberately small so a
         run spans many chunks and chunk-level faults actually land.
     """
-    from repro.core.pipeline import PipelineConfig
+    from repro.core.pipeline import DetectionPipeline, PipelineConfig
     from repro.reliability.workerfaults import WorkerFaultPlan
     from repro.signatures.store import SignatureStore
-    from repro.supervision import CheckpointStore, CrashPlan, StagedPipeline, Supervisor
+    from repro.supervision import CheckpointStore, CrashPlan, Supervisor
 
     config = PipelineConfig(workers=workers)
-    baseline = StagedPipeline(trace, check, config, chunk_pairs=chunk_pairs).run(
+    baseline = DetectionPipeline(trace, check, config, chunk_pairs=chunk_pairs).run(
         n_sample, seed=seed
     )
     baseline_matrix = baseline.matrix.values.tobytes()
@@ -300,7 +300,7 @@ def run_pipeline_chaos_sweep(
         # point is reproducible regardless of which rates it is swept with.
         point_seed = seed + 7919 * (1 + round(rate * 1000))
         fault_plan = WorkerFaultPlan.uniform(rate, seed=point_seed) if rate else None
-        pipeline = StagedPipeline(
+        pipeline = DetectionPipeline(
             trace,
             check,
             config,
@@ -311,21 +311,21 @@ def run_pipeline_chaos_sweep(
             chunk_pairs=chunk_pairs,
         )
         outcome = Supervisor(pipeline, max_restarts=max_restarts).run(n_sample, seed=seed)
-        stats = outcome.result.engine_stats
+        stats = pipeline.server.engine.stats
         points.append(
             PipelineChaosPoint(
                 chunk_fault_rate=rate,
                 crash_stages=tuple(crash_stages),
                 attempts=outcome.attempts,
                 restarts=outcome.restarts,
-                recovered=outcome.recovered and (stats is None or stats.recovered),
+                recovered=outcome.recovered and stats.recovered,
                 matrix_identical=outcome.result.matrix.values.tobytes() == baseline_matrix,
                 signatures_identical=(
                     SignatureStore.dumps(outcome.result.signatures) == baseline_signatures
                 ),
-                chunks_retried=stats.chunks_retried if stats else 0,
-                chunks_quarantined=stats.chunks_quarantined if stats else 0,
-                faults_injected=stats.faults_injected if stats else 0,
+                chunks_retried=stats.chunks_retried,
+                chunks_quarantined=stats.chunks_quarantined,
+                faults_injected=stats.faults_injected,
                 # Journal length = total stage executions across ALL
                 # attempts; exactly 7 proves checkpoints absorbed every
                 # re-run.  Replays are from the final (successful) attempt.

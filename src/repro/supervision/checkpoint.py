@@ -2,16 +2,17 @@
 
 A :class:`CheckpointStore` journals each pipeline stage's output under a
 key derived from ``sha256(seed + config + stage)``
-(:func:`checkpoint_key`), so a run interrupted between stages can
-:meth:`~repro.supervision.runner.StagedPipeline.resume` by replaying the
-completed prefix and recomputing only downstream stages.  Two properties
+(:func:`checkpoint_key`), so a :class:`~repro.core.pipeline.DetectionPipeline`
+run interrupted between stages resumes by running again: it replays the
+completed prefix and recomputes only downstream stages.  Two properties
 make this safe:
 
 - **Keys are semantic.**  The key hashes the experiment seed, a stable
-  configuration fingerprint, and the stage name — never wall-clock time or
-  process identity — so a checkpoint written by one run is exactly the
-  checkpoint a same-seed restart looks for, and two different
-  configurations can never collide silently.
+  fingerprint of the configuration and of the run's inputs (trace and
+  labeler), and the stage name — never wall-clock time or process
+  identity — so a checkpoint written by one run is exactly the checkpoint
+  a same-seed restart looks for, and two different configurations or
+  corpora can never collide silently.
 - **Payloads are verified.**  Every blob is stored with the SHA-256 of its
   bytes; :meth:`CheckpointStore.load` re-hashes on read and treats a
   mismatch as *missing* (counted in :attr:`CheckpointStore.corrupt_detected`),

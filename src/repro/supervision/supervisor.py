@@ -1,9 +1,10 @@
 """Restart-with-resume supervision over the checkpointed pipeline.
 
-A :class:`Supervisor` wraps a :class:`~repro.supervision.runner.StagedPipeline`
-with the reliability primitives the distribution layer already uses: each
-crash trips the :class:`~repro.reliability.retry.CircuitBreaker`'s failure
-streak; a tripped breaker forces the supervisor to wait out the cooldown
+A :class:`Supervisor` wraps a checkpointed
+:class:`~repro.core.pipeline.DetectionPipeline` with the reliability
+primitives the distribution layer already uses: each crash trips the
+:class:`~repro.reliability.retry.CircuitBreaker`'s failure streak; a
+tripped breaker forces the supervisor to wait out the cooldown
 (on the logical tick clock) before the next attempt probes the circuit
 half-open.  Every restart resumes — completed stages replay from the
 checkpoint store, so attempt *k* only re-executes what attempt *k-1* left
@@ -17,20 +18,22 @@ replays exactly for a seed (DESIGN.md §6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import SupervisionError
 from repro.obs import NULL_OBS, Observability
 from repro.reliability.retry import CircuitBreaker
 from repro.supervision.crash import InjectedCrash
-from repro.supervision.runner import StagedPipeline, StagedResult
+
+if TYPE_CHECKING:
+    from repro.core.pipeline import DetectionPipeline, PipelineResult
 
 
 @dataclass(slots=True)
 class SupervisedResult:
     """A supervised run's outputs plus its recovery ledger.
 
-    :param result: the final :class:`~repro.supervision.runner.StagedResult`.
+    :param result: the final :class:`~repro.core.pipeline.PipelineResult`.
     :param attempts: total pipeline attempts (1 = crash-free).
     :param restarts: crashes absorbed (``attempts - 1``).
     :param recovered: whether any crash had to be recovered from.
@@ -38,7 +41,7 @@ class SupervisedResult:
     :param ticks: logical ticks the supervision session consumed.
     """
 
-    result: StagedResult
+    result: PipelineResult
     attempts: int
     restarts: int
     recovered: bool
@@ -47,20 +50,22 @@ class SupervisedResult:
 
 
 class Supervisor:
-    """Runs a staged pipeline to completion across injected crashes.
+    """Runs a checkpointed pipeline to completion across injected crashes.
 
-    :param pipeline: the checkpointed pipeline to supervise.
+    :param pipeline: the pipeline to supervise; it must have a store.
     :param breaker: circuit breaker guarding restarts; the default trips
         after 3 consecutive crashes and cools down for 16 ticks.
     :param max_restarts: crash budget before the supervisor gives up.
     :param obs: optional observability bundle; each attempt emits a
         ``supervisor_attempt`` span and recovery counters
         (``supervisor_restarts``, ``supervisor_breaker_waits``).
+    :raises SupervisionError: for a negative budget or a pipeline
+        without a checkpoint store.
     """
 
     def __init__(
         self,
-        pipeline: StagedPipeline,
+        pipeline: DetectionPipeline,
         *,
         breaker: CircuitBreaker | None = None,
         max_restarts: int = 8,
@@ -68,6 +73,8 @@ class Supervisor:
     ) -> None:
         if max_restarts < 0:
             raise SupervisionError(f"max_restarts must be >= 0, got {max_restarts}")
+        if pipeline.store is None:
+            raise SupervisionError("a supervised pipeline needs a checkpoint store")
         self.pipeline = pipeline
         self.breaker = breaker or CircuitBreaker(failure_threshold=3, cooldown=16.0)
         self.max_restarts = max_restarts
@@ -98,7 +105,7 @@ class Supervisor:
                 with self.obs.span(
                     "supervisor_attempt", track="supervision", attempt=attempt
                 ):
-                    result = self.pipeline.resume(n_sample, seed=seed)
+                    result = self.pipeline.run(n_sample, seed=seed)
             except InjectedCrash as crash:
                 crashes.append(crash.stage)
                 self.breaker.record_failure(self._tick)

@@ -1,4 +1,4 @@
-"""The checkpointed staged pipeline: crash, resume, bit-identity.
+"""The checkpointed detection pipeline: crash, resume, bit-identity.
 
 The acceptance invariant lives here: a resumed run re-executes only
 stages downstream of the last checkpoint (asserted via obs span counts)
@@ -7,19 +7,18 @@ and its outputs are byte-identical to an uninterrupted run.
 
 import pytest
 
-from repro.core.pipeline import DetectionPipeline, PipelineConfig
-from repro.errors import SignatureError
+from repro.core.pipeline import (
+    PIPELINE_STAGES,
+    DetectionPipeline,
+    PipelineConfig,
+    config_fingerprint,
+)
+from repro.errors import SignatureError, SupervisionError
 from repro.obs import Observability
 from repro.reliability.workerfaults import WorkerFaultPlan
 from repro.signatures.store import SignatureStore
-from repro.supervision import (
-    PIPELINE_STAGES,
-    CheckpointStore,
-    CrashPlan,
-    InjectedCrash,
-    StagedPipeline,
-    config_fingerprint,
-)
+from repro.simulation.corpus import mini_corpus
+from repro.supervision import CheckpointStore, CrashPlan, InjectedCrash
 
 N_SAMPLE = 24
 SEED = 3
@@ -36,16 +35,21 @@ def baseline(small_corpus, labeler):
     return SignatureStore.dumps(result.signatures), result.metrics
 
 
+def checkpointed(small_corpus, labeler, store=None, **kwargs):
+    store = CheckpointStore() if store is None else store
+    return DetectionPipeline(small_corpus.trace, labeler, store=store, **kwargs)
+
+
 class TestStagedRun:
     def test_matches_plain_pipeline(self, small_corpus, labeler, baseline):
-        result = StagedPipeline(small_corpus.trace, labeler).run(N_SAMPLE, seed=SEED)
+        result = checkpointed(small_corpus, labeler).run(N_SAMPLE, seed=SEED)
         assert SignatureStore.dumps(result.signatures) == baseline[0]
         assert result.metrics == baseline[1]
         assert result.stages_executed == list(PIPELINE_STAGES)
         assert result.stages_replayed == []
 
     def test_second_run_replays_everything(self, small_corpus, labeler):
-        pipeline = StagedPipeline(small_corpus.trace, labeler)
+        pipeline = checkpointed(small_corpus, labeler)
         first = pipeline.run(N_SAMPLE, seed=SEED)
         second = pipeline.run(N_SAMPLE, seed=SEED)
         assert second.stages_executed == []
@@ -55,32 +59,46 @@ class TestStagedRun:
         )
 
     def test_different_seed_misses_checkpoints(self, small_corpus, labeler):
-        pipeline = StagedPipeline(small_corpus.trace, labeler)
+        pipeline = checkpointed(small_corpus, labeler)
         pipeline.run(N_SAMPLE, seed=SEED)
         other = pipeline.run(N_SAMPLE, seed=SEED + 1)
         assert other.stages_executed == list(PIPELINE_STAGES)
 
     def test_rejects_bad_sample_size(self, small_corpus, labeler):
         with pytest.raises(SignatureError):
-            StagedPipeline(small_corpus.trace, labeler).run(0)
+            checkpointed(small_corpus, labeler).run(0)
+
+    def test_shared_store_separates_corpora(self):
+        # One store, two corpora, the same seed and config: the second run
+        # must not replay the first corpus's stages.
+        store = CheckpointStore()
+        first, second = mini_corpus(seed=1, n_apps=30), mini_corpus(seed=2, n_apps=30)
+        DetectionPipeline(first.trace, first.payload_check(), store=store).run(N_SAMPLE, seed=SEED)
+        shared = DetectionPipeline(second.trace, second.payload_check(), store=store)
+        result = shared.run(N_SAMPLE, seed=SEED)
+        plain = DetectionPipeline(second.trace, second.payload_check()).run(N_SAMPLE, seed=SEED)
+        assert result.stages_replayed == []
+        assert SignatureStore.dumps(result.signatures) == SignatureStore.dumps(plain.signatures)
+        assert result.metrics == plain.metrics
+
+    def test_crash_plan_needs_a_store(self, small_corpus, labeler):
+        with pytest.raises(SupervisionError):
+            DetectionPipeline(small_corpus.trace, labeler, crash_plan=CrashPlan.after("cut"))
 
 
 class TestCrashAndResume:
-    @pytest.mark.parametrize("crash_stage", ["payload_check", "distance_matrix", "cut"])
+    @pytest.mark.parametrize("crash_stage", PIPELINE_STAGES)
     def test_resume_equals_uninterrupted(self, small_corpus, labeler, baseline, crash_stage):
         store = CheckpointStore()
-        pipeline = StagedPipeline(
-            small_corpus.trace,
-            labeler,
-            store=store,
-            crash_plan=CrashPlan.after(crash_stage),
+        pipeline = checkpointed(
+            small_corpus, labeler, store, crash_plan=CrashPlan.after(crash_stage)
         )
         with pytest.raises(InjectedCrash) as exc:
             pipeline.run(N_SAMPLE, seed=SEED)
         assert exc.value.stage == crash_stage
         # the crashed stage's own output made it into the journal
         assert store.stages[-1] == crash_stage
-        result = pipeline.resume(N_SAMPLE, seed=SEED)
+        result = pipeline.run(N_SAMPLE, seed=SEED)
         assert SignatureStore.dumps(result.signatures) == baseline[0]
         assert result.metrics == baseline[1]
 
@@ -90,15 +108,12 @@ class TestCrashAndResume:
         # any completed stage — each stage span appears exactly once
         # across both attempts.
         obs = Observability.create(seed=SEED)
-        pipeline = StagedPipeline(
-            small_corpus.trace,
-            labeler,
-            crash_plan=CrashPlan.after("distance_matrix"),
-            obs=obs,
+        pipeline = checkpointed(
+            small_corpus, labeler, crash_plan=CrashPlan.after("distance_matrix"), obs=obs
         )
         with pytest.raises(InjectedCrash):
             pipeline.run(N_SAMPLE, seed=SEED)
-        result = pipeline.resume(N_SAMPLE, seed=SEED)
+        result = pipeline.run(N_SAMPLE, seed=SEED)
         assert result.stages_replayed == ["collect", "payload_check", "sample", "distance_matrix"]
         assert result.stages_executed == ["linkage", "cut", "signature_gen"]
         for stage in PIPELINE_STAGES:
@@ -109,40 +124,36 @@ class TestCrashAndResume:
 
     def test_cross_instance_resume_via_shared_store(self, small_corpus, labeler, baseline):
         store = CheckpointStore()
-        crashy = StagedPipeline(
-            small_corpus.trace, labeler, store=store, crash_plan=CrashPlan.after("sample")
-        )
+        crashy = checkpointed(small_corpus, labeler, store, crash_plan=CrashPlan.after("sample"))
         with pytest.raises(InjectedCrash):
             crashy.run(N_SAMPLE, seed=SEED)
-        fresh = StagedPipeline(small_corpus.trace, labeler, store=store)
-        result = fresh.resume(N_SAMPLE, seed=SEED)
+        fresh = checkpointed(small_corpus, labeler, store)
+        result = fresh.run(N_SAMPLE, seed=SEED)
         assert result.stages_replayed == ["collect", "payload_check", "sample"]
         assert SignatureStore.dumps(result.signatures) == baseline[0]
 
     def test_disk_backed_resume_across_store_objects(
         self, small_corpus, labeler, baseline, tmp_path
     ):
-        crashy = StagedPipeline(
-            small_corpus.trace,
+        crashy = checkpointed(
+            small_corpus,
             labeler,
-            store=CheckpointStore(root=tmp_path),
+            CheckpointStore(root=tmp_path),
             crash_plan=CrashPlan.after("linkage"),
         )
         with pytest.raises(InjectedCrash):
             crashy.run(N_SAMPLE, seed=SEED)
         # a brand-new store object replays journal.jsonl from disk
-        fresh = StagedPipeline(
-            small_corpus.trace, labeler, store=CheckpointStore(root=tmp_path)
-        )
-        result = fresh.resume(N_SAMPLE, seed=SEED)
+        fresh = checkpointed(small_corpus, labeler, CheckpointStore(root=tmp_path))
+        result = fresh.run(N_SAMPLE, seed=SEED)
         assert result.stages_executed == ["cut", "signature_gen"]
         assert SignatureStore.dumps(result.signatures) == baseline[0]
 
 
 class TestComposition:
     def test_worker_faults_inside_checkpointed_run(self, small_corpus, labeler, baseline):
-        pipeline = StagedPipeline(
-            small_corpus.trace,
+        pipeline = checkpointed(
+            small_corpus,
             labeler,
             crash_plan=CrashPlan.after("distance_matrix"),
             fault_plan=WorkerFaultPlan.uniform(0.5, seed=7),
@@ -150,17 +161,10 @@ class TestComposition:
         )
         with pytest.raises(InjectedCrash):
             pipeline.run(N_SAMPLE, seed=SEED)
-        result = pipeline.resume(N_SAMPLE, seed=SEED)
+        result = pipeline.run(N_SAMPLE, seed=SEED)
         assert SignatureStore.dumps(result.signatures) == baseline[0]
-        assert result.engine_stats is not None
-        assert result.engine_stats.recovered
-
-    def test_detection_pipeline_supervised_hook(self, small_corpus, labeler, baseline):
-        plain = DetectionPipeline(small_corpus.trace, labeler, PipelineConfig())
-        staged = plain.supervised()
-        assert isinstance(staged, StagedPipeline)
-        result = staged.run(N_SAMPLE, seed=SEED)
-        assert SignatureStore.dumps(result.signatures) == baseline[0]
+        assert pipeline.server.engine.stats.faults_injected > 0
+        assert pipeline.server.engine.stats.recovered
 
     def test_fingerprint_excludes_workers(self, small_corpus):
         serial = config_fingerprint(PipelineConfig(workers=1), N_SAMPLE)

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.core.pipeline import DetectionPipeline
 from repro.errors import SupervisionError
 from repro.obs import Observability
 from repro.reliability.retry import BreakerState, CircuitBreaker
 from repro.signatures.store import SignatureStore
-from repro.supervision import CrashPlan, StagedPipeline, Supervisor
+from repro.supervision import CheckpointStore, CrashPlan, Supervisor
 
 N_SAMPLE = 24
 SEED = 3
@@ -19,12 +20,12 @@ def labeler(small_corpus):
 
 @pytest.fixture(scope="module")
 def baseline_signatures(small_corpus, labeler):
-    result = StagedPipeline(small_corpus.trace, labeler).run(N_SAMPLE, seed=SEED)
+    result = DetectionPipeline(small_corpus.trace, labeler).run(N_SAMPLE, seed=SEED)
     return SignatureStore.dumps(result.signatures)
 
 
 def staged(small_corpus, labeler, **kwargs):
-    return StagedPipeline(small_corpus.trace, labeler, **kwargs)
+    return DetectionPipeline(small_corpus.trace, labeler, store=CheckpointStore(), **kwargs)
 
 
 class TestSupervisor:
@@ -110,3 +111,7 @@ class TestSupervisor:
     def test_rejects_negative_budget(self, small_corpus, labeler):
         with pytest.raises(SupervisionError):
             Supervisor(staged(small_corpus, labeler), max_restarts=-1)
+
+    def test_rejects_pipeline_without_store(self, small_corpus, labeler):
+        with pytest.raises(SupervisionError, match="checkpoint store"):
+            Supervisor(DetectionPipeline(small_corpus.trace, labeler))
