@@ -132,6 +132,6 @@ def decode_report(record: Any) -> DeviceReport:
         )
     try:
         packet = HttpPacket.from_dict(packet_record)
-    except (ParseError, KeyError, TypeError, ValueError) as exc:
+    except (ParseError, TypeError, ValueError, OverflowError) as exc:
         raise ReportValidationError(f"unparseable packet payload: {exc}") from exc
     return DeviceReport(device_id=device_id, seq=seq, token=token, packet=packet)

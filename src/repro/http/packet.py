@@ -15,7 +15,7 @@ from repro.errors import ParseError
 from repro.http.message import HttpRequest
 from repro.http.parser import parse_request
 from repro.http.serializer import serialize_request
-from repro.net.fqdn import normalize_host, registered_domain
+from repro.net.fqdn import normalize_host, registered_domain_of_normalized
 from repro.net.ipv4 import IPv4Address
 from repro.net.ports import validate_port
 
@@ -44,7 +44,7 @@ class Destination:
     @property
     def registered_domain(self) -> str:
         """Aggregation key used by the paper's Table II."""
-        return registered_domain(self.host)
+        return registered_domain_of_normalized(self.host)
 
     def __str__(self) -> str:
         return f"{self.host}[{self.ip}]:{self.port}"
@@ -128,17 +128,22 @@ class HttpPacket:
     def from_dict(cls, data: dict[str, Any]) -> "HttpPacket":
         """Inverse of :meth:`to_dict`.
 
-        :raises ParseError: when required keys are missing or the embedded
-            raw request does not parse.
+        :raises ParseError: when required keys are missing, ``ip``, ``host``
+            or ``raw`` is not a string, or the embedded raw request does not
+            parse.
         """
         try:
-            destination = Destination.make(data["ip"], data["port"], data["host"])
-            raw = data["raw"].encode("latin-1")
+            ip, port, host, raw = data["ip"], data["port"], data["host"], data["raw"]
         except KeyError as exc:
             raise ParseError(f"packet record missing key {exc}") from exc
+        for key, value in (("ip", ip), ("host", host), ("raw", raw)):
+            if not isinstance(value, str):
+                raise ParseError(
+                    f"packet field {key!r} must be a string, got {type(value).__name__}"
+                )
         return cls(
-            destination=destination,
-            request=parse_request(raw),
+            destination=Destination.make(ip, port, host),
+            request=parse_request(raw.encode("latin-1")),
             app_id=data.get("app_id", ""),
             timestamp=float(data.get("timestamp", 0.0)),
             meta=dict(data.get("meta", {})),

@@ -33,10 +33,9 @@ def _split_head_body(raw: bytes) -> tuple[bytes, bytes]:
     return raw[:best_idx], raw[best_idx + best_len:]
 
 
-def _decode_line(line: bytes) -> str:
-    if len(line) > _MAX_LINE_LENGTH:
-        raise HttpParseError("header line too long", line[:40])
-    return line.decode("latin-1")
+def _too_long(line: str) -> HttpParseError:
+    """The over-long-line error, carrying the line's first 40 raw bytes."""
+    return HttpParseError("header line too long", line[:40].encode("latin-1"))
 
 
 def parse_request(raw: bytes) -> HttpRequest:
@@ -58,8 +57,13 @@ def parse_request(raw: bytes) -> HttpRequest:
     if not raw or not raw.strip():
         raise HttpParseError("empty request")
     head, body = _split_head_body(raw)
-    lines = head.replace(b"\r\n", b"\n").split(b"\n")
-    request_line = _decode_line(lines[0]).strip()
+    # latin-1 maps each byte to one character, so string lengths and
+    # slices are byte lengths and slices.
+    lines = head.decode("latin-1").replace("\r\n", "\n").split("\n")
+    request_line = lines[0]
+    if len(request_line) > _MAX_LINE_LENGTH:
+        raise _too_long(request_line)
+    request_line = request_line.strip()
     parts = request_line.split()
     if len(parts) == 2:
         method, target = parts
@@ -74,8 +78,9 @@ def parse_request(raw: bytes) -> HttpRequest:
         raise HttpParseError("malformed version", version)
 
     headers: list[tuple[str, str]] = []
-    for line in lines[1:]:
-        text = _decode_line(line)
+    for text in lines[1:]:
+        if len(text) > _MAX_LINE_LENGTH:
+            raise _too_long(text)
         if not text.strip():
             continue
         if text[0] in " \t":

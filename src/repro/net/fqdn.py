@@ -11,6 +11,7 @@ sufficient for the domains appearing in the paper's dataset (``.com``,
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.errors import ParseError
@@ -34,6 +35,9 @@ _MULTI_LABEL_SUFFIXES: frozenset[tuple[str, ...]] = frozenset(
 
 _ALLOWED = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-_")
 
+#: A whole legal host: non-empty labels of :data:`_ALLOWED` characters.
+_LEGAL_HOST = re.compile(r"[a-z0-9_-]+(?:\.[a-z0-9_-]+)*")
+
 
 def normalize_host(host: str) -> str:
     """Lowercase, strip the trailing dot and surrounding space of a host.
@@ -41,13 +45,15 @@ def normalize_host(host: str) -> str:
     :raises ParseError: on an empty host or one with illegal characters.
     """
     cleaned = host.strip().rstrip(".").lower()
-    if not cleaned:
-        raise ParseError("empty host name", host)
-    for label in cleaned.split("."):
-        if not label:
-            raise ParseError("empty label in host", host)
-        if any(ch not in _ALLOWED for ch in label):
-            raise ParseError("illegal character in host", host)
+    if _LEGAL_HOST.fullmatch(cleaned) is None:
+        # Rejected: walk the labels only to name the first fault.
+        if not cleaned:
+            raise ParseError("empty host name", host)
+        for label in cleaned.split("."):
+            if not label:
+                raise ParseError("empty label in host", host)
+            if any(ch not in _ALLOWED for ch in label):
+                raise ParseError("illegal character in host", host)
     return cleaned
 
 
@@ -59,7 +65,11 @@ def registered_domain(host: str) -> str:
     Table II aggregates destinations.  A bare TLD or single label is
     returned unchanged.
     """
-    cleaned = normalize_host(host)
+    return registered_domain_of_normalized(normalize_host(host))
+
+
+def registered_domain_of_normalized(cleaned: str) -> str:
+    """:func:`registered_domain` of a host already through :func:`normalize_host`."""
     labels = cleaned.split(".")
     if len(labels) <= 2:
         return cleaned

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -56,19 +57,18 @@ class Histogram:
             self.counts = [0] * (len(self.bounds) + 1)
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
+        """Record one observation in the first bucket whose edge is ``>= value``."""
         if self.count == 0:
             self.min_value = self.max_value = value
-        else:
-            self.min_value = min(self.min_value, value)
-            self.max_value = max(self.max_value, value)
+        elif value < self.min_value:  # what min() keeps, without the call
+            self.min_value = value
+        elif value > self.max_value:
+            self.max_value = value
         self.count += 1
         self.total += value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
+        # NaN compares false with every edge, so it lands in the overflow bucket.
+        index = bisect_left(self.bounds, value) if value == value else len(self.bounds)
+        self.counts[index] += 1
 
     @property
     def mean(self) -> float:

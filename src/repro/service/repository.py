@@ -35,6 +35,7 @@ import json
 import sqlite3
 import threading
 from abc import ABC, abstractmethod
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -125,6 +126,14 @@ class ReportRepository(ABC):
             (idempotent re-delivery after an acked write), ``True`` on a
             fresh insert.
         """
+
+    def transaction(self) -> AbstractContextManager[None]:
+        """Make every :meth:`add` inside the block durable together, once.
+
+        A duplicate still fails only its own :meth:`add`.  The default is a
+        no-op for backends whose writes cost nothing to commit.
+        """
+        return nullcontext()
 
     @abstractmethod
     def count(self) -> int:
@@ -300,10 +309,29 @@ class SqliteStore:
         return row[0] or 0
 
     def write(self, statement: str, parameters: tuple[Any, ...]) -> sqlite3.Cursor:
-        """One serialized write in its own transaction."""
+        """One serialized write, in its own transaction unless inside :meth:`transaction`."""
         connection = self.connection()
+        if getattr(self._local, "in_transaction", False):
+            return connection.execute(statement, parameters)
         with self._write_lock, connection:
             return connection.execute(statement, parameters)
+
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Hold the writer lock and commit this thread's writes once, at the end.
+
+        A failing statement (a duplicate key) undoes only itself; the writes
+        before it stay and are committed with the rest, also when the block
+        raises — as if each had been committed on its own.
+        """
+        connection = self.connection()
+        with self._write_lock:
+            self._local.in_transaction = True
+            try:
+                yield
+            finally:
+                self._local.in_transaction = False
+                connection.commit()
 
     def close(self) -> None:
         """Close this thread's connection (other threads close their own)."""
@@ -392,6 +420,9 @@ class SqliteReportRepository(ReportRepository):
 
     def __init__(self, store: SqliteStore) -> None:
         self.store_backend = store
+
+    def transaction(self) -> AbstractContextManager[None]:
+        return self.store_backend.transaction()
 
     def add(self, device_id: str, seq: int, token: str, record: dict[str, Any]) -> bool:
         try:

@@ -49,7 +49,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ServiceError, SignatureStoreError
 from repro.federation.ingest import FleetIngest, IngestConfig
-from repro.federation.report import token_for
+from repro.federation.report import DeviceReport
 from repro.obs import Observability
 from repro.obs.context import (
     NULL_FLIGHT_RECORDER,
@@ -309,8 +309,7 @@ class SignatureService:
         if not isinstance(records, list) or not records:
             return 400, {"error": "body must be {'reports': [...]} with >= 1 report"}
         verdicts: list[dict[str, Any]] = []
-        accepted = 0
-        stored = 0
+        to_store: list[tuple[DeviceReport, dict[str, Any]]] = []
         banned_devices: list[str] = []
         with self._ingest_lock:
             with self.request_tracer.child("ingest_validate", n_reports=len(records)):
@@ -326,19 +325,20 @@ class SignatureService:
                     if result.banned and isinstance(record, dict):
                         banned_devices.append(str(record.get("device_id", "")))
                     if result.accepted and result.report is not None:
-                        accepted += 1
-                        report = result.report
-                        if self.reports.add(
-                            report.device_id,
-                            report.seq,
-                            report.token,
-                            record if isinstance(record, dict) else {},
-                        ):
-                            stored += 1
+                        to_store.append(
+                            (result.report, record if isinstance(record, dict) else {})
+                        )
                     verdicts.append(verdict)
+            # One commit for the whole POST; a re-delivered (device, seq)
+            # fails only its own insert.
+            with self.reports.transaction():
+                stored = sum(
+                    self.reports.add(report.device_id, report.seq, report.token, record)
+                    for report, record in to_store
+                )
         if banned_devices:
             self.flight_recorder.trip("quarantine", devices=banned_devices)
-        return 200, {"results": verdicts, "accepted": accepted, "stored": stored}
+        return 200, {"results": verdicts, "accepted": len(to_store), "stored": stored}
 
     def metrics_text(self) -> str:
         """``GET /metrics``: the shared registry as Prometheus text."""
@@ -397,11 +397,19 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     # -- plumbing -----------------------------------------------------------------
 
     def _body(self) -> bytes | None:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > self.service.config.max_body_bytes:
-            self._respond_json(413, {"error": f"body exceeds {length} byte limit"})
-            return None
-        return self.rfile.read(length) if length else b""
+        declared = self.headers.get("Content-Length") or "0"
+        limit = self.service.config.max_body_bytes
+        if not (declared.isascii() and declared.isdigit()):
+            status, error = 400, f"bad Content-Length {declared!r}"
+        elif int(declared) > limit:
+            status, error = 413, f"body exceeds {limit} byte limit"
+        else:
+            length = int(declared)
+            return self.rfile.read(length) if length else b""
+        # The unread body would be parsed as the next request: close instead.
+        self.close_connection = True
+        self._respond_json(status, {"error": error}, Connection="close")
+        return None
 
     def _respond(self, status: int, payload: bytes, content_type: str, **headers: str) -> None:
         self.send_response(status)
@@ -415,7 +423,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.last_status = status
         self.service.metrics.inc(f"service_responses_{status}")
 
-    def _respond_json(self, status: int, payload: dict[str, Any]) -> None:
+    def _respond_json(self, status: int, payload: dict[str, Any], **headers: str) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         if status == 304:  # 304 carries no body by spec
             self.send_response(status)
@@ -424,7 +432,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self.last_status = 304
             self.service.metrics.inc("service_responses_304")
             return
-        self._respond(status, body, "application/json")
+        self._respond(status, body, "application/json", **headers)
 
     def _guard(self, route: str, handler) -> None:
         """Run one route inside its trace span, mapping escapes to a 500.
@@ -521,7 +529,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             decoded = json.loads(body.decode("utf-8", errors="replace"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
             self._respond_json(400, {"error": f"body is not valid JSON: {exc}"})
             return
         self._respond_json(*endpoint(decoded))

@@ -72,6 +72,10 @@ def decode_event(record: Any) -> ScreeningEvent:
     tick = record.get("tick")
     if not isinstance(tick, (int, float)) or isinstance(tick, bool) or tick < 0:
         raise ServiceError(f"bad event tick {tick!r}")
+    try:
+        tick = float(tick)
+    except OverflowError as exc:  # an int beyond float range
+        raise ServiceError(f"bad event tick {tick!r}") from exc
     device_id = record.get("device_id")
     if not isinstance(device_id, str) or not device_id:
         raise ServiceError(f"bad event device_id {device_id!r}")
@@ -80,9 +84,9 @@ def decode_event(record: Any) -> ScreeningEvent:
         raise ServiceError("missing or mistyped event packet")
     try:
         packet = HttpPacket.from_dict(packet_record)
-    except (ParseError, KeyError, TypeError, ValueError) as exc:
+    except (ParseError, TypeError, ValueError, OverflowError) as exc:
         raise ServiceError(f"unparseable event packet: {exc}") from exc
-    return ScreeningEvent(seq=seq, tick=float(tick), device_id=device_id, packet=packet)
+    return ScreeningEvent(seq=seq, tick=tick, device_id=device_id, packet=packet)
 
 
 def encode_result(result: ServeResult) -> dict[str, Any]:

@@ -64,6 +64,10 @@ class ServeOutcome(enum.Enum):
     SHED_DEGRADED_FLAGGED = "shed_degraded_flagged"  # keyword fallback, flagged
 
 
+#: The telemetry counter each outcome is tallied under.
+_DECISION_COUNTERS = {outcome: f"decisions_{outcome.value}" for outcome in ServeOutcome}
+
+
 @dataclass(frozen=True, slots=True)
 class GatewayConfig:
     """Serving data-plane tuning.
@@ -269,6 +273,9 @@ class ScreeningGateway:
         if any(a.tick > b.tick for a, b in zip(arrivals, arrivals[1:])):
             raise SimulationError("arrival stream must be tick-ordered")
         config = self.config
+        telemetry = self.telemetry
+        observe_depth = telemetry.histograms["queue_depth"].observe
+        observe_latency = telemetry.histograms["latency_ticks"].observe
         queue: list[ScreeningEvent] = []
         results: list[ServeResult] = []
         pool_free_at = 0.0
@@ -294,12 +301,11 @@ class ScreeningGateway:
                 event = arrivals[index]
                 index += 1
                 clock = max(clock, event.tick)
-                self.telemetry.observe("queue_depth", len(queue))
+                observe_depth(len(queue))
                 if len(queue) >= config.queue_capacity:
                     results.append(self._shed(event))
                 else:
                     queue.append(event)
-                    self.telemetry.increment("admitted")
                 continue
 
             # Dispatch one micro-batch.
@@ -316,8 +322,10 @@ class ScreeningGateway:
                 + config.per_packet_ticks * len(batch)
             )
             matches = self.matcher.match_batch([event.packet for event in batch])
+            flagged = 0
             for event, match in zip(batch, matches):
                 outcome = ServeOutcome.FLAGGED if match.matched else ServeOutcome.CLEAN
+                flagged += match.matched
                 result = ServeResult(
                     event=event,
                     outcome=outcome,
@@ -328,11 +336,16 @@ class ScreeningGateway:
                     batch_id=batch_id,
                 )
                 results.append(result)
-                self.telemetry.increment(f"decisions_{outcome.value}")
-                self.telemetry.observe("latency_ticks", result.latency_ticks)
-            self.telemetry.increment("batches")
-            self.telemetry.observe("batch_size", len(batch))
-            self.telemetry.span(
+                observe_latency(result.latency_ticks)
+            # Every admitted arrival is dispatched in exactly one batch.
+            telemetry.increment("admitted", len(batch))
+            if flagged:
+                telemetry.increment(_DECISION_COUNTERS[ServeOutcome.FLAGGED], flagged)
+            if flagged < len(batch):
+                telemetry.increment(_DECISION_COUNTERS[ServeOutcome.CLEAN], len(batch) - flagged)
+            telemetry.increment("batches")
+            telemetry.observe("batch_size", len(batch))
+            telemetry.span(
                 "batch",
                 batch_id=batch_id,
                 started=started,
@@ -364,7 +377,7 @@ class ScreeningGateway:
         else:
             outcome = ServeOutcome.SHED_DEGRADED_CLEAN
         self.telemetry.increment("shed")
-        self.telemetry.increment(f"decisions_{outcome.value}")
+        self.telemetry.increment(_DECISION_COUNTERS[outcome])
         self.telemetry.observe("shed_latency_ticks", 0.0)
         return ServeResult(
             event=event,

@@ -13,6 +13,7 @@ too.  The two headline contracts:
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.serving.gateway import GatewayConfig, ScreeningGateway
 from repro.serving.loadgen import ScreeningEvent
 from repro.service.server import ServiceConfig, ServiceServer, SignatureService
 from repro.service.wire import canonical_decisions, encode_event, encode_results
-from repro.federation.report import DeviceReport, encode_report, token_for
+from repro.federation.report import DeviceReport, _payload_checksum, encode_report, token_for
 from repro.signatures.conjunction import ConjunctionSignature
 from repro.signatures.store import SignatureStore
 from repro.simulation.rng import derive_rng
@@ -170,6 +171,25 @@ class TestScreen:
             status, __b, __h = request("POST", "/v1/screen", bad)
             assert status == 400
 
+    def test_mistyped_packet_field_400(self, live, small_corpus):
+        service, request, __db = live
+        for key in ("raw", "host", "ip"):
+            record = encode_event(events_from(small_corpus, n=1)[0])
+            record["packet"][key] = 5
+            status, reply, __h = request(
+                "POST", "/v1/screen", json.dumps({"events": [record]}).encode()
+            )
+            assert status == 400, reply
+            assert f"'{key}' must be a string" in json.loads(reply)["error"]
+        assert "service_unhandled_errors" not in service.metrics.counters
+
+    def test_unrepresentable_json_numbers_400(self, live):
+        service, request, __db = live
+        for body in (b'{"events": [' + b"1" * 5000 + b"]}", b"[" * 100_000):
+            status, __b, __h = request("POST", "/v1/screen", body)
+            assert status == 400
+        assert "service_unhandled_errors" not in service.metrics.counters
+
     def test_screen_after_reload_uses_new_version(self, live, small_corpus):
         __, request, __db = live
         document = SignatureStore.dumps_envelope(boot_signatures()[:1], 2)
@@ -236,6 +256,22 @@ class TestReports:
         status, __b, __h = request("POST", "/v1/reports", b'{"reports": []}')
         assert status == 400
 
+    def test_mistyped_packet_field_is_a_schema_verdict(self, live, small_corpus):
+        service, request, __db = live
+        records, __ = self.reports_body(small_corpus, n=3)
+        for record, key in zip(records, ("raw", "host", "ip")):
+            record["packet"][key] = 5
+            record["checksum"] = _payload_checksum(record)  # reaches the packet decoder
+        body = json.dumps({"reports": records}).encode()
+        status, reply, __h = request("POST", "/v1/reports", body)
+        assert status == 200, reply
+        decoded = json.loads(reply)
+        assert [(r["status"], r["reason"]) for r in decoded["results"]] == [
+            ("rejected_malformed", "schema")
+        ] * 3
+        assert decoded["accepted"] == decoded["stored"] == 0
+        assert "service_unhandled_errors" not in service.metrics.counters
+
 
 class TestOperationalEndpoints:
     def test_healthz_snapshot(self, live):
@@ -281,10 +317,52 @@ class TestOperationalEndpoints:
                 "POST", "/v1/screen", body=b"x" * 256,
                 headers={"Content-Type": "application/json"},
             )
-            assert connection.getresponse().status == 413
+            response = connection.getresponse()
+            assert response.status == 413
+            assert response.getheader("Connection") == "close"
+            assert json.loads(response.read()) == {"error": "body exceeds 64 byte limit"}
             connection.close()
+
+            # The unread body must not be parsed as the next request on a
+            # kept-alive connection: the server answers once, then closes.
+            replies = self.send_raw(
+                host, port,
+                b"POST /v1/screen HTTP/1.1\r\nHost: t\r\nContent-Length: 256\r\n\r\n"
+                + b"x" * 256
+                + b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+            )
+            assert replies.startswith(b"HTTP/1.1 413 ")
+            assert replies.count(b"HTTP/1.") == 1  # no 501 for the leftover bytes
         finally:
             server.stop()
+
+    def test_malformed_content_length_400_and_close(self):
+        service = SignatureService(boot_signatures())
+        server = ServiceServer(service)
+        host, port = server.start()
+        try:
+            for declared in (b"-1", b"abc", b"+5"):
+                replies = self.send_raw(
+                    host, port,
+                    b"POST /v1/screen HTTP/1.1\r\nHost: t\r\nContent-Length: " + declared
+                    + b"\r\n\r\n{}GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+                )
+                assert replies.startswith(b"HTTP/1.1 400 ")
+                assert b"Connection: close" in replies
+                assert replies.count(b"HTTP/1.") == 1
+            assert "service_unhandled_errors" not in service.metrics.counters
+        finally:
+            server.stop()
+
+    @staticmethod
+    def send_raw(host, port, payload: bytes) -> bytes:
+        """Everything the server sends back on one connection until it closes."""
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(payload)
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        return received
 
 
 class TestRecovery:

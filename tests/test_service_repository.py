@@ -1,11 +1,13 @@
 """Service persistence: repositories over in-memory and sqlite backends."""
 
+import json
 import sqlite3
 import threading
 
 import pytest
 
 from repro.errors import ServiceError, SignatureStoreError
+from repro.federation.report import DeviceReport, encode_report, token_for
 from repro.service.repository import (
     MIGRATIONS,
     InMemoryReportRepository,
@@ -13,8 +15,10 @@ from repro.service.repository import (
     SqliteReportRepository,
     SqliteSignatureRepository,
     SqliteStore,
+    iter_rows,
     open_repositories,
 )
+from repro.service.server import SignatureService
 from repro.signatures.conjunction import ConjunctionSignature
 from repro.signatures.store import SignatureStore
 
@@ -272,3 +276,108 @@ class TestConcurrency:
         assert repo.latest()[1].set_version == max(stored)
         assert outcomes.count("stored") == len(stored)
         store.close()
+
+
+class TestReportTransaction:
+    def test_one_commit_and_duplicates_fail_alone(self, tmp_path):
+        store = SqliteStore(tmp_path / "svc.sqlite3")
+        repo = SqliteReportRepository(store)
+        statements: list[str] = []
+        store.connection().set_trace_callback(statements.append)
+        with repo.transaction():
+            added = [repo.add("dev", seq, "tok", {"seq": seq}) for seq in (1, 2, 1, 3)]
+        assert added == [True, True, False, True]
+        assert [s for s in statements if s in ("COMMIT", "ROLLBACK")] == ["COMMIT"]
+        assert sorted(row[1] for row in iter_rows(store, "device_reports")) == [1, 2, 3]
+        store.close()
+
+    def test_writes_before_an_error_are_committed(self, tmp_path):
+        path = tmp_path / "svc.sqlite3"
+        store = SqliteStore(path)
+        repo = SqliteReportRepository(store)
+        with pytest.raises(RuntimeError):
+            with repo.transaction():
+                repo.add("dev", 1, "tok", {})
+                raise RuntimeError("mid-POST failure")
+        store.close()
+        reopened = SqliteStore(path)
+        assert SqliteReportRepository(reopened).count() == 1
+        reopened.close()
+
+    def test_in_memory_transaction_is_a_no_op(self):
+        repo = InMemoryReportRepository()
+        with repo.transaction():
+            assert repo.add("dev", 1, "tok", {})
+            assert not repo.add("dev", 1, "tok", {})
+        assert repo.count() == 1
+
+
+class TestOneCommitPerPost:
+    """``POST /v1/reports`` writes in one transaction with unchanged verdicts."""
+
+    @staticmethod
+    def records(small_corpus, n):
+        packets = small_corpus.trace.packets
+        return [
+            encode_report(
+                DeviceReport(
+                    device_id="dev-a", seq=i + 1, token=token_for(packets[i]), packet=packets[i]
+                )
+            )
+            for i in range(n)
+        ]
+
+    def test_mixed_post_keeps_every_verdict_and_row(self, tmp_path, small_corpus):
+        db_path = str(tmp_path / "svc.sqlite3")
+        records = self.records(small_corpus, 4)
+        first = SignatureService([], db_path=db_path)
+        assert first.ingest_reports({"reports": records[:2]})[1]["stored"] == 2
+        first.store.close()
+
+        # A restart forgets the replay ledger but not the stored rows, so
+        # seq 1 is accepted again and finds its row already there.
+        service = SignatureService([], db_path=db_path)
+        post = [records[0], records[2], records[3], records[3], records[1]]
+        status, reply = service.ingest_reports({"reports": post})
+        assert status == 200
+        assert reply == {
+            "results": [
+                {"status": "accepted", "retryable": False},
+                {"status": "accepted", "retryable": False},
+                {"status": "accepted", "retryable": False},
+                {"status": "rejected_duplicate", "retryable": False, "reason": "duplicate"},
+                {"status": "rejected_replay", "retryable": False, "reason": "replay"},
+            ],
+            "accepted": 3,
+            "stored": 2,
+        }
+        rows = sorted(iter_rows(service.store, "device_reports"))
+        assert rows == [
+            ("dev-a", i + 1, record["token"], json.dumps(record, sort_keys=True))
+            for i, record in enumerate(records)
+        ]
+        service.store.close()
+
+    def test_publish_during_an_ingest_post_returns_201(self, tmp_path, small_corpus, monkeypatch):
+        service = SignatureService(sigs(), db_path=str(tmp_path / "svc.sqlite3"))
+        publishes: list = []
+        add = SqliteReportRepository.add
+
+        def add_beside_a_publish(repo, *args):
+            if not publishes:
+                thread = threading.Thread(
+                    target=lambda: publishes.append(service.publish(envelope_doc(2)))
+                )
+                publishes.append(thread)
+                thread.start()
+                thread.join(timeout=0.2)  # the publish now overlaps this POST
+            return add(repo, *args)
+
+        monkeypatch.setattr(SqliteReportRepository, "add", add_beside_a_publish)
+        status, reply = service.ingest_reports({"reports": self.records(small_corpus, 3)})
+        publishes[0].join(timeout=30.0)
+        assert status == 200 and reply["stored"] == 3
+        assert publishes[1][0] == 201
+        assert service.signatures.latest_version() == 2
+        assert service.reports.count() == 3
+        service.store.close()
