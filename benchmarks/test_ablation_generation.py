@@ -2,7 +2,8 @@
 
 The paper's text generates one signature per dendrogram node top-down; the
 practical implementation cuts the tree into flat clusters first.  This
-bench compares the two on detection, signature-set size, and runtime.
+bench compares the two on detection, signature-set size, and runtime
+(runtime is asserted and printed, not written to the committed report).
 
 Measured shape (documented by the assertions): the literal walk reaches a
 few points more recall but its high, mixed nodes emit exactly the
@@ -65,11 +66,14 @@ def test_literal_not_catastrophically_slower(results, benchmark):
 
 
 def test_report(results, benchmark):
+    # Wall time varies run to run, so it is printed but kept out of the
+    # committed report, which must regenerate byte-identically.
     lines = ["Ablation — generation procedure (paper text vs cut)",
-             f"{'procedure':<12} {'TP%':>7} {'FP%':>7} {'#sigs':>6} {'seconds':>8}"]
+             f"{'procedure':<12} {'TP%':>7} {'FP%':>7} {'#sigs':>6}"]
     for name, (signatures, metrics, elapsed) in results.items():
         lines.append(
             f"{name:<12} {metrics.tp_percent:>7.1f} {metrics.fp_percent:>7.2f} "
-            f"{len(signatures):>6d} {elapsed:>8.2f}"
+            f"{len(signatures):>6d}"
         )
+        print(f"{name}: {elapsed:.2f} s")
     emit("ablation_generation", "\n".join(lines))

@@ -12,6 +12,7 @@ from repro.distance.ncd import NcdCalculator
 from repro.distance.packet import PacketDistance
 from repro.net.editdist import levenshtein
 from repro.sensitive.payload_check import PayloadCheck
+from repro.signatures.generator import SignatureGenerator
 from repro.signatures.matcher import SignatureMatcher
 from repro.signatures.tokens import common_substrings
 
@@ -47,13 +48,29 @@ def test_bench_distance_matrix_100(benchmark, sample_packets_200):
     )
 
 
-def test_bench_clustering_200(benchmark, sample_packets_200):
-    matrix = distance_matrix(sample_packets_200, PacketDistance.paper())
-    benchmark(lambda: agglomerate(matrix))
+@pytest.fixture(scope="module")
+def matrix_200(sample_packets_200):
+    return distance_matrix(sample_packets_200, PacketDistance.paper())
+
+
+def test_bench_clustering_200(benchmark, matrix_200):
+    benchmark(lambda: agglomerate(matrix_200))
 
 
 def test_bench_token_extraction(benchmark, sample_packets_200):
     texts = [p.canonical_text() for p in sample_packets_200[:20]]
+    benchmark(lambda: common_substrings(texts, min_length=5))
+
+
+def test_bench_token_extraction_cut_cluster(benchmark, sample_packets_200, matrix_200):
+    """The largest cut cluster: many near-identical members, so most spans
+    survive a member whole and a few split."""
+    clusters = SignatureGenerator().clusters_from_dendrogram(
+        agglomerate(matrix_200), sample_packets_200
+    )
+    texts = [p.canonical_text() for p in max(clusters, key=len)]
+    assert len(texts) >= 20
+    assert len(common_substrings(texts, min_length=5)) > 1  # some span split
     benchmark(lambda: common_substrings(texts, min_length=5))
 
 

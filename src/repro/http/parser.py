@@ -50,9 +50,11 @@ def parse_request(raw: bytes) -> HttpRequest:
        (continuation lines starting with whitespace) is unfolded;
     4. if a ``Content-Length`` header is present and shorter than the
        remaining bytes, the body is truncated to it (trailing pipelined
-       data is not this request's body).
+       data is not this request's body); a value of digits that are not
+       ASCII is an error, any other non-numeric value is ignored.
 
-    :raises HttpParseError: when no request-line can be extracted.
+    :raises HttpParseError: when no request-line can be extracted, or for
+        a ``Content-Length`` of non-ASCII digits.
     """
     if not raw or not raw.strip():
         raise HttpParseError("empty request")
@@ -106,6 +108,8 @@ def parse_request(raw: bytes) -> HttpRequest:
     )
     declared = request.header("Content-Length")
     if declared.isdigit():
+        if not declared.isascii():  # "\xb2" is a digit that int() refuses
+            raise HttpParseError("bad Content-Length", declared)
         length = int(declared)
         if length < len(body):
             request.body = body[:length]

@@ -96,6 +96,32 @@ class SuffixAutomaton:
             lengths[i] = length
         return lengths
 
+    def maximal_spans(self, query: str, min_length: int = 1) -> list[tuple[int, int]]:
+        """Maximal ``(start, end)`` spans of ``query`` whose text occurs in
+        the indexed text, sorted by start; spans shorter than ``min_length``
+        are dropped.
+
+        "Maximal" means not contained in a longer qualifying span.
+        """
+        if not query or not self.text or min_length < 1:
+            return []
+        candidates = [
+            (i - length + 1, i + 1)
+            for i, length in enumerate(self.match_lengths(query))
+            if length >= min_length
+        ]
+        # A candidate ending at i is contained in one ending at i+1 iff the
+        # latter starts at or before it; keep only spans not covered by the
+        # next longer overlapping one.  Generic containment filter, O(k log k):
+        candidates.sort(key=lambda s: (s[0], -s[1]))
+        maximal: list[tuple[int, int]] = []
+        best_end = -1
+        for start, end in candidates:
+            if end > best_end:
+                maximal.append((start, end))
+                best_end = end
+        return maximal
+
 
 def longest_common_substring(a: str, b: str) -> str:
     """The longest common substring of two strings (leftmost in ``a`` on ties).
@@ -136,27 +162,12 @@ def maximal_common_spans(reference: str, other: str, min_length: int = 1) -> lis
 
     "Maximal" means not contained in a longer qualifying span.  The result
     is sorted by start offset; spans shorter than ``min_length`` are
-    dropped.  This is the workhorse of invariant-token refinement: each
-    candidate token is intersected against the next cluster member by
-    taking its maximal common spans.
+    dropped.  One automaton build over ``other``; to intersect many
+    references with the same ``other``, build the
+    :class:`SuffixAutomaton` once and call
+    :meth:`SuffixAutomaton.maximal_spans`.
     """
-    if not reference or not other or min_length < 1:
-        return []
-    lengths = SuffixAutomaton(other).match_lengths(reference)
-    candidates: list[Span] = []
-    for i, length in enumerate(lengths):
-        if length >= min_length:
-            candidates.append(Span(i - length + 1, i + 1))
-    if not candidates:
-        return []
-    # A candidate ending at i is contained in one ending at i+1 iff the
-    # latter starts at or before it; keep only spans not covered by the next
-    # longer overlapping one.  Generic containment filter, O(k log k):
-    candidates.sort(key=lambda s: (s.start, -s.end))
-    maximal: list[Span] = []
-    best_end = -1
-    for span in candidates:
-        if span.end > best_end:
-            maximal.append(span)
-            best_end = span.end
-    return maximal
+    return [
+        Span(start, end)
+        for start, end in SuffixAutomaton(other).maximal_spans(reference, min_length)
+    ]

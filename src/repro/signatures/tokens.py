@@ -4,8 +4,11 @@ The paper: "Compute a signature S_i as longest common strings of HTTP
 contents in C_i."  We follow the Polygraph conjunction-signature recipe:
 the tokens of a cluster are the maximal substrings present in *every*
 member.  Extraction is iterative refinement — start from the first member
-as one giant candidate token, then intersect against each further member
-with :func:`repro.signatures.lcs.maximal_common_spans`.
+as one giant candidate token, then intersect against each further member.
+A candidate that occurs whole in the member is kept after one C-level
+substring test; only the rest are split, into the maximal common spans of
+:meth:`repro.signatures.lcs.SuffixAutomaton.maximal_spans`, over at most
+one automaton build per member.
 
 The paper also warns that careless generation yields signatures "that match
 most network packets (e.g POST *, GET *, * HTTP/1.1)"; :class:`TokenFilter`
@@ -14,10 +17,10 @@ prunes exactly that boilerplate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.signatures.lcs import maximal_common_spans
+from repro.signatures.lcs import SuffixAutomaton
 
 #: Substrings every HTTP request contains; a token equal to (or consisting
 #: only of) these carries no discriminating power.
@@ -86,40 +89,48 @@ class TokenFilter:
         return kept
 
 
-@dataclass(slots=True)
-class _Candidate:
-    """A candidate token tracked by its span in the reference member."""
-
-    start: int
-    text: str = field(default="")
-
-
 def common_substrings(texts: Sequence[str], min_length: int = 2) -> list[str]:
     """Maximal substrings occurring in *every* text, ordered by their
     position in the first text.
 
     Iterative refinement: the candidate set starts as the whole first text
-    and is intersected against each subsequent member.  Runtime is linear
-    in total text size per member thanks to the suffix automaton.
+    and is intersected against each subsequent member.  A span whose text
+    occurs whole in the member survives unchanged, so it costs one
+    C-level ``in`` test; only a span that has to split walks a suffix
+    automaton of the member, built the first time the member needs one
+    and shared by all its spans.  Cluster members are near-copies, so most
+    members never build one, and an exact duplicate costs only ``in``
+    tests.
 
     >>> common_substrings(["x=1&udid=abcdef&t=9", "udid=abcdef&t=10&x=2"])
-    ['udid=abcdef&t=', 'x=']
+    ['x=', '=1', 'udid=abcdef&t=']
     """
     if not texts:
         return []
     reference = texts[0]
     if len(texts) == 1:
         return [reference] if len(reference) >= min_length else []
+    if min_length < 1:
+        return []  # maximal_spans keeps nothing then, so no span survives a member
     # Candidates are spans of the reference text.
     spans = [(0, len(reference))] if len(reference) >= min_length else []
     for other in texts[1:]:
         if not spans:
             return []
         refined: list[tuple[int, int]] = []
+        automaton: SuffixAutomaton | None = None
         for start, end in spans:
             fragment = reference[start:end]
-            for sub in maximal_common_spans(fragment, other, min_length):
-                refined.append((start + sub.start, start + sub.end))
+            # A fragment found whole matches its full length at its last
+            # position, and every span is at least min_length long, so its
+            # maximal spans would be exactly [(0, len(fragment))].
+            if fragment in other:
+                refined.append((start, end))
+                continue
+            if automaton is None:
+                automaton = SuffixAutomaton(other)
+            for sub_start, sub_end in automaton.maximal_spans(fragment, min_length):
+                refined.append((start + sub_start, start + sub_end))
         spans = _dedupe_spans(refined)
     spans.sort()
     out: list[str] = []

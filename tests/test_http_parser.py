@@ -109,6 +109,20 @@ class TestRejection:
         with pytest.raises(HttpParseError):
             parse_request(raw)
 
+    @pytest.mark.parametrize("declared", [b"\xb2", b"1\xb3", b"\xb9\xb9"])
+    def test_non_ascii_digit_content_length(self, declared):
+        # str.isdigit() accepts superscript digits; int() used to raise a
+        # bare ValueError on them.
+        raw = b"POST /t HTTP/1.1\r\nContent-Length: " + declared + b"\r\n\r\nabc"
+        with pytest.raises(HttpParseError, match="bad Content-Length") as caught:
+            parse_request(raw)
+        assert caught.value.data == declared.decode("latin-1")
+
+    @pytest.mark.parametrize("declared", [b"abc", b"-1", b"1e3", b""])
+    def test_non_numeric_content_length_ignored(self, declared):
+        raw = b"POST /t HTTP/1.1\r\nContent-Length: " + declared + b"\r\n\r\nabc"
+        assert parse_request(raw).body == b"abc"
+
 
 class TestRoundtrip:
     def test_serialize_parse_identity(self):

@@ -1,6 +1,6 @@
 """Invariant-token extraction and boilerplate filtering."""
 
-from hypothesis import given
+from hypothesis import given, seed
 from hypothesis import strategies as st
 
 from repro.signatures.tokens import (
@@ -39,6 +39,7 @@ class TestCommonSubstrings:
         result = common_substrings(["AAA...BBB", "BBBxAAA"], min_length=3)
         assert result.index("AAA") < result.index("BBB")
 
+    @seed(1904)
     @given(st.lists(st.text(alphabet="ab=&12", min_size=1, max_size=20), min_size=2, max_size=4))
     def test_every_token_occurs_in_every_text(self, texts):
         for token in common_substrings(texts, min_length=2):
