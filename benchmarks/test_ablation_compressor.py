@@ -3,7 +3,8 @@
 The content distance is compressor-agnostic in definition; zlib (the
 default), bz2 and lzma should produce equivalent detection within noise,
 differing mainly in speed.  Asserted shape: all backends land in the same
-TP band; zlib is the fastest.
+TP band; zlib is the fastest (runtime is asserted and printed, not written
+to the committed report).
 """
 
 import time
@@ -36,12 +37,14 @@ def test_zlib_not_slower_than_lzma(results, benchmark):
 
 
 def test_report(results, benchmark):
-    lines = ["Ablation — NCD compressor", f"{'variant':<10} {'TP%':>7} {'FP%':>7} {'seconds':>9}"]
+    # Wall time varies run to run, so it is printed but kept out of the
+    # committed report, which must regenerate byte-identically.
+    lines = ["Ablation — NCD compressor", f"{'variant':<10} {'TP%':>7} {'FP%':>7}"]
     for name, (result, elapsed) in results.items():
         lines.append(
-            f"{name:<10} {result.metrics.tp_percent:>7.1f} "
-            f"{result.metrics.fp_percent:>7.2f} {elapsed:>9.1f}"
+            f"{name:<10} {result.metrics.tp_percent:>7.1f} {result.metrics.fp_percent:>7.2f}"
         )
+        print(f"{name}: {elapsed:.2f} s")
     emit("ablation_compressor", "\n".join(lines))
 
 

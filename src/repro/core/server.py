@@ -69,8 +69,8 @@ class SignatureServer:
         signature_gen) plus ingest counters and a quarantine-depth gauge.
         Outputs are bit-identical with or without it.
     :param fault_plan: optional seeded chunk-fault injector for the
-        distance engine (worker crash / hang / poison); the engine then
-        runs its supervised dispatch loop, and the matrix stays
+        distance engine (worker crash / hang / poison); the engine
+        recovers from every injected fault, and the matrix stays
         bit-identical to the fault-free run.
     :param retry: chunk re-dispatch policy used with ``fault_plan``.
     :param chunk_pairs: pairs per distance-engine chunk.

@@ -30,7 +30,6 @@ from repro.distance.engine import (
     EngineStats,
     MatrixCache,
     PairStream,
-    engine_matrix,
 )
 from repro.distance.matrix import CondensedMatrix, distance_matrix
 from repro.distance.ncd import CacheStats, Compressor, NcdCalculator, ncd
@@ -54,7 +53,6 @@ __all__ = [
     "EngineStats",
     "MatrixCache",
     "PairStream",
-    "engine_matrix",
     "BlockingMode",
     "BlockingConfig",
     "BlockingStats",

@@ -31,10 +31,10 @@ Two candidate-pair prefilters are provided, selected by
     ``tests/test_distance_blocked_engine.py`` holds its pairwise F1
     against a full recluster at or above 0.97.
 
-Blocking never changes a computed distance — within-block pairs go
-through the same evaluator the full matrix build uses, bit-identically.
-Cross-block entries are set to a fill value above the threshold, which
-the <= ``t`` cut never looks at.
+Blocking never changes a computed distance: a block's own matrix, built
+by the same engine over its members in index order, is bit-identical to
+the same entries of the full matrix, and cross-block pairs are simply
+never evaluated.
 """
 
 from __future__ import annotations

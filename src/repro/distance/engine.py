@@ -8,13 +8,14 @@ serial :func:`repro.distance.matrix.distance_matrix` loop:
 
 1. **Decomposition over unique field values.**  Real traffic repeats
    itself: a 200-packet sample typically carries ~10 distinct hosts, a
-   handful of bodies, and one cookie jar.  For :class:`PacketDistance`
-   metrics the engine deduplicates each packet field up front and caches
-   every *component* distance per unique value pair, so the dominant
-   host-Levenshtein cost drops from O(M²) to O(U²) for U unique hosts.
-   Component caches return the exact floats a recomputation would, and
-   the per-pair summation order mirrors ``PacketDistance.distance``
-   literally, so results are bit-identical.
+   handful of bodies, and one cookie jar.  The engine deduplicates each
+   packet field up front and caches every *component* distance per
+   unique value pair, so the dominant host-Levenshtein cost drops from
+   O(M²) to O(U²) for U unique hosts.  Component caches return the exact
+   floats a recomputation would, and the per-pair summation order mirrors
+   ``PacketDistance.distance`` literally, so results are bit-identical.
+   The metric must therefore be a :class:`PacketDistance`; every variant
+   of one pickles, so every batch can go to the pool.
 2. **Batch precomputation of single-string compressed lengths.**  All
    ``C(x)`` terms are filled once up front via
    :meth:`NcdCalculator.precompute` (in the parent, before any fan-out),
@@ -40,22 +41,20 @@ into the larger condensed layout — bit-identical to a full rebuild.
 :class:`MatrixCache` packages that pattern for consumers that grow an
 item population over time (``repro.core.incremental``).
 
-Metrics that are not :class:`PacketDistance` instances fall back to a
-generic per-pair evaluator (still chunked and parallelizable when the
-metric pickles; serial — with ``EngineStats.fallback`` set to
-``"unpicklable_metric"`` — when it does not, e.g. for lambdas).
-
-**Worker-pool fault tolerance.**  Passing a
-:class:`~repro.reliability.workerfaults.WorkerFaultPlan` switches the
-engine into supervised dispatch: every chunk attempt may crash (result
-lost), hang (charged the plan's logical-tick deadline, then declared
-dead), or return poisoned values.  Crashed and hung chunks are
-re-dispatched under the engine's :class:`~repro.reliability.retry.RetryPolicy`
-with seeded backoff; poisoned chunks — detected by per-chunk integrity
-checksums taken before the injection point — and chunks that exhaust
-their retry budget are quarantined and recomputed serially in the
-parent, which the plan never touches.  The invariant, asserted by tests
-and the pipeline chaos sweep: a recovered run is **bit-identical** to a
+**One dispatcher, with worker-pool fault tolerance.**  Every chunk, in
+the parent or in a worker, goes through one evaluation step that
+checksums its result before delivery.  Passing a
+:class:`~repro.reliability.workerfaults.WorkerFaultPlan` lets that step
+inject faults: a chunk attempt may crash (result lost), hang (charged the
+plan's logical-tick deadline, then declared dead), or return poisoned
+values.  Crashed and hung chunks are re-dispatched under the engine's
+:class:`~repro.reliability.retry.RetryPolicy` with seeded backoff;
+poisoned chunks — caught by the checksum, which is taken before the
+injection point — and chunks that exhaust their retry budget are
+quarantined and recomputed serially in the parent, which the plan never
+touches.  Without a plan nothing is injected and every chunk is
+delivered on its first attempt.  The invariant, asserted by tests and
+the pipeline chaos sweep: a recovered run is **bit-identical** to a
 fault-free run at any fault rate, worker count, or chunking.
 """
 
@@ -71,7 +70,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.distance.blocking import BlockAssignment, BlockingConfig, assign_blocks
 from repro.distance.destination import destination_distance
 from repro.distance.matrix import CondensedMatrix
 from repro.distance.ncd import CacheStats, NcdCalculator
@@ -120,17 +118,12 @@ class EngineStats:
     workers_requested: int = 1
     workers_used: int = 1
     chunks: int = 1
-    mode: str = "generic"  # "packet" (decomposed fast path) or "generic"
-    fallback: str | None = None
-    fallback_detail: str | None = None
     pair_hits: int = 0
     pair_misses: int = 0
     chunks_retried: int = 0
     chunks_quarantined: int = 0
     faults_injected: int = 0
     recovered: bool = True
-    n_blocks: int = 0
-    pairs_pruned: int = 0
     singles: CacheStats = field(default_factory=CacheStats)
 
     @property
@@ -149,17 +142,12 @@ class EngineStats:
             "workers_requested": self.workers_requested,
             "workers_used": self.workers_used,
             "chunks": self.chunks,
-            "mode": self.mode,
-            "fallback": self.fallback,
-            "fallback_detail": self.fallback_detail,
             "pair_hits": self.pair_hits,
             "pair_misses": self.pair_misses,
             "chunks_retried": self.chunks_retried,
             "chunks_quarantined": self.chunks_quarantined,
             "faults_injected": self.faults_injected,
             "recovered": self.recovered,
-            "n_blocks": self.n_blocks,
-            "pairs_pruned": self.pairs_pruned,
             "pair_hit_rate": round(self.pair_hit_rate, 4),
             "singles_hits": self.singles.hits,
             "singles_misses": self.singles.misses,
@@ -309,41 +297,15 @@ class _PacketEvaluator:
         return out, stats
 
 
-class _GenericEvaluator:
-    """Plain per-pair evaluation for arbitrary metrics (no decomposition)."""
-
-    def __init__(self, metric: Callable, items: Sequence) -> None:
-        self.metric = metric
-        self.items = list(items)
-
-    def add_items(self, items: Sequence) -> None:
-        self.items.extend(items)
-
-    def pairs(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, _ChunkStats]:
-        out = np.empty(len(rows), dtype=float)
-        metric = self.metric
-        items = self.items
-        for t in range(len(rows)):
-            i = int(rows[t])
-            j = int(cols[t])
-            value = metric(items[i], items[j])
-            if not np.isfinite(value) or value < 0:
-                raise DistanceError(
-                    f"metric returned invalid value {value!r} for pair ({i}, {j})"
-                )
-            out[t] = value
-        return out, _ChunkStats()
-
-
 @dataclass(slots=True)
 class _WorkerState:
     """Everything a pool worker needs, shipped once via the initializer."""
 
-    evaluator: object
+    evaluator: _PacketEvaluator
     n_full: int | None  # condensed triu over n items …
     rows: np.ndarray | None  # … or an explicit pair list (extension mode)
     cols: np.ndarray | None
-    plan: WorkerFaultPlan | None = None
+    plan: WorkerFaultPlan | None
 
 
 _WORKER: _WorkerState | None = None
@@ -357,23 +319,15 @@ def _worker_init(payload: bytes) -> None:
     _WORKER = state
 
 
-def _worker_chunk(task: tuple[int, int]) -> tuple[np.ndarray, _ChunkStats]:
-    start, stop = task
-    assert _WORKER is not None
-    return _WORKER.evaluator.pairs(_WORKER.rows[start:stop], _WORKER.cols[start:stop])
-
-
 @dataclass(slots=True)
 class _ChunkOutcome:
-    """One supervised chunk-evaluation attempt, as reported to the dispatcher.
+    """One chunk-evaluation attempt, as reported to the dispatcher.
 
     ``checksum`` is taken over the honest result bytes *before* the poison
     injection point, so the dispatcher's integrity check catches silent
     corruption between compute and delivery.
     """
 
-    chunk_index: int
-    attempt: int
     kind: str  # ChunkFaultKind value
     values: np.ndarray | None
     stats: _ChunkStats | None
@@ -381,7 +335,7 @@ class _ChunkOutcome:
 
 
 def _evaluate_chunk(
-    evaluator,
+    evaluator: _PacketEvaluator,
     plan: WorkerFaultPlan | None,
     rows: np.ndarray,
     cols: np.ndarray,
@@ -390,7 +344,7 @@ def _evaluate_chunk(
     stop: int,
     attempt: int,
 ) -> _ChunkOutcome:
-    """Evaluate one chunk under (optional) fault injection.
+    """Evaluate one chunk attempt under the (optional) fault plan.
 
     Runs identically in-process and inside pool workers; the fault outcome
     is a pure function of ``(plan.seed, chunk_index, attempt)``, so results
@@ -400,15 +354,15 @@ def _evaluate_chunk(
     if kind in (ChunkFaultKind.CRASH, ChunkFaultKind.HANG):
         # The work is lost either way; computing it first would only burn
         # cycles without changing any observable output.
-        return _ChunkOutcome(chunk_index, attempt, kind.value, None, None, None)
+        return _ChunkOutcome(kind.value, None, None, None)
     values, stats = evaluator.pairs(rows[start:stop], cols[start:stop])
     checksum = _chunk_checksum(values)
     if kind is ChunkFaultKind.POISON:
         values = plan.corrupt(values, chunk_index, attempt)
-    return _ChunkOutcome(chunk_index, attempt, kind.value, values, stats, checksum)
+    return _ChunkOutcome(kind.value, values, stats, checksum)
 
 
-def _worker_supervised_chunk(task: tuple[int, int, int, int]) -> _ChunkOutcome:
+def _worker_chunk(task: tuple[int, int, int, int]) -> _ChunkOutcome:
     chunk_index, start, stop, attempt = task
     assert _WORKER is not None
     return _evaluate_chunk(
@@ -425,8 +379,8 @@ def _pool_context():
 class DistanceEngine:
     """Chunked, cached, optionally parallel pairwise-distance computation.
 
-    :param metric: the pair metric (``PacketDistance`` unlocks the
-        decomposed fast path; any callable works).
+    :param metric: the packet metric (default: the paper's ``d_pkt``).
+        Any other kind of metric raises :class:`DistanceError`.
     :param workers: process count; ``0`` (default) means one per usable
         CPU (:func:`usable_cpus`), ``1`` always evaluates in-process.  A
         batch goes to the pool only when it holds at least two full
@@ -436,26 +390,27 @@ class DistanceEngine:
     :param chunk_pairs: condensed-index pairs per chunk.  Chunk bounds
         depend on this alone, never on ``workers``.
     :param obs: optional observability bundle.  The engine emits one
-        ``engine_chunk`` span per pool task (ticks advanced by pairs
+        ``engine_chunk`` span per delivered chunk (ticks advanced by pairs
         evaluated) and surfaces :class:`CacheStats` deltas as monotonic
         counters.  The bundle never crosses the process boundary — worker
         state is pickled before it is consulted — and computed values are
         bit-identical with or without it.
     :param fault_plan: optional seeded
-        :class:`~repro.reliability.workerfaults.WorkerFaultPlan`.  When
-        given, dispatch is supervised: crashed/hung chunks are re-dispatched
-        under ``retry`` (seeded backoff, per-retry ``engine_chunk_retry``
-        spans), poisoned or retry-exhausted chunks are quarantined and
-        recomputed serially in the parent, and :attr:`stats` reports
-        ``chunks_retried`` / ``chunks_quarantined`` / ``recovered``.
-        Recovered results are bit-identical to a fault-free run.
+        :class:`~repro.reliability.workerfaults.WorkerFaultPlan` whose
+        faults the dispatcher injects and recovers from: crashed/hung
+        chunks are re-dispatched under ``retry`` (seeded backoff,
+        per-retry ``engine_chunk_retry`` spans), poisoned or
+        retry-exhausted chunks are quarantined and recomputed serially in
+        the parent, and :attr:`stats` reports ``chunks_retried`` /
+        ``chunks_quarantined`` / ``recovered``.  Recovered results are
+        bit-identical to a fault-free run.
     :param retry: re-dispatch budget and backoff for failed chunks
         (default: 3 attempts, deterministic exponential backoff).
     """
 
     def __init__(
         self,
-        metric: Callable | None = None,
+        metric: PacketDistance | None = None,
         *,
         workers: int = 0,
         chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
@@ -467,6 +422,10 @@ class DistanceEngine:
             raise DistanceError(f"workers must be >= 0, got {workers}")
         if chunk_pairs < 1:
             raise DistanceError(f"chunk_pairs must be positive, got {chunk_pairs}")
+        if metric is not None and not isinstance(metric, PacketDistance):
+            raise DistanceError(
+                f"metric must be a PacketDistance, got {type(metric).__name__}"
+            )
         self.metric = metric if metric is not None else PacketDistance.paper()
         self.workers = workers or usable_cpus()
         self.chunk_pairs = chunk_pairs
@@ -546,76 +505,14 @@ class DistanceEngine:
         self.stats.n_pairs = len(rows)
         return CondensedMatrix(n_new, new_values)
 
-    def blocked_matrix(
-        self,
-        items: Sequence,
-        *,
-        blocking: BlockingConfig,
-        progress: Callable[[int, int], None] | None = None,
-    ) -> tuple[CondensedMatrix, BlockAssignment]:
-        """Condensed matrix computed only inside candidate blocks.
-
-        Within-block pairs go through the same evaluator :meth:`matrix`
-        uses (same row-major orientation, same caches) and are therefore
-        bit-identical to a full build.  Cross-block pairs are never
-        evaluated; their entries are set to ``blocking.fill_value(metric)``,
-        above both the threshold and the metric ceiling, so any flat cut
-        at or below ``blocking.threshold`` never sees them.  In
-        ``BlockingMode.EXACT`` that cut is provably identical to cutting
-        the full matrix (see :mod:`repro.distance.blocking`).
-        """
-        n = len(items)
-        assignment = assign_blocks(items, self.metric, blocking)
-        evaluator = self._build_evaluator(items)
-        row_parts: list[np.ndarray] = []
-        col_parts: list[np.ndarray] = []
-        for block in assignment.blocks:
-            if len(block) < 2:
-                continue
-            members = np.asarray(block, dtype=np.intp)
-            local_rows, local_cols = np.triu_indices(len(members), k=1)
-            row_parts.append(members[local_rows])
-            col_parts.append(members[local_cols])
-        if row_parts:
-            rows = np.concatenate(row_parts)
-            cols = np.concatenate(col_parts)
-        else:
-            rows = np.empty(0, dtype=np.intp)
-            cols = np.empty(0, dtype=np.intp)
-
-        with self.obs.span(
-            "engine_blocked_matrix", track="engine",
-            n_items=n, n_blocks=assignment.stats.n_blocks,
-            pairs_within=assignment.stats.pairs_within,
-        ):
-            computed = self._compute(
-                evaluator, len(rows), n_full=None, rows=rows, cols=cols,
-                progress=progress,
-            )
-        values = np.full(
-            n * (n - 1) // 2, blocking.fill_value(self.metric), dtype=float
-        )
-        if len(rows):
-            values[_condensed_indices(rows, cols, n)] = computed
-        self.stats.n_items = n
-        self.stats.n_pairs = len(rows)
-        self.stats.n_blocks = assignment.stats.n_blocks
-        self.stats.pairs_pruned = assignment.stats.pairs_pruned
-        self.obs.inc("engine_pairs_pruned", assignment.stats.pairs_pruned)
-        self.obs.set_gauge("engine_blocks", assignment.stats.n_blocks)
-        return CondensedMatrix(n, values), assignment
-
     # -- internals ----------------------------------------------------------------
 
-    def _build_evaluator(self, items: Sequence):
-        if isinstance(self.metric, PacketDistance):
-            self.stats = EngineStats(mode="packet")
-            evaluator = _PacketEvaluator(self.metric, items)
-            self.stats.singles.precomputed = evaluator.ncd.stats.precomputed
-            self.obs.inc("engine_singles_precomputed", evaluator.ncd.stats.precomputed)
-            return evaluator
-        self.stats = EngineStats(mode="generic")
-        return _GenericEvaluator(self.metric, items)
+    def _build_evaluator(self, items: Sequence) -> _PacketEvaluator:
+        self.stats = EngineStats()
+        evaluator = _PacketEvaluator(self.metric, items)
+        self.stats.singles.precomputed = evaluator.ncd.stats.precomputed
+        self.obs.inc("engine_singles_precomputed", evaluator.ncd.stats.precomputed)
+        return evaluator
 
     def _pool_size(self, total: int) -> int:
         """Processes a batch of ``total`` pairs is spread over (``<= 1``: in-process).
@@ -631,7 +528,7 @@ class DistanceEngine:
 
     def _compute(
         self,
-        evaluator,
+        evaluator: _PacketEvaluator,
         total: int,
         *,
         n_full: int | None,
@@ -639,120 +536,51 @@ class DistanceEngine:
         cols: np.ndarray | None,
         progress: Callable[[int, int], None] | None,
     ) -> np.ndarray:
+        """Evaluate ``total`` pairs chunk by chunk, in-process or on the pool.
+
+        The pairs are the condensed triu over ``n_full`` items, or the
+        explicit ``rows``/``cols`` list.  Each round dispatches the pending
+        ``(chunk, start, stop, attempt)`` tasks in chunk-index order; a
+        crashed or hung attempt joins the next round under :attr:`retry`,
+        and a poisoned or retry-exhausted chunk is recomputed serially in
+        the parent, which the fault plan never touches.  Recovery is thus
+        deterministic for a seed regardless of worker count or scheduling,
+        and without a plan every chunk is delivered in the first round.
+        """
         self.stats.workers_requested = self.workers
         if total == 0:
             return np.empty(0, dtype=float)
         chunk = self.chunk_pairs
-        tasks = [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
-        self.stats.chunks = len(tasks)
+        pending = [
+            (index, start, min(start + chunk, total), 0)
+            for index, start in enumerate(range(0, total, chunk))
+        ]
+        self.stats.chunks = len(pending)
         workers = self._pool_size(total)
-
-        payload: bytes | None = None
-        if workers > 1:
-            try:
-                payload = pickle.dumps(
-                    _WorkerState(
-                        evaluator=evaluator, n_full=n_full, rows=rows, cols=cols,
-                        plan=self.fault_plan,
-                    )
-                )
-            except Exception as exc:  # unpicklable metric/items: stay serial
-                self.stats.fallback = "unpicklable_metric"
-                self.stats.fallback_detail = f"{exc.__class__.__name__}: {exc}"
-                self.obs.inc("engine_fallback_unpicklable")
-                workers = 1
-
-        if self.fault_plan is not None:
-            return self._compute_supervised(
-                evaluator, tasks, total,
-                n_full=n_full, rows=rows, cols=cols,
-                workers=workers, payload=payload, progress=progress,
-            )
-
-        values = np.empty(total, dtype=float)
-        if workers <= 1:
-            self.stats.workers_used = 1
-            if rows is None:
-                rows, cols = np.triu_indices(n_full, k=1)
-            done = 0
-            for chunk_index, (start, stop) in enumerate(tasks):
-                with self.obs.span(
-                    "engine_chunk", track="engine", chunk=chunk_index, pairs=stop - start
-                ):
-                    chunk_values, delta = evaluator.pairs(rows[start:stop], cols[start:stop])
-                    self.obs.advance(stop - start)
-                values[start:stop] = chunk_values
-                self._absorb(delta)
-                done = stop
-                if progress is not None:
-                    progress(done, total)
-            return values
-
-        self.stats.workers_used = workers
-        with _pool_context().Pool(
-            processes=workers, initializer=_worker_init, initargs=(payload,)
-        ) as pool:
-            done = 0
-            # Results arrive in task order (imap preserves it), so the
-            # per-chunk spans are deterministic for a fixed chunking even
-            # though workers race; the span brackets result collection.
-            for chunk_index, ((start, stop), (chunk_values, delta)) in enumerate(
-                zip(tasks, pool.imap(_worker_chunk, tasks))
-            ):
-                with self.obs.span(
-                    "engine_chunk", track="engine", chunk=chunk_index, pairs=stop - start
-                ):
-                    self.obs.advance(stop - start)
-                values[start:stop] = chunk_values
-                self._absorb(delta)
-                done = stop
-                if progress is not None:
-                    progress(done, total)
-        return values
-
-    def _compute_supervised(
-        self,
-        evaluator,
-        tasks: list[tuple[int, int]],
-        total: int,
-        *,
-        n_full: int | None,
-        rows: np.ndarray | None,
-        cols: np.ndarray | None,
-        workers: int,
-        payload: bytes | None,
-        progress: Callable[[int, int], None] | None,
-    ) -> np.ndarray:
-        """Fault-tolerant chunk dispatch under :attr:`fault_plan`.
-
-        Failed attempts are re-dispatched in rounds, in chunk-index order,
-        so recovery is deterministic for a seed regardless of worker count
-        or scheduling; quarantined chunks are recomputed serially in the
-        parent, which the plan never touches.  The assembled matrix is
-        bit-identical to a fault-free run.
-        """
-        plan = self.fault_plan
-        assert plan is not None
+        self.stats.workers_used = max(workers, 1)
         self.stats.recovered = False
-        if rows is None:
-            rows, cols = np.triu_indices(n_full, k=1)
-        self.stats.workers_used = workers
+        plan = self.fault_plan
         values = np.empty(total, dtype=float)
         done_pairs = 0
-        pending = [(index, start, stop, 0) for index, (start, stop) in enumerate(tasks)]
 
-        pool_cm = (
-            _pool_context().Pool(
+        if workers > 1:
+            # Workers build the triu themselves; the parent builds it only
+            # if a chunk has to be recomputed here.
+            payload = pickle.dumps(_WorkerState(evaluator, n_full, rows, cols, plan))
+            pool_cm = _pool_context().Pool(
                 processes=workers, initializer=_worker_init, initargs=(payload,)
             )
-            if workers > 1
-            else contextlib.nullcontext(None)
-        )
+        else:
+            if rows is None:
+                rows, cols = np.triu_indices(n_full, k=1)
+            pool_cm = contextlib.nullcontext(None)
         with pool_cm as pool:
             while pending:
                 retry_round: list[tuple[int, int, int, int]] = []
                 if pool is not None:
-                    outcomes = pool.imap(_worker_supervised_chunk, pending)
+                    # imap preserves task order, so the per-chunk spans are
+                    # deterministic for a fixed chunking though workers race.
+                    outcomes = pool.imap(_worker_chunk, pending)
                 else:
                     outcomes = (
                         _evaluate_chunk(evaluator, plan, rows, cols, *task) for task in pending
@@ -760,7 +588,8 @@ class DistanceEngine:
                 for task, outcome in zip(pending, outcomes):
                     chunk_index, start, stop, attempt = task
                     kind = ChunkFaultKind(outcome.kind)
-                    plan.record(kind)
+                    if plan is not None:
+                        plan.record(kind)
                     if kind is not ChunkFaultKind.NONE:
                         self.stats.faults_injected += 1
                         self.obs.inc("engine_faults_injected")
@@ -783,35 +612,31 @@ class DistanceEngine:
                             self.stats.chunks_retried += 1
                             self.obs.inc("engine_chunks_retried")
                             retry_round.append((chunk_index, start, stop, attempt + 1))
-                        else:
-                            done_pairs += self._quarantine_and_recompute(
-                                evaluator, values, rows, cols, chunk_index, start, stop,
-                                attempt, reason=f"retry_budget_exhausted_{kind.value}",
-                            )
-                            if progress is not None:
-                                progress(done_pairs, total)
-                        continue
-
-                    if _chunk_checksum(outcome.values) != outcome.checksum:
+                            continue
+                        reason = f"retry_budget_exhausted_{kind.value}"
+                    elif _chunk_checksum(outcome.values) != outcome.checksum:
                         # Integrity violation — a poisoned (or genuinely
                         # corrupted) result.  Never retried through the
                         # plan: quarantine, then recompute where the plan
                         # cannot reach.
-                        done_pairs += self._quarantine_and_recompute(
-                            evaluator, values, rows, cols, chunk_index, start, stop,
-                            attempt, reason="poisoned_chunk",
-                        )
-                        if progress is not None:
-                            progress(done_pairs, total)
-                        continue
+                        reason = "poisoned_chunk"
+                    else:
+                        reason = None
 
-                    with self.obs.span(
-                        "engine_chunk", track="engine",
-                        chunk=chunk_index, pairs=stop - start, attempt=attempt,
-                    ):
-                        self.obs.advance(stop - start)
-                    values[start:stop] = outcome.values
-                    self._absorb(outcome.stats)
+                    if reason is None:
+                        with self.obs.span(
+                            "engine_chunk", track="engine", chunk=chunk_index, pairs=stop - start
+                        ):
+                            self.obs.advance(stop - start)
+                        values[start:stop] = outcome.values
+                        self._absorb(outcome.stats)
+                    else:
+                        if rows is None:
+                            rows, cols = np.triu_indices(n_full, k=1)
+                        self._quarantine_and_recompute(
+                            evaluator, values, rows, cols, chunk_index, start, stop,
+                            attempt, reason=reason,
+                        )
                     done_pairs += stop - start
                     if progress is not None:
                         progress(done_pairs, total)
@@ -831,7 +656,7 @@ class DistanceEngine:
         attempt: int,
         *,
         reason: str,
-    ) -> int:
+    ) -> None:
         """Quarantine one failed chunk and recompute it serially in the parent."""
         self.stats.chunks_quarantined += 1
         self.obs.inc("engine_chunks_quarantined")
@@ -849,7 +674,6 @@ class DistanceEngine:
             self.obs.advance(stop - start)
         values[start:stop] = chunk_values
         self._absorb(delta)
-        return stop - start
 
     def _absorb(self, delta: _ChunkStats) -> None:
         self.stats.pair_hits += delta.pair_hits
@@ -870,17 +694,6 @@ def _chunk_checksum(values: np.ndarray) -> str:
 def _condensed_indices(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """Condensed (upper-triangle, row-major) index of each ``(i, j)`` pair."""
     return rows * n - rows * (rows + 1) // 2 + (cols - rows - 1)
-
-
-def engine_matrix(
-    items: Sequence,
-    metric: Callable,
-    *,
-    workers: int = 0,
-    progress: Callable[[int, int], None] | None = None,
-) -> CondensedMatrix:
-    """One-shot convenience wrapper: build a matrix through the engine."""
-    return DistanceEngine(metric, workers=workers).matrix(items, progress=progress)
 
 
 class MatrixCache:

@@ -17,7 +17,7 @@ left-to-right in its inspected content (and the destination scope agrees).
 from repro.signatures.conjunction import ConjunctionSignature
 from repro.signatures.export import to_mitmproxy_script, to_regex, to_snort_rules
 from repro.signatures.generator import GeneratorConfig, SignatureGenerator
-from repro.signatures.lcs import SuffixAutomaton, longest_common_substring
+from repro.signatures.lcs import SuffixAutomaton
 from repro.signatures.matcher import MatchResult, ProbabilisticMatcher, SignatureMatcher
 from repro.signatures.noiseaware import NoiseAwareGenerator
 from repro.signatures.store import SignatureStore
@@ -25,7 +25,6 @@ from repro.signatures.tokens import TokenFilter, invariant_tokens
 
 __all__ = [
     "SuffixAutomaton",
-    "longest_common_substring",
     "invariant_tokens",
     "TokenFilter",
     "ConjunctionSignature",

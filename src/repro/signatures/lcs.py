@@ -62,16 +62,6 @@ class SuffixAutomaton:
                 states[current].link = clone
         self._last = current
 
-    def contains(self, needle: str) -> bool:
-        """Whether ``needle`` is a substring of the indexed text."""
-        state = 0
-        for ch in needle:
-            next_state = self._states[state].transitions.get(ch)
-            if next_state is None:
-                return False
-            state = next_state
-        return True
-
     def match_lengths(self, query: str) -> list[int]:
         """For each position ``i`` of ``query``, the length of the longest
         substring of the indexed text ending at ``query[i]``.
@@ -121,53 +111,3 @@ class SuffixAutomaton:
                 maximal.append((start, end))
                 best_end = end
         return maximal
-
-
-def longest_common_substring(a: str, b: str) -> str:
-    """The longest common substring of two strings (leftmost in ``a`` on ties).
-
-    >>> longest_common_substring("udid=abc123&x=1", "y=9&udid=abc123")
-    'udid=abc123'
-    """
-    if not a or not b:
-        return ""
-    automaton = SuffixAutomaton(b)
-    lengths = automaton.match_lengths(a)
-    best_len = 0
-    best_end = 0
-    for i, length in enumerate(lengths):
-        if length > best_len:
-            best_len = length
-            best_end = i
-    return a[best_end - best_len + 1 : best_end + 1] if best_len else ""
-
-
-@dataclass(frozen=True, slots=True)
-class Span:
-    """A half-open span ``[start, end)`` inside a reference string."""
-
-    start: int
-    end: int
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-    def contains(self, other: "Span") -> bool:
-        return self.start <= other.start and other.end <= self.end
-
-
-def maximal_common_spans(reference: str, other: str, min_length: int = 1) -> list[Span]:
-    """Maximal spans of ``reference`` whose text occurs in ``other``.
-
-    "Maximal" means not contained in a longer qualifying span.  The result
-    is sorted by start offset; spans shorter than ``min_length`` are
-    dropped.  One automaton build over ``other``; to intersect many
-    references with the same ``other``, build the
-    :class:`SuffixAutomaton` once and call
-    :meth:`SuffixAutomaton.maximal_spans`.
-    """
-    return [
-        Span(start, end)
-        for start, end in SuffixAutomaton(other).maximal_spans(reference, min_length)
-    ]

@@ -1,9 +1,9 @@
-"""Blocked matrices and the sparse pair stream.
+"""Per-block matrices and the sparse pair stream.
 
-Two contracts: every within-block entry of a blocked matrix is
-bit-identical to the full build (blocking never changes a distance it
-keeps), and a threshold cut of the blocked matrix yields the same flat
-clusters as the full matrix — the exact-mode losslessness proof made
+Two contracts: a block's own matrix is bit-identical to the same entries
+of the full build (blocking never changes a distance it keeps), and the
+union of per-block threshold cuts yields the same flat clusters as
+cutting the full matrix — the exact-mode losslessness proof made
 operational.
 """
 
@@ -14,7 +14,7 @@ import pytest
 
 from repro.clustering.cut import cut_by_height
 from repro.clustering.linkage import Linkage, agglomerate
-from repro.distance.blocking import BlockingConfig, BlockingMode
+from repro.distance.blocking import BlockingConfig, BlockingMode, assign_blocks
 from repro.distance.engine import DistanceEngine, MatrixCache, PairStream
 from repro.distance.matrix import distance_matrix
 from repro.distance.packet import PacketDistance
@@ -40,6 +40,22 @@ def flat_clusters(matrix, linkage=Linkage.GROUP_AVERAGE):
         (sorted(dendrogram.leaves(node)) for node in cut_by_height(dendrogram, THRESHOLD)),
         key=lambda cluster: cluster[0],
     )
+
+
+def blocked_clusters(packets, full, mode=BlockingMode.EXACT, linkage=Linkage.GROUP_AVERAGE):
+    """Flat clusters of each block's slice of ``full``, in global indices."""
+    assignment = assign_blocks(
+        packets, PacketDistance.paper(), BlockingConfig(mode=mode, threshold=THRESHOLD)
+    )
+    clusters = []
+    for block in assignment.blocks:
+        members = sorted(block)
+        if len(members) == 1:
+            clusters.append(members)
+            continue
+        for cluster in flat_clusters(full.subset(members), linkage):
+            clusters.append([members[local] for local in cluster])
+    return sorted(clusters, key=lambda cluster: cluster[0]), assignment
 
 
 def partition_agreement(
@@ -100,63 +116,36 @@ class TestPartitionAgreement:
 
 class TestBlockedMatrix:
     def test_within_block_values_bit_identical(self, packets, full):
-        engine = DistanceEngine(PacketDistance.paper())
-        blocking = BlockingConfig(threshold=THRESHOLD)
-        blocked, assignment = engine.blocked_matrix(packets, blocking=blocking)
-        fill = blocking.fill_value(engine.metric)
+        assignment = assign_blocks(
+            packets, PacketDistance.paper(), BlockingConfig(threshold=THRESHOLD)
+        )
+        owner = {item: index for index, block in enumerate(assignment.blocks) for item in block}
         for block in assignment.blocks:
-            for a in range(len(block)):
-                for b in range(a + 1, len(block)):
-                    assert blocked.get(block[a], block[b]) == full.get(
-                        block[a], block[b]
-                    )
-        # Cross-block entries are the fill value, nothing else.
-        filled = int(np.count_nonzero(blocked.values == fill))
-        assert filled >= assignment.stats.pairs_pruned
+            members = sorted(block)
+            built = DistanceEngine(PacketDistance.paper()).matrix([packets[i] for i in members])
+            assert built.values.tobytes() == full.subset(members).values.tobytes()
+        # Under EXACT, every pair split across blocks lies above the threshold.
+        cross = [
+            full.get(i, j)
+            for i in range(len(packets))
+            for j in range(i + 1, len(packets))
+            if owner[i] != owner[j]
+        ]
+        assert cross and min(cross) > THRESHOLD
 
     @pytest.mark.parametrize(
         "linkage", [Linkage.GROUP_AVERAGE, Linkage.SINGLE, Linkage.COMPLETE]
     )
     def test_threshold_cut_identical_to_full(self, packets, full, linkage):
-        engine = DistanceEngine(PacketDistance.paper())
-        blocked, __ = engine.blocked_matrix(
-            packets, blocking=BlockingConfig(threshold=THRESHOLD)
-        )
-        assert flat_clusters(blocked, linkage) == flat_clusters(full, linkage)
+        blocked, __ = blocked_clusters(packets, full, linkage=linkage)
+        assert blocked == flat_clusters(full, linkage)
 
     def test_lsh_mode_cut_agrees_within_audit_floor(self, packets, full):
         # LSH is approximate: the contract is an agreement floor, not identity.
-        engine = DistanceEngine(PacketDistance.paper())
-        blocked, assignment = engine.blocked_matrix(
-            packets,
-            blocking=BlockingConfig(mode=BlockingMode.LSH, threshold=THRESHOLD),
-        )
+        blocked, assignment = blocked_clusters(packets, full, mode=BlockingMode.LSH)
         assert assignment.stats.pairs_pruned > 0
-        agreement = partition_agreement(
-            flat_clusters(blocked), flat_clusters(full), len(packets)
-        )
+        agreement = partition_agreement(blocked, flat_clusters(full), len(packets))
         assert agreement["f1"] >= 0.97
-
-    def test_stats_surface_pruning(self, packets):
-        engine = DistanceEngine(PacketDistance.paper())
-        __, assignment = engine.blocked_matrix(
-            packets, blocking=BlockingConfig(threshold=THRESHOLD)
-        )
-        assert engine.stats.n_blocks == assignment.stats.n_blocks > 1
-        assert engine.stats.pairs_pruned == assignment.stats.pairs_pruned > 0
-        data = engine.stats.to_dict()
-        assert data["n_blocks"] == assignment.stats.n_blocks
-        assert data["pairs_pruned"] == assignment.stats.pairs_pruned
-
-    def test_parallel_build_bit_identical(self, packets):
-        blocking = BlockingConfig(threshold=THRESHOLD)
-        serial, __ = DistanceEngine(PacketDistance.paper()).blocked_matrix(
-            packets, blocking=blocking
-        )
-        parallel, __ = DistanceEngine(
-            PacketDistance.paper(), workers=2, chunk_pairs=64
-        ).blocked_matrix(packets, blocking=blocking)
-        assert np.array_equal(serial.values, parallel.values)
 
 
 class TestSubset:

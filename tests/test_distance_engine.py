@@ -5,7 +5,6 @@ caching, its output must be bit-identical to the serial
 :func:`repro.distance.matrix.distance_matrix` loop.
 """
 
-import functools
 import os
 
 import numpy as np
@@ -17,7 +16,6 @@ from repro.distance.engine import (
     DistanceEngine,
     MatrixCache,
     PairStream,
-    engine_matrix,
     usable_cpus,
 )
 from repro.distance.matrix import distance_matrix
@@ -27,16 +25,17 @@ from repro.errors import DistanceError
 from tests.conftest import make_packet
 
 
-def abs_metric(a, b):
-    """Module-level (hence picklable) toy metric."""
-    return abs(a - b)
+@pytest.fixture
+def nan_destination(monkeypatch):
+    """Make ``d_dst`` invalid for one host pair; forked workers inherit it."""
+    real = engine_module.destination_distance
 
+    def patched(a, b, registry=None):
+        if {a.host, b.host} == {"ads.alpha.com", "cdn.gamma.org"}:
+            return float("nan")
+        return real(a, b, registry=registry)
 
-def nan_metric(a, b):
-    """Module-level metric that is invalid for one specific pair."""
-    if {a, b} == {3, 7}:
-        return float("nan")
-    return abs(a - b)
+    monkeypatch.setattr(engine_module, "destination_distance", patched)
 
 
 @pytest.fixture(scope="module")
@@ -84,14 +83,6 @@ class TestBitIdentical:
             reference = distance_matrix(packets, metric)
             built = DistanceEngine(metric, workers=2, chunk_pairs=16).matrix(packets)
             assert np.array_equal(built.values, reference.values)
-
-    def test_generic_metric_parallel(self):
-        items = [float(i * i % 11) for i in range(20)]
-        reference = distance_matrix(items, abs_metric)
-        engine = DistanceEngine(abs_metric, workers=2, chunk_pairs=16)
-        built = engine.matrix(items)
-        assert np.array_equal(built.values, reference.values)
-        assert engine.stats.mode == "generic"
 
 
 class TestIncrementalExtension:
@@ -172,69 +163,43 @@ class TestCacheAccounting:
         engine = DistanceEngine(PacketDistance.paper(), workers=2, chunk_pairs=8)
         engine.matrix(packets)
         data = engine.stats.to_dict()
-        assert data["mode"] == "packet"
         assert data["workers_used"] == 2
         assert data["singles_misses"] == 0
         assert 0.0 < data["pair_hit_rate"] < 1.0
 
 
 class TestErrorPaths:
-    def test_worker_error_propagates_as_distance_error(self):
-        engine = DistanceEngine(nan_metric, workers=2, chunk_pairs=8)
+    def test_worker_error_propagates_as_distance_error(self, packets, nan_destination):
+        engine = DistanceEngine(PacketDistance.paper(), workers=2, chunk_pairs=8)
         with pytest.raises(DistanceError):
-            engine.matrix(list(range(12)))
+            engine.matrix(packets)
 
-    def test_serial_error_matches(self):
+    def test_serial_error_matches(self, packets, nan_destination):
         with pytest.raises(DistanceError):
-            DistanceEngine(nan_metric).matrix(list(range(12)))
+            DistanceEngine(PacketDistance.paper(), workers=1).matrix(packets)
 
-    def test_unpicklable_metric_falls_back_to_serial(self):
-        engine = DistanceEngine(lambda a, b: abs(a - b), workers=2, chunk_pairs=4)
-        built = engine.matrix([0.0, 1.0, 3.0, 8.0, 2.0])
-        assert engine.stats.workers_used == 1
-        assert engine.stats.fallback is not None
-        assert np.array_equal(
-            built.values, distance_matrix([0.0, 1.0, 3.0, 8.0, 2.0], abs_metric).values
-        )
-
-    def test_unpicklable_fallback_reason_is_surfaced(self):
-        # Regression: the fallback used to be silent about *why*; now the
-        # machine-readable reason, the exception detail, and an obs
-        # counter all record it.
-        from repro.obs import Observability
-
-        obs = Observability.create(seed=0)
-        engine = DistanceEngine(lambda a, b: abs(a - b), workers=2, chunk_pairs=4, obs=obs)
-        engine.matrix([0.0, 1.0, 3.0, 8.0, 2.0])
-        assert engine.stats.fallback == "unpicklable_metric"
-        assert engine.stats.fallback_detail  # carries the pickle error text
-        assert obs.counter("engine_fallback_unpicklable") == 1
-        assert engine.stats.to_dict()["fallback"] == "unpicklable_metric"
-
-    def test_picklable_metric_sets_no_fallback(self):
-        engine = DistanceEngine(abs_metric, workers=2, chunk_pairs=4)
-        engine.matrix([0.0, 1.0, 3.0, 8.0, 2.0])
-        assert engine.stats.fallback is None
-        assert engine.stats.fallback_detail is None
+    def test_non_packet_metric_rejected(self):
+        with pytest.raises(DistanceError, match="PacketDistance"):
+            DistanceEngine(lambda a, b: abs(a - b))
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(DistanceError):
-            DistanceEngine(abs_metric, workers=-1)
+            DistanceEngine(workers=-1)
 
     def test_invalid_chunk_rejected(self):
         with pytest.raises(DistanceError):
-            DistanceEngine(abs_metric, chunk_pairs=0)
+            DistanceEngine(chunk_pairs=0)
 
 
 class TestEdges:
     def test_zero_workers_means_auto(self):
-        engine = DistanceEngine(abs_metric, workers=0)
+        engine = DistanceEngine(workers=0)
         assert engine.workers >= 1
 
-    def test_empty_and_singleton(self):
-        engine = DistanceEngine(abs_metric)
+    def test_empty_and_singleton(self, packets):
+        engine = DistanceEngine()
         assert engine.matrix([]).n == 0
-        assert engine.matrix([5.0]).n == 1
+        assert engine.matrix(packets[:1]).n == 1
 
     def test_default_metric_is_paper(self, packets):
         built = DistanceEngine().matrix(packets[:4])
@@ -243,15 +208,13 @@ class TestEdges:
 
     def test_one_shot_wrapper(self, monkeypatch, packets, reference):
         # Small chunks, so the 91-pair build reaches the 2-worker pool.
-        monkeypatch.setattr(
-            engine_module, "DistanceEngine", functools.partial(DistanceEngine, chunk_pairs=16)
-        )
         pools = []
         pool_context = engine_module._pool_context
         monkeypatch.setattr(
             engine_module, "_pool_context", lambda: pools.append(1) or pool_context()
         )
-        built = engine_matrix(packets, PacketDistance.paper(), workers=2)
+        engine = DistanceEngine(PacketDistance.paper(), workers=2, chunk_pairs=16)
+        built = engine.matrix(packets)
         assert np.array_equal(built.values, reference.values)
         assert pools
 
@@ -270,7 +233,10 @@ def _chunk_spans(obs):
 class TestRouting:
     """One rule picks serial or pool: at least two full chunks and two workers."""
 
-    ITEMS = [float(i * i % 23) for i in range(21)]  # 210 pairs: one default chunk
+    ITEMS = [  # 210 pairs: one default chunk
+        make_packet(host=["ads.alpha.com", "cdn.gamma.org"][i % 2], target=f"/imp?sid=s{i}")
+        for i in range(21)
+    ]
 
     def test_zero_workers_follow_cpu_affinity(self, monkeypatch, packets):
         # Pinned to one CPU of a larger machine (taskset, cgroup cpuset):
@@ -289,7 +255,7 @@ class TestRouting:
 
     def test_one_chunk_batch_never_creates_a_pool(self, monkeypatch):
         monkeypatch.setattr(engine_module, "_pool_context", _no_pool)
-        engine = DistanceEngine(abs_metric, workers=4)
+        engine = DistanceEngine(PacketDistance.paper(), workers=4)
         built = engine.matrix(self.ITEMS)
         assert len(built.values) < DEFAULT_CHUNK_PAIRS
         assert engine.stats.chunks == 1
@@ -298,11 +264,11 @@ class TestRouting:
     def test_pool_needs_two_full_chunks(self, monkeypatch):
         # 210 pairs: two full chunks of 105 take the pool; one chunk of
         # 106 plus a remainder of 104 stays in-process.
-        engine = DistanceEngine(abs_metric, workers=2, chunk_pairs=105)
+        engine = DistanceEngine(PacketDistance.paper(), workers=2, chunk_pairs=105)
         engine.matrix(self.ITEMS)
         assert (engine.stats.chunks, engine.stats.workers_used) == (2, 2)
         monkeypatch.setattr(engine_module, "_pool_context", _no_pool)
-        engine = DistanceEngine(abs_metric, workers=2, chunk_pairs=106)
+        engine = DistanceEngine(PacketDistance.paper(), workers=2, chunk_pairs=106)
         engine.matrix(self.ITEMS)
         assert (engine.stats.chunks, engine.stats.workers_used) == (2, 1)
 
@@ -312,7 +278,7 @@ class TestRouting:
         span_lists = []
         for workers in (1, 2, 4):
             obs = Observability.create(seed=0)
-            DistanceEngine(abs_metric, workers=workers, obs=obs).matrix(self.ITEMS)
+            DistanceEngine(PacketDistance.paper(), workers=workers, obs=obs).matrix(self.ITEMS)
             span_lists.append(_chunk_spans(obs))
         assert [span[:2] for span in span_lists[0]] == [(0, 210)]
         assert span_lists[0] == span_lists[1] == span_lists[2]
@@ -323,7 +289,9 @@ class TestRouting:
         span_lists = []
         for workers in (1, 2):
             obs = Observability.create(seed=0)
-            engine = DistanceEngine(abs_metric, workers=workers, chunk_pairs=64, obs=obs)
+            engine = DistanceEngine(
+                PacketDistance.paper(), workers=workers, chunk_pairs=64, obs=obs
+            )
             engine.matrix(self.ITEMS)
             assert engine.stats.workers_used == workers
             span_lists.append(_chunk_spans(obs))

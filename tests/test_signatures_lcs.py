@@ -3,11 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.signatures.lcs import (
-    SuffixAutomaton,
-    longest_common_substring,
-    maximal_common_spans,
-)
+from repro.signatures.lcs import SuffixAutomaton
 
 small_text = st.text(alphabet="abc=&1", max_size=16)
 
@@ -21,21 +17,37 @@ def brute_lcs_length(a, b):
     return best
 
 
+def contains(automaton, needle):
+    """Substring test through the match walk: the whole needle matches at its end."""
+    return not needle or automaton.match_lengths(needle)[-1] == len(needle)
+
+
+def longest_common_substring(a, b):
+    """Leftmost longest common substring of ``a`` and ``b`` from one match walk."""
+    lengths = SuffixAutomaton(b).match_lengths(a)
+    best = max(lengths, default=0)
+    if not best:
+        return ""
+    end = lengths.index(best) + 1
+    return a[end - best : end]
+
+
 class TestSuffixAutomaton:
     def test_contains_all_substrings(self):
         text = "udid=abc123&x=1"
         automaton = SuffixAutomaton(text)
         for i in range(len(text)):
             for j in range(i + 1, len(text) + 1):
-                assert automaton.contains(text[i:j])
+                assert contains(automaton, text[i:j])
 
     def test_does_not_contain_foreign(self):
         automaton = SuffixAutomaton("aaabbb")
-        assert not automaton.contains("ba" * 3)
-        assert not automaton.contains("c")
+        assert not contains(automaton, "ba" * 3)
+        assert not contains(automaton, "c")
 
     def test_empty_needle_contained(self):
-        assert SuffixAutomaton("xyz").contains("")
+        assert contains(SuffixAutomaton("xyz"), "")
+        assert SuffixAutomaton("xyz").match_lengths("") == []
 
     def test_match_lengths_known(self):
         automaton = SuffixAutomaton("abcab")
@@ -44,8 +56,7 @@ class TestSuffixAutomaton:
 
     @given(small_text, small_text)
     def test_contains_agrees_with_in(self, text, needle):
-        automaton = SuffixAutomaton(text)
-        assert automaton.contains(needle) == (needle in text)
+        assert contains(SuffixAutomaton(text), needle) == (needle in text)
 
 
 class TestLcs:
@@ -72,36 +83,33 @@ class TestLcs:
 
 class TestMaximalSpans:
     def test_single_common_region(self):
-        spans = maximal_common_spans("xxHELLOxx", "yyHELLOyy", 2)
-        texts = {"xxHELLOxx"[s.start:s.end] for s in spans}
+        spans = SuffixAutomaton("yyHELLOyy").maximal_spans("xxHELLOxx", 2)
+        texts = {"xxHELLOxx"[start:end] for start, end in spans}
         assert "HELLO" in texts
 
     def test_min_length_filters(self):
-        spans = maximal_common_spans("ab", "ab", 3)
-        assert spans == []
+        assert SuffixAutomaton("ab").maximal_spans("ab", 3) == []
 
     def test_no_common(self):
-        assert maximal_common_spans("aaa", "bbb", 1) == []
+        assert SuffixAutomaton("bbb").maximal_spans("aaa", 1) == []
 
     def test_spans_are_maximal(self):
-        spans = maximal_common_spans("abcdef", "abcdef", 1)
-        assert len(spans) == 1
-        assert (spans[0].start, spans[0].end) == (0, 6)
+        assert SuffixAutomaton("abcdef").maximal_spans("abcdef", 1) == [(0, 6)]
 
     def test_empty_inputs(self):
-        assert maximal_common_spans("", "abc", 1) == []
-        assert maximal_common_spans("abc", "", 1) == []
+        assert SuffixAutomaton("abc").maximal_spans("", 1) == []
+        assert SuffixAutomaton("").maximal_spans("abc", 1) == []
 
     @given(small_text, small_text)
     def test_every_span_text_occurs_in_other(self, a, b):
-        for span in maximal_common_spans(a, b, 2):
-            assert a[span.start:span.end] in b
-            assert span.length >= 2
+        for start, end in SuffixAutomaton(b).maximal_spans(a, 2):
+            assert a[start:end] in b
+            assert end - start >= 2
 
     @given(small_text, small_text)
     def test_no_span_contains_another(self, a, b):
-        spans = maximal_common_spans(a, b, 1)
-        for i, s in enumerate(spans):
-            for j, t in enumerate(spans):
+        spans = SuffixAutomaton(b).maximal_spans(a, 1)
+        for i, (s_start, s_end) in enumerate(spans):
+            for j, (t_start, t_end) in enumerate(spans):
                 if i != j:
-                    assert not (s.start <= t.start and t.end <= s.end)
+                    assert not (s_start <= t_start and t_end <= s_end)

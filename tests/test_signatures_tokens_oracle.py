@@ -4,18 +4,21 @@
 after one substring test and builds at most one suffix automaton per
 member; the replaced version built an automaton of the member for every
 surviving span.  The replaced ``common_substrings`` and the
-``maximal_common_spans`` it called are kept below as test-only oracles:
-the same result lists on seeded hypothesis inputs shaped like clusters
-(copies, prefixes and substrings of earlier members, empty members), and
-the same signature bytes over every cut cluster of a seeded pipeline run.
+``maximal_common_spans`` (with its ``Span``) it called are kept below as
+test-only oracles: the same result lists on seeded hypothesis inputs
+shaped like clusters (copies, prefixes and substrings of earlier members,
+empty members), and the same signature bytes over every cut cluster of a
+seeded pipeline run.
 """
+
+from dataclasses import dataclass
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import repro.signatures.tokens as tokens
 from repro.core.server import SignatureServer
-from repro.signatures.lcs import Span, SuffixAutomaton
+from repro.signatures.lcs import SuffixAutomaton
 from repro.signatures.literal import LiteralGenerator
 from repro.signatures.store import SignatureStore
 from repro.signatures.tokens import common_substrings
@@ -23,6 +26,14 @@ from repro.signatures.tokens import common_substrings
 # ---------------------------------------------------------------------------
 # oracles: the replaced implementations, verbatim apart from their names
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Span:
+    """A half-open span ``[start, end)`` inside a reference string."""
+
+    start: int
+    end: int
 
 
 def oracle_maximal_common_spans(reference: str, other: str, min_length: int = 1) -> list[Span]:
