@@ -17,13 +17,19 @@
     repro fig4    --apps 300 --seed 0
     repro chaos   --apps 80 --seed 0 --rates 0,0.1,0.25,0.5
     repro arena   --apps 120 --seed 0 --out BENCH_arena.json
-    repro service --apps 120 --port 8080 --db service.sqlite3
-    repro slo     --access-log access_log.jsonl
+    repro service --apps 120 --port 8080 --db service.sqlite3 \
+                   [--trace-dir service_trace]
+    repro slo     --access-log service_trace/access_log.jsonl
     repro trace   --apps 60 --sample 40 --seed 0 --out trace_out
     repro metrics --apps 60 --events 1200 --seed 0 --out metrics_out
 
 ``service`` boots the network-facing HTTP signature service on a real
 port; every other verb runs in-process on files and simulated ticks.
+With ``--trace-dir`` the service traces each request on the same
+logical-tick spans ``trace`` writes: the access log (per-request wall
+ms, what ``slo`` replays) grows as requests finish, and ``spans.jsonl``,
+``trace.json`` and ``flight_recorder.jsonl`` are written when the
+service stops on SIGINT or SIGTERM.
 Speed is measured by the benchmark of record, ``python3 -m bench.run``,
 which boots ``repro service`` for its socket workloads.
 
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -358,24 +365,31 @@ def _boot_signatures(args: argparse.Namespace) -> list:
 
 
 def cmd_service(args: argparse.Namespace) -> int:
-    from repro.service.server import ServiceServer, SignatureService
+    from repro.service.server import ServiceConfig, ServiceServer, SignatureService
 
-    service = SignatureService(_boot_signatures(args), db_path=args.db or None)
+    service = SignatureService(
+        _boot_signatures(args),
+        db_path=args.db or None,
+        config=ServiceConfig(trace_dir=args.trace_dir or None),
+    )
     server = ServiceServer(service, host=args.host, port=args.port)
     host, port = server.address  # bound at construction, before serving
-    if args.ready_file:
-        # CI and scripts bind port 0 and read the real address from here.
-        Path(args.ready_file).write_text(f"{host}:{port}\n", encoding="utf-8")
-    print(f"repro service listening on http://{host}:{port} "
-          f"(backend={'sqlite' if service.store is not None else 'memory'})")
+    # SIGTERM (a plain `kill`) stops the server the way Ctrl-C does, so
+    # storage is closed and the trace directory is written either way.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        if args.ready_file:
+            # CI and scripts bind port 0 and read the real address from here.
+            Path(args.ready_file).write_text(f"{host}:{port}\n", encoding="utf-8")
+        print(f"repro service listening on http://{host}:{port} "
+              f"(backend={'sqlite' if service.store is not None else 'memory'})")
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.stop()
-        if service.store is not None:
-            service.store.close()
+        service.close()
     return 0
 
 
@@ -619,6 +633,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ready-file", default="",
                    help="write 'host:port' here once listening (for scripts/CI)")
+    p.add_argument("--trace-dir", default="",
+                   help="trace requests: append each to DIR/access_log.jsonl and, "
+                        "on shutdown, write DIR/spans.jsonl, trace.json and "
+                        "flight_recorder.jsonl")
     p.set_defaults(func=cmd_service)
 
     p = sub.add_parser(

@@ -94,12 +94,6 @@ class BlockingConfig:
         if self.shingle < 1:
             raise DistanceError(f"shingle size must be positive, got {self.shingle}")
 
-    def fill_value(self, metric: object) -> float:
-        """Cross-block matrix entry: above the threshold *and* the metric's
-        own ceiling, so cuts at or below the threshold never see it."""
-        ceiling = getattr(metric, "max_distance", 0.0)
-        return max(float(ceiling), self.threshold + 1.0)
-
     def to_dict(self) -> dict:
         return {
             "mode": self.mode.value,

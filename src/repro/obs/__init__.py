@@ -18,20 +18,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.obs.context import (
-    NULL_FLIGHT_RECORDER,
-    NULL_REQUEST_TRACER,
-    FlightRecorder,
-    RequestSpan,
-    RequestTracer,
-    TraceContext,
-    audit_trace_join,
-    export_joined_chrome_trace,
-    export_request_spans_jsonl,
-    join_chrome_trace,
-    load_request_spans,
-    parse_traceparent,
-)
+from repro.obs.context import FlightRecorder, TraceContext, parse_traceparent
 from repro.obs.export import (
     export_chrome_trace,
     export_metrics_text,
@@ -57,12 +44,8 @@ __all__ = [
     "FlightRecorder",
     "Histogram",
     "Metrics",
-    "NULL_FLIGHT_RECORDER",
     "NULL_OBS",
-    "NULL_REQUEST_TRACER",
     "Observability",
-    "RequestSpan",
-    "RequestTracer",
     "SloEngine",
     "SloObjective",
     "Span",
@@ -70,15 +53,10 @@ __all__ = [
     "StageStats",
     "TraceContext",
     "Tracer",
-    "audit_trace_join",
     "deterministic_run_id",
     "export_chrome_trace",
-    "export_joined_chrome_trace",
     "export_metrics_text",
-    "export_request_spans_jsonl",
     "export_spans_jsonl",
-    "join_chrome_trace",
-    "load_request_spans",
     "parse_traceparent",
 ]
 

@@ -24,7 +24,11 @@ from repro.obs.tracer import Span, Tracer
 
 
 def span_line(span: Span) -> dict[str, Any]:
-    """The JSONL record for one closed span (wall time only when captured)."""
+    """The JSONL record for one closed span.
+
+    Wall time appears only when captured, and ``trace_id`` /
+    ``parent_span_id`` only when the span carries a request context.
+    """
     record: dict[str, Any] = {
         "kind": "span",
         "span_id": span.span_id,
@@ -38,7 +42,15 @@ def span_line(span: Span) -> dict[str, Any]:
     }
     if span.wall_s is not None:
         record["wall_s"] = round(span.wall_s, 6)
+    record.update(_context_fields(span))
     return record
+
+
+def _context_fields(span: Span) -> dict[str, str]:
+    """The incoming request's trace ids; empty for a span without a context."""
+    if span.context is None:
+        return {}
+    return {"trace_id": span.context.trace_id, "parent_span_id": span.context.span_id}
 
 
 def export_spans_jsonl(tracer: Tracer, path: str | Path) -> Path:
@@ -84,6 +96,7 @@ def chrome_trace_events(tracer: Tracer) -> list[dict[str, Any]]:
         args.update(span.attrs)
         if span.wall_s is not None:
             args["wall_s"] = round(span.wall_s, 6)
+        args.update(_context_fields(span))
         events.append(
             {
                 "ph": "X",

@@ -1,7 +1,7 @@
 """Service-level objectives with error budgets and burn-rate alerts.
 
-An :class:`SloObjective` reduces every question — availability, tail
-latency, shed rate — to the same shape: over a stream of events, the
+An :class:`SloObjective` reduces both questions — availability and tail
+latency — to the same shape: over a stream of events, the
 fraction judged *good* must stay at or above ``target``.  That
 uniformity buys one error-budget ledger and one alerting rule for all of
 them:
@@ -19,14 +19,13 @@ them:
 
 Windows are event-counted, never wall-clock, so the engine is a pure
 function of the recorded sequence — replaying the same requests yields
-byte-identical reports.  The engine is lock-protected so concurrent
-load-generator threads can record into it live.
+byte-identical reports.  ``repro slo`` replays the access log that
+``repro service --trace-dir`` writes.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -74,14 +73,7 @@ DEFAULT_BURN_RULES = (
     BurnRule(AlertSeverity.TICKET, burn_threshold=6.0, long_window=4096, short_window=512),
 )
 
-#: Shedding budgets are loose (25%), so budget-multiple thresholds must be
-#: small: paging needs >80% of traffic shed, sustained.
-SHED_BURN_RULES = (
-    BurnRule(AlertSeverity.PAGE, burn_threshold=3.2, long_window=2048, short_window=256),
-    BurnRule(AlertSeverity.TICKET, burn_threshold=2.0, long_window=4096, short_window=512),
-)
-
-_KINDS = ("availability", "latency", "shed_rate")
+_KINDS = ("availability", "latency")
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,13 +81,13 @@ class SloObjective:
     """One objective: the good fraction of events must reach ``target``.
 
     :param kind: picks the good-event predicate — ``availability``
-        (status < 500), ``latency`` (duration ≤ ``threshold_ms``; a 0.99
-        target is exactly "p99 under threshold"), or ``shed_rate`` (a
-        screening decision that was not shed).
+        (status < 500) or ``latency`` (duration ≤ ``threshold_ms``; a 0.99
+        target is exactly "p99 under threshold").
     :param target: required good fraction, strictly inside (0, 1) so the
         error budget is always a positive allowance.
     :param threshold_ms: latency cutoff, required iff ``kind="latency"``.
-    :param rules: burn-rate alerting rules (defaults per kind).
+    :param rules: burn-rate alerting rules (default
+        :data:`DEFAULT_BURN_RULES`).
     """
 
     name: str
@@ -116,18 +108,14 @@ class SloObjective:
 
     @property
     def burn_rules(self) -> tuple[BurnRule, ...]:
-        if self.rules is not None:
-            return self.rules
-        return SHED_BURN_RULES if self.kind == "shed_rate" else DEFAULT_BURN_RULES
+        return self.rules if self.rules is not None else DEFAULT_BURN_RULES
 
 
-#: The service's objectives: three nines of availability, p99 wall-ms
-#: under 2 s (generous, so CI runners have headroom), and at least 75% of
-#: screening decisions admitted.
+#: The service's objectives: three nines of availability and p99 wall-ms
+#: under 2 s (generous, so CI runners have headroom).
 DEFAULT_SERVICE_OBJECTIVES = (
     SloObjective("availability", kind="availability", target=0.999),
     SloObjective("latency_p99", kind="latency", target=0.99, threshold_ms=2000.0),
-    SloObjective("shed_rate", kind="shed_rate", target=0.75),
 )
 
 
@@ -235,10 +223,9 @@ class ObjectiveTracker:
 
 
 class SloEngine:
-    """Live SLO evaluation over a stream of request/decision events.
+    """SLO evaluation over a stream of served requests.
 
-    Thread-safe so load-generator workers record concurrently; the report
-    is a pure function of the recorded event sequence (no wall clock).
+    The report is a pure function of the recorded event sequence.
     """
 
     def __init__(self, objectives: Iterable[SloObjective] = DEFAULT_SERVICE_OBJECTIVES) -> None:
@@ -247,24 +234,14 @@ class SloEngine:
             if objective.name in self._trackers:
                 raise ValueError(f"duplicate objective name {objective.name!r}")
             self._trackers[objective.name] = ObjectiveTracker(objective)
-        self._lock = threading.Lock()
 
     def record_request(self, *, status: int, ms: float) -> None:
-        """Feed one served request to the availability/latency objectives."""
-        with self._lock:
-            for tracker in self._trackers.values():
-                kind = tracker.objective.kind
-                if kind == "availability":
-                    tracker.record(status < 500)
-                elif kind == "latency":
-                    tracker.record(ms <= tracker.objective.threshold_ms)
-
-    def record_decision(self, *, shed: bool) -> None:
-        """Feed one screening decision to the shed-rate objectives."""
-        with self._lock:
-            for tracker in self._trackers.values():
-                if tracker.objective.kind == "shed_rate":
-                    tracker.record(not shed)
+        """Feed one served request to every objective."""
+        for tracker in self._trackers.values():
+            if tracker.objective.kind == "availability":
+                tracker.record(status < 500)
+            else:
+                tracker.record(ms <= tracker.objective.threshold_ms)
 
     def report(self) -> dict[str, Any]:
         """The full SLO report: per-objective sections plus the verdict.
@@ -272,8 +249,7 @@ class SloEngine:
         ``ok`` is the CI gate: every objective within budget and zero
         page-severity burn alerts across all of them.
         """
-        with self._lock:
-            objectives = {name: t.snapshot() for name, t in self._trackers.items()}
+        objectives = {name: t.snapshot() for name, t in self._trackers.items()}
         pages = sum(
             1
             for section in objectives.values()
@@ -297,13 +273,7 @@ class SloEngine:
 def replay_access_log(
     path: str | Path, objectives: Iterable[SloObjective] = DEFAULT_SERVICE_OBJECTIVES
 ) -> SloEngine:
-    """Rebuild an :class:`SloEngine` from a service access log.
-
-    Access-log lines carry request-level facts only, so this drives the
-    availability and latency objectives; shed-rate objectives stay empty
-    (vacuously compliant) because per-decision outcomes live in screen
-    response bodies, not the access log.
-    """
+    """Rebuild an :class:`SloEngine` from a service access log."""
     engine = SloEngine(objectives)
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if not line.strip():

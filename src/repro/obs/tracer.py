@@ -7,6 +7,12 @@ of work units it just processed (packets ingested, pairs computed, merges
 performed).  Durations therefore measure *work*, not wall clock, and two
 runs with the same seed and configuration produce byte-identical traces.
 
+The tracer is thread-safe.  Each thread keeps its own stack of active
+spans, so a span opened on a request thread parents only under spans of
+that thread; span ids, the span list and the tick clock are shared and
+updated under one lock.  A span may also carry the
+:class:`~repro.obs.context.TraceContext` its request arrived with.
+
 Wall-clock capture is **optional and off by default** — tests and the
 determinism contract run without it; benches turn it on to attribute real
 seconds per stage.  When enabled, each span additionally records
@@ -22,10 +28,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
+
+from repro.obs.context import TraceContext
 
 
 def deterministic_run_id(seed: int, config: Any = None) -> str:
@@ -51,6 +60,8 @@ class Span:
     :param end_tick: logical tick at close (``None`` while open).
     :param attrs: caller-supplied labels, exported under ``args``.
     :param wall_s: wall-clock duration, only when the tracer captures it.
+    :param context: the ``traceparent`` context an incoming request
+        carried; only that request's route span has one.
     """
 
     span_id: int
@@ -61,6 +72,7 @@ class Span:
     attrs: dict[str, Any] = field(default_factory=dict)
     end_tick: int | None = None
     wall_s: float | None = None
+    context: TraceContext | None = None
 
     @property
     def closed(self) -> bool:
@@ -86,8 +98,9 @@ class Tracer:
         self.wall_clock = wall_clock
         self.spans: list[Span] = []
         self.tick = 0
-        self._stack: list[Span] = []
         self._next_id = 1
+        self._lock = threading.Lock()
+        self._local = threading.local()
 
     # -- recording ----------------------------------------------------------------
 
@@ -99,36 +112,54 @@ class Tracer:
         ticks = int(ticks)
         if ticks < 0:
             raise ValueError(f"logical time is monotonic; cannot advance by {ticks}")
-        self.tick += ticks
+        with self._lock:
+            self.tick += ticks
 
     @contextmanager
-    def span(self, name: str, track: str | None = None, **attrs: Any) -> Iterator[Span]:
-        """Open a child span of the innermost active span.
+    def span(
+        self,
+        name: str,
+        track: str | None = None,
+        *,
+        context: TraceContext | None = None,
+        **attrs: Any,
+    ) -> Iterator[Span]:
+        """Open a child span of this thread's innermost active span.
 
         Opening and closing each consume one tick, so even a span that
         does no explicit :meth:`advance` has nonzero duration and every
         parent has nonzero self-time.
+
+        :param context: the incoming request's trace context, exported
+            with the span.
         """
-        parent = self._stack[-1] if self._stack else None
-        span = Span(
-            span_id=self._next_id,
-            parent_id=parent.span_id if parent is not None else None,
-            name=name,
-            track=track or (parent.track if parent is not None else "main"),
-            start_tick=self.tick,
-            attrs=dict(attrs),
-        )
-        self._next_id += 1
-        self.tick += 1
-        self.spans.append(span)
-        self._stack.append(span)
+        try:
+            stack = self._local.stack
+        except AttributeError:
+            stack = self._local.stack = []
+        parent = stack[-1] if stack else None
+        with self._lock:
+            span = Span(
+                span_id=self._next_id,
+                parent_id=parent.span_id if parent is not None else None,
+                name=name,
+                track=track or (parent.track if parent is not None else "main"),
+                start_tick=self.tick,
+                attrs=attrs,
+                context=context,
+            )
+            self._next_id += 1
+            self.tick += 1
+            self.spans.append(span)
+        stack.append(span)
         wall_started = time.perf_counter() if self.wall_clock else None
         try:
             yield span
         finally:
-            self._stack.pop()
-            self.tick += 1
-            span.end_tick = self.tick
+            stack.pop()
+            with self._lock:
+                self.tick += 1
+                span.end_tick = self.tick
             if wall_started is not None:
                 span.wall_s = time.perf_counter() - wall_started
 
@@ -137,7 +168,8 @@ class Tracer:
     @property
     def closed_spans(self) -> list[Span]:
         """Every finished span, in deterministic span-start order."""
-        return [span for span in self.spans if span.closed]
+        with self._lock:
+            return [span for span in self.spans if span.closed]
 
     def spans_named(self, name: str) -> list[Span]:
         """All closed spans with one name, in start order."""

@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -51,14 +52,10 @@ from repro.errors import ServiceError, SignatureStoreError
 from repro.federation.ingest import FleetIngest, IngestConfig
 from repro.federation.report import DeviceReport
 from repro.obs import Observability
-from repro.obs.context import (
-    NULL_FLIGHT_RECORDER,
-    NULL_REQUEST_TRACER,
-    FlightRecorder,
-    RequestTracer,
-)
+from repro.obs.context import FlightRecorder
+from repro.obs.export import export_chrome_trace, export_spans_jsonl
 from repro.obs.metrics import Metrics
-from repro.obs.tracer import deterministic_run_id
+from repro.obs.tracer import Tracer, deterministic_run_id
 from repro.serving.gateway import GatewayConfig, ScreeningGateway
 from repro.serving.telemetry import ServingTelemetry
 from repro.service.repository import open_repositories
@@ -70,6 +67,10 @@ from repro.signatures.store import SignatureStore
 REQUEST_MS_BOUNDS: tuple[float, ...] = (
     0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000,
 )
+
+#: What an untraced request opens instead of a span: shared, stateless,
+#: and yielding ``None``.
+_NO_SPAN = nullcontext()
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,15 +84,16 @@ class ServiceConfig:
         so arrival ticks are synthesized monotonically).
     :param max_body_bytes: request-body bound; larger posts are ``413``.
     :param seed: hashed (with the service config label) into the obs run
-        id that ``/healthz`` and every trace id carry.
-    :param tracing: record request-scoped server spans (route span plus
-        repository/gateway/ingest children), continuing any
-        ``traceparent`` the client sent.  Off by default; when off the
-        null tracer guarantees responses are byte-identical.
-    :param access_log_path: JSONL structured access log (route, status,
-        ms, trace id per line); ``None`` (the default) disables it.
-    :param flight_recorder_size: ring capacity of the incident flight
-        recorder; ``0`` disables it.
+        id that ``/healthz`` and the span exports carry.
+    :param trace_dir: directory for request tracing; ``None`` (the
+        default) traces nothing.  When set, each request opens a route
+        span, with repository/gateway/ingest children, on one logical-tick
+        :class:`~repro.obs.tracer.Tracer`; a valid ``traceparent`` header
+        is kept on the route span.  ``access_log.jsonl`` (route, status,
+        wall ms per request) is written as requests finish, and
+        :meth:`SignatureService.close` writes ``spans.jsonl``,
+        ``trace.json`` and ``flight_recorder.jsonl``.  Responses are
+        byte-identical either way.
     """
 
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
@@ -99,17 +101,13 @@ class ServiceConfig:
     report_tick_step: float = 1.0
     max_body_bytes: int = 32 * 1024 * 1024
     seed: int = 0
-    tracing: bool = False
-    access_log_path: str | None = None
-    flight_recorder_size: int = 256
+    trace_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.report_tick_step <= 0:
             raise ServiceError("report_tick_step must be positive")
         if self.max_body_bytes < 1:
             raise ServiceError("max_body_bytes must be >= 1")
-        if self.flight_recorder_size < 0:
-            raise ServiceError("flight_recorder_size must be >= 0")
 
 
 class SignatureService:
@@ -142,21 +140,14 @@ class SignatureService:
         self.metrics = metrics or Metrics()
         self.metrics.histogram("service_request_ms", REQUEST_MS_BOUNDS)
         self.run_id = deterministic_run_id(self.config.seed, "service")
-        self.request_tracer: RequestTracer = (
-            RequestTracer("server", run_id=self.run_id)
-            if self.config.tracing
-            else NULL_REQUEST_TRACER
-        )
-        self.flight_recorder: FlightRecorder = (
-            FlightRecorder(self.config.flight_recorder_size)
-            if self.config.flight_recorder_size
-            else NULL_FLIGHT_RECORDER
-        )
-        self._access_log = (
-            Path(self.config.access_log_path).open("a", encoding="utf-8")
-            if self.config.access_log_path
-            else None
-        )
+        self.flight_recorder = FlightRecorder()
+        self.tracer: Tracer | None = None
+        self._access_log = None
+        if self.config.trace_dir is not None:
+            trace_dir = Path(self.config.trace_dir)
+            trace_dir.mkdir(parents=True, exist_ok=True)
+            self.tracer = Tracer(self.run_id)
+            self._access_log = (trace_dir / "access_log.jsonl").open("w", encoding="utf-8")
         self._obs_lock = threading.Lock()
         self._requests_observed = 0
         self.signatures, self.reports, self.store = open_repositories(db_path)
@@ -187,17 +178,31 @@ class SignatureService:
             run_id=self.run_id,
         )
 
-    # -- request observation -------------------------------------------------------
+    # -- tracing and request observation ---------------------------------------------
 
-    def observe_request(self, route: str, status: int, ms: float, trace_id: str | None = None):
+    def span(self, name: str, **attrs: Any):
+        """Open a span on the service tracer; yields ``None`` when untraced."""
+        if self.tracer is None:
+            return _NO_SPAN
+        return self.tracer.span(name, **attrs)
+
+    def observe_request(
+        self,
+        route: str,
+        status: int,
+        ms: float,
+        trace_id: str | None = None,
+        span_id: int | None = None,
+    ):
         """Account one served request, wherever it was framed.
 
         Both the HTTP handler and in-process callers (the ``repro
         metrics`` episode) feed this, so the ``service_request_ms``
         histogram, the uptime counter, the access log, and the flight
-        recorder agree regardless of transport.  A 5xx trips the flight
-        recorder — the requests leading up to the failure are frozen for
-        post-hoc debugging.
+        recorder agree regardless of transport.  ``span_id`` links an
+        access-log line to its route span in ``spans.jsonl``.  A 5xx
+        trips the flight recorder — the requests leading up to the
+        failure are frozen for post-hoc debugging.
         """
         self.metrics.observe("service_request_ms", ms, REQUEST_MS_BOUNDS)
         with self._obs_lock:
@@ -208,6 +213,7 @@ class SignatureService:
             "status": status,
             "ms": round(ms, 3),
             "trace_id": trace_id,
+            "span_id": span_id,
         }
         self.flight_recorder.add(record)
         if status >= 500:
@@ -219,11 +225,21 @@ class SignatureService:
                 self._access_log.flush()
         return record
 
-    def close_access_log(self) -> None:
-        """Release the access-log handle (written lines are already flushed)."""
+    def close(self) -> None:
+        """Write the trace directory (when tracing) and release storage.
+
+        Call after the server has stopped: a span still open is left out.
+        """
+        if self.tracer is not None:
+            trace_dir = Path(self.config.trace_dir)
+            export_spans_jsonl(self.tracer, trace_dir / "spans.jsonl")
+            export_chrome_trace(self.tracer, trace_dir / "trace.json")
+            self.flight_recorder.export_jsonl(trace_dir / "flight_recorder.jsonl")
         if self._access_log is not None:
             self._access_log.close()
             self._access_log = None
+        if self.store is not None:
+            self.store.close()
 
     # -- endpoint logic (HTTP-free) ------------------------------------------------
 
@@ -231,7 +247,7 @@ class SignatureService:
         """``POST /v1/signatures``: verify, persist, hot-reload."""
         try:
             with self._gateway_lock:
-                with self.request_tracer.child("repository_write") as span:
+                with self.span("repository_write") as span:
                     envelope = self.signatures.store(document)
                     if span is not None:
                         span.attrs["set_version"] = envelope.set_version
@@ -261,7 +277,7 @@ class SignatureService:
             envelope actually served, which is *lower* than
             ``latest_version()`` after degradation.
         """
-        with self.request_tracer.child("repository_read"):
+        with self.span("repository_read"):
             found = self.signatures.latest()
         if found is None:
             return 404, {"error": "no valid signature set stored"}, 0
@@ -281,7 +297,7 @@ class SignatureService:
         except ServiceError as exc:
             return 400, {"error": str(exc)}
         with self._gateway_lock:
-            with self.request_tracer.child("gateway_screen", n_events=len(events)) as span:
+            with self.span("gateway_screen", n_events=len(events)) as span:
                 try:
                     results = self.gateway.run(events)
                 except Exception as exc:  # tick-order violations etc.
@@ -312,7 +328,7 @@ class SignatureService:
         to_store: list[tuple[DeviceReport, dict[str, Any]]] = []
         banned_devices: list[str] = []
         with self._ingest_lock:
-            with self.request_tracer.child("ingest_validate", n_reports=len(records)):
+            with self.span("ingest_validate", n_reports=len(records)):
                 for record in records:
                     self._tick += self.config.report_tick_step
                     result = self.ingest.submit(record, tick=self._tick)
@@ -437,17 +453,17 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def _guard(self, route: str, handler) -> None:
         """Run one route inside its trace span, mapping escapes to a 500.
 
-        The route span continues the client's ``traceparent`` context
+        A traced route span keeps the client's ``traceparent`` context
         when one arrived; either way the request lands in the access
         accounting (histogram, access log, flight recorder) with the
         status the client actually saw.
         """
         service = self.service
         service.metrics.inc(f"service_requests_{route}")
-        context = extract_traceparent(self.headers)
+        context = extract_traceparent(self.headers) if service.tracer is not None else None
         self.last_status = 0
         started = time.perf_counter()
-        with service.request_tracer.serve(route, context, route=route) as span:
+        with service.span(route, context=context, route=route) as span:
             try:
                 handler()
             except BrokenPipeError:  # client went away mid-response
@@ -463,10 +479,13 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 span.attrs["set_version"] = service.gateway.set_version
                 span.attrs["generation"] = service.gateway.generation
         elapsed_ms = 1000.0 * (time.perf_counter() - started)
-        trace_id = span.trace_id if span is not None else (
-            context.trace_id if context is not None else None
+        service.observe_request(
+            route,
+            self.last_status,
+            elapsed_ms,
+            trace_id=context.trace_id if context is not None else None,
+            span_id=span.span_id if span is not None else None,
         )
-        service.observe_request(route, self.last_status, elapsed_ms, trace_id=trace_id)
 
     # -- routes -------------------------------------------------------------------
 

@@ -25,27 +25,13 @@ from repro.serving.loadgen import ScreeningEvent
 TRACEPARENT_HEADER = "traceparent"
 
 
-def inject_traceparent(headers: dict[str, str], context: TraceContext | None) -> dict[str, str]:
-    """Stamp an outgoing request's headers with the trace context.
-
-    A ``None`` context (tracing disabled) leaves the headers untouched,
-    so traced and untraced clients share one request path.
-    """
-    if context is not None:
-        headers[TRACEPARENT_HEADER] = context.to_traceparent()
-    return headers
-
-
 def extract_traceparent(headers: Any) -> TraceContext | None:
     """Read the trace context from incoming headers (mapping-like).
 
-    Absent or malformed headers yield ``None`` — the request is served
-    identically, it just roots a fresh server-side trace.
+    Absent or malformed headers yield ``None``: the request is served
+    identically, its route span just carries no trace id.
     """
-    getter = getattr(headers, "get", None)
-    if getter is None:
-        return None
-    return parse_traceparent(getter(TRACEPARENT_HEADER))
+    return parse_traceparent(headers.get(TRACEPARENT_HEADER))
 
 
 def encode_event(event: ScreeningEvent) -> dict[str, Any]:

@@ -22,6 +22,9 @@ Three primitives:
   histogram's percentiles are defined as ``0.0``);
 - **span events** (``span``) — one dict per interesting interval or
   moment (a dispatched batch, an applied reload), exported as JSONL.
+  The log is a ring of the newest :data:`SPAN_LOG_CAPACITY` events, so a
+  long-lived gateway holds bounded memory; the ``span_log_evicted``
+  counter appears once the first event falls out.
 
 Snapshot ordering is explicit: counters and histograms serialize with
 sorted keys, so exported artifacts diff cleanly across commits.
@@ -30,12 +33,19 @@ sorted keys, so exported artifacts diff cleanly across commits.
 from __future__ import annotations
 
 import json
+from collections import deque
 from pathlib import Path
 from typing import Any
 
 from repro.obs.metrics import Histogram, Metrics
 
-__all__ = ["DEPTH_BOUNDS", "Histogram", "LATENCY_BOUNDS", "ServingTelemetry"]
+__all__ = [
+    "DEPTH_BOUNDS",
+    "Histogram",
+    "LATENCY_BOUNDS",
+    "SPAN_LOG_CAPACITY",
+    "ServingTelemetry",
+]
 
 #: Default latency bucket upper edges, in logical ticks (last is +inf).
 LATENCY_BOUNDS: tuple[float, ...] = (
@@ -44,6 +54,10 @@ LATENCY_BOUNDS: tuple[float, ...] = (
 
 #: Default queue-depth bucket upper edges (last is +inf).
 DEPTH_BOUNDS: tuple[float, ...] = (0, 1, 2, 4, 8, 16, 32, 64, 128)
+
+#: Span events kept per gateway.  ``repro metrics`` at its default 1,200
+#: events logs 236, so every export below about 20,000 events is whole.
+SPAN_LOG_CAPACITY = 4096
 
 
 class ServingTelemetry:
@@ -65,7 +79,7 @@ class ServingTelemetry:
             self.metrics.histogram(name, LATENCY_BOUNDS)
         for name in ("queue_depth", "batch_size"):
             self.metrics.histogram(name, DEPTH_BOUNDS)
-        self.spans: list[dict[str, Any]] = []
+        self.spans: deque[dict[str, Any]] = deque(maxlen=SPAN_LOG_CAPACITY)
 
     @property
     def counters(self) -> dict[str, int]:
@@ -86,7 +100,13 @@ class ServingTelemetry:
         self.metrics.histograms[name].observe(value)
 
     def span(self, kind: str, **fields: Any) -> None:
-        """Append one span event (dispatch, completion, reload, ...)."""
+        """Append one span event (dispatch, completion, reload, ...).
+
+        A full log drops its oldest event and counts it in
+        ``span_log_evicted``.
+        """
+        if len(self.spans) == self.spans.maxlen:
+            self.metrics.inc("span_log_evicted")
         self.spans.append({"kind": kind, **fields})
 
     def spans_of(self, kind: str) -> list[dict[str, Any]]:

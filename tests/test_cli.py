@@ -1,9 +1,17 @@
 """The command-line interface, exercised end to end through files."""
 
+import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -184,6 +192,50 @@ class TestParser:
         args = build_parser().parse_args(["service", "--port", "8080", "--db", "x.db"])
         assert (args.host, args.port, args.db) == ("127.0.0.1", 8080, "x.db")
         assert args.ready_file == ""
+        assert args.trace_dir == ""
+
+
+class TestServiceShutdown:
+    def test_sigterm_stops_cleanly_and_writes_the_trace_directory(self, tmp_path):
+        ready, trace_dir = tmp_path / "service.addr", tmp_path / "trace"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "service",
+                "--apps", "12", "--sample", "10", "--seed", "0",
+                "--ready-file", str(ready), "--trace-dir", str(trace_dir),
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not (ready.exists() and ready.read_text().endswith("\n")):
+                assert process.poll() is None, process.stderr.read()
+                assert time.monotonic() < deadline, "service never became ready"
+                time.sleep(0.05)
+            host, __, port = ready.read_text().strip().rpartition(":")
+            connection = http.client.HTTPConnection(host, int(port), timeout=10.0)
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().status == 200
+            connection.close()
+            # The access line is written once the route span has closed.
+            access_log = trace_dir / "access_log.jsonl"
+            while not access_log.read_text():
+                assert time.monotonic() < deadline, "request never logged"
+                time.sleep(0.01)
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30.0) == 0, process.stderr.read()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stderr.close()
+        for name in ("access_log.jsonl", "spans.jsonl", "trace.json", "flight_recorder.jsonl"):
+            assert (trace_dir / name).is_file(), name
+        spans = (trace_dir / "spans.jsonl").read_text().splitlines()
+        assert json.loads(spans[1])["name"] == "healthz"
 
 
 

@@ -58,13 +58,6 @@ class TestConfig:
         with pytest.raises(DistanceError):
             BlockingConfig(shingle=0)
 
-    def test_fill_value_clears_both_ceilings(self):
-        config = BlockingConfig(threshold=1.2)
-        metric = PacketDistance.paper()
-        fill = config.fill_value(metric)
-        assert fill > config.threshold
-        assert fill >= metric.max_distance
-
     def test_to_dict_round_trips_policy(self):
         data = BlockingConfig(mode=BlockingMode.LSH, threshold=0.9).to_dict()
         assert data["mode"] == "lsh"

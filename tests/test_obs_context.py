@@ -1,36 +1,10 @@
-"""Request tracing across the process boundary: context, recorder, joiner."""
+"""Request context and the incident flight recorder."""
 
 import json
-import threading
 
 import pytest
 
-from repro.obs.context import (
-    NULL_FLIGHT_RECORDER,
-    NULL_REQUEST_TRACER,
-    FlightRecorder,
-    RequestTracer,
-    TraceContext,
-    audit_trace_join,
-    export_joined_chrome_trace,
-    export_request_spans_jsonl,
-    join_chrome_trace,
-    load_request_spans,
-    parse_traceparent,
-    request_span_line,
-)
-
-
-def make_tracer(process="client", run_id="00aa00aa00aa00aa"):
-    """A tracer with deterministic injected clocks (1 ms per perf read)."""
-    wall = iter(range(1, 10_000))
-    perf = iter(range(1, 10_000))
-    return RequestTracer(
-        process,
-        run_id=run_id,
-        clock=lambda: next(wall) * 1.0,
-        perf=lambda: next(perf) * 0.001,
-    )
+from repro.obs.context import FlightRecorder, TraceContext, parse_traceparent
 
 
 class TestTraceContext:
@@ -70,109 +44,6 @@ class TestTraceContext:
         assert context.trace_id == "ab" * 16
 
 
-class TestRequestTracer:
-    def test_ids_are_deterministic(self):
-        a, b = make_tracer(), make_tracer()
-        for tracer in (a, b):
-            with tracer.request("fetch"):
-                pass
-        (sa,), (sb,) = a.closed_spans, b.closed_spans
-        assert (sa.trace_id, sa.span_id) == (sb.trace_id, sb.span_id)
-        assert sa.trace_id.startswith("00aa00aa00aa00aa")
-
-    def test_non_hex_run_id_is_hashed_to_hex(self):
-        tracer = make_tracer(run_id="not hex at all")
-        with tracer.request("op"):
-            pass
-        (span,) = tracer.closed_spans
-        assert len(span.trace_id) == 32
-        assert set(span.trace_id) <= set("0123456789abcdef")
-
-    def test_span_id_prefix_separates_processes(self):
-        client, server = make_tracer("client"), make_tracer("server")
-        with client.request("op"):
-            pass
-        with server.serve("op", None):
-            pass
-        assert client.closed_spans[0].span_id.startswith("c0")
-        assert server.closed_spans[0].span_id.startswith("5e")
-
-    def test_serve_continues_propagated_context(self):
-        client, server = make_tracer("client"), make_tracer("server")
-        with client.request("fetch") as span:
-            header = span.context.to_traceparent()
-        context = parse_traceparent(header)
-        with server.serve("fetch", context):
-            pass
-        (client_span,), (route,) = client.closed_spans, server.closed_spans
-        assert route.trace_id == client_span.trace_id
-        assert route.parent_span_id == client_span.span_id
-
-    def test_serve_without_context_roots_a_fresh_trace(self):
-        server = make_tracer("server")
-        with server.serve("fetch", None):
-            pass
-        (route,) = server.closed_spans
-        assert route.parent_span_id is None
-
-    def test_child_nests_under_innermost_active_span(self):
-        server = make_tracer("server")
-        with server.serve("screen", None) as route:
-            with server.child("gateway_screen") as inner:
-                assert inner.parent_span_id == route.span_id
-                assert inner.trace_id == route.trace_id
-
-    def test_child_without_active_span_still_records(self):
-        server = make_tracer("server")
-        with server.child("repository_read") as span:
-            assert span.parent_span_id is None
-        assert len(server.closed_spans) == 1
-
-    def test_stacks_are_thread_local(self):
-        tracer = make_tracer("server")
-        parents = {}
-
-        def worker(name):
-            with tracer.serve(name, None):
-                with tracer.child(f"{name}_inner") as child:
-                    parents[name] = child.parent_span_id
-
-        threads = [threading.Thread(target=worker, args=(f"t{i}",)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        routes = {s.name: s.span_id for s in tracer.closed_spans}
-        for name, parent in parents.items():
-            assert parent == routes[name]
-        assert len(tracer.closed_spans) == 8
-
-    def test_duration_from_injected_perf_counter(self):
-        tracer = make_tracer()
-        with tracer.request("op"):
-            pass
-        assert tracer.closed_spans[0].dur_ms == pytest.approx(1.0)
-
-
-class TestNullObjects:
-    def test_null_tracer_yields_none_and_records_nothing(self):
-        with NULL_REQUEST_TRACER.request("op") as span:
-            assert span is None
-        with NULL_REQUEST_TRACER.serve("op", None) as span:
-            assert span is None
-        with NULL_REQUEST_TRACER.child("op") as span:
-            assert span is None
-        assert NULL_REQUEST_TRACER.closed_spans == []
-        assert NULL_REQUEST_TRACER.enabled is False
-
-    def test_null_flight_recorder_swallows_everything(self):
-        NULL_FLIGHT_RECORDER.add({"kind": "access"})
-        assert NULL_FLIGHT_RECORDER.trip("5xx") is None
-        assert NULL_FLIGHT_RECORDER.dumps == []
-        with pytest.raises(RuntimeError):
-            NULL_FLIGHT_RECORDER.export_jsonl("/dev/null")
-
-
 class TestFlightRecorder:
     def test_ring_keeps_only_the_newest_records(self):
         recorder = FlightRecorder(capacity=3)
@@ -206,110 +77,3 @@ class TestFlightRecorder:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
-
-
-def traced_round_trip(n_requests=3):
-    """Client/server tracer pair with propagated contexts, as records."""
-    client, server = make_tracer("client"), make_tracer("server")
-    for i in range(n_requests):
-        with client.request(f"op{i}") as span:
-            with server.serve(f"op{i}", span.context):
-                with server.child("repository_read"):
-                    pass
-    clients = [request_span_line(s) for s in client.closed_spans]
-    servers = [request_span_line(s) for s in server.closed_spans]
-    return clients, servers
-
-
-class TestJoinAndAudit:
-    def test_round_trip_joins_completely(self):
-        clients, servers = traced_round_trip()
-        audit = audit_trace_join(clients, servers)
-        assert audit["complete"] is True
-        assert audit["n_client_requests"] == audit["n_joined"] == 3
-        assert audit["n_orphan_client"] == audit["n_orphan_server"] == 0
-        assert audit["n_broken_parent"] == 0
-
-    def test_missing_server_tree_is_an_orphan_client(self):
-        clients, servers = traced_round_trip()
-        lost = servers[0]["trace_id"]
-        pruned = [s for s in servers if s["trace_id"] != lost]
-        audit = audit_trace_join(clients, pruned)
-        assert audit["n_orphan_client"] == 1
-        assert audit["complete"] is False
-
-    def test_broken_parent_link_fails_the_audit(self):
-        clients, servers = traced_round_trip()
-        roots = [
-            s
-            for s in servers
-            if s["parent_span_id"] is not None
-            and not s["parent_span_id"].startswith("5e")
-        ]
-        roots[0]["parent_span_id"] = "de" * 8  # claims a parent nobody allocated
-        audit = audit_trace_join(clients, servers)
-        assert audit["n_broken_parent"] == 1
-        assert audit["complete"] is False
-
-    def test_server_rooted_traces_are_not_orphans(self):
-        # Harness plumbing (publisher, audits) runs untraced: server roots
-        # with no parent claim must not fail the join.
-        clients, servers = traced_round_trip()
-        server = make_tracer("server", run_id="5050505050505050")
-        with server.serve("healthz", None):
-            pass
-        servers.extend(request_span_line(s) for s in server.closed_spans)
-        audit = audit_trace_join(clients, servers)
-        assert audit["n_orphan_server"] == 0
-        assert audit["complete"] is True
-
-    def test_foreign_parent_claim_is_an_orphan_server(self):
-        clients, servers = traced_round_trip()
-        server = make_tracer("server", run_id="5050505050505050")
-        context = TraceContext(trace_id="ee" * 16, span_id="dd" * 8)
-        with server.serve("fetch", context):
-            pass
-        servers.extend(request_span_line(s) for s in server.closed_spans)
-        audit = audit_trace_join(clients, servers)
-        assert audit["n_orphan_server"] == 1
-        assert audit["complete"] is False
-
-    def test_empty_client_side_is_incomplete(self):
-        assert audit_trace_join([], [])["complete"] is False
-
-    def test_chrome_trace_lanes_and_events(self):
-        clients, servers = traced_round_trip(2)
-        doc = join_chrome_trace({"client": clients, "server": servers})
-        meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
-        slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        names = {e["args"]["name"] for e in meta if e["name"] == "process_name"}
-        assert names == {"client", "server"}
-        # client sorts before server: pid 1 vs 2
-        pid_by_name = {
-            e["args"]["name"]: e["pid"] for e in meta if e["name"] == "process_name"
-        }
-        assert pid_by_name == {"client": 1, "server": 2}
-        assert len(slices) == len(clients) + len(servers)
-        assert all(e["dur"] >= 1.0 for e in slices)
-        assert all("trace_id" in e["args"] for e in slices)
-
-    def test_export_and_reload_round_trip(self, tmp_path):
-        client, server = make_tracer("client"), make_tracer("server")
-        with client.request("fetch") as span:
-            with server.serve("fetch", span.context):
-                pass
-        client_path = export_request_spans_jsonl(client, tmp_path / "client.jsonl")
-        server_path = export_request_spans_jsonl(server, tmp_path / "server.jsonl")
-        clients = load_request_spans(client_path)
-        servers = load_request_spans(server_path)
-        assert len(clients) == len(servers) == 1
-        header = json.loads(client_path.read_text().splitlines()[0])
-        assert header["kind"] == "run"
-        assert header["process"] == "client"
-        audit = audit_trace_join(clients, servers)
-        assert audit["complete"] is True
-        joined = export_joined_chrome_trace(
-            {"client": clients, "server": servers}, tmp_path / "trace_joined.json"
-        )
-        doc = json.loads(joined.read_text())
-        assert doc["otherData"]["joined_processes"] == ["client", "server"]

@@ -6,7 +6,13 @@ import re
 
 import pytest
 
-from repro.obs import Observability, export_chrome_trace, export_spans_jsonl
+from repro.obs import (
+    Observability,
+    TraceContext,
+    Tracer,
+    export_chrome_trace,
+    export_spans_jsonl,
+)
 from repro.obs.export import chrome_trace_events
 from repro.obs.scenarios import run_traced_pipeline
 
@@ -81,6 +87,26 @@ class TestChromeTrace:
         root = next(e for e in events if e["ph"] == "X" and e["name"] == "root")
         assert root["args"]["n"] == 3
         assert root["args"]["parent_id"] is None
+
+
+class TestRequestContext:
+    def test_trace_ids_exported_only_for_a_span_with_a_context(self, tmp_path):
+        context = TraceContext(trace_id="ab" * 16, span_id="cd" * 8)
+        tracer = Tracer("service")
+        with tracer.span("fetch", context=context):
+            with tracer.span("repository_read"):
+                pass
+        with tracer.span("healthz"):
+            pass
+        path = export_spans_jsonl(tracer, tmp_path / "spans.jsonl")
+        traced, child, untraced = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert (traced["trace_id"], traced["parent_span_id"]) == ("ab" * 16, "cd" * 8)
+        for record in (child, untraced):
+            assert "trace_id" not in record and "parent_span_id" not in record
+        args = {e["name"]: e["args"] for e in chrome_trace_events(tracer) if e["ph"] == "X"}
+        assert args["fetch"]["trace_id"] == "ab" * 16
+        assert args["fetch"]["parent_span_id"] == "cd" * 8
+        assert "trace_id" not in args["healthz"]
 
 
 class TestPrometheusExport:

@@ -2,8 +2,11 @@
 
 The contracts under test here:
 
-- a ``traceparent`` request header propagates into the server's route
-  span tree; a malformed one is ignored, never rejected;
+- a ``traceparent`` request header is kept on the server's route span,
+  whose children nest under it; a malformed one is ignored, never
+  rejected;
+- concurrent requests each build their own span tree: a child span
+  parents only under the route span of its own handler thread;
 - tracing adds **zero bytes** to responses — a traced service answers
   byte-identically to an untraced one;
 - ``/metrics`` serves the Prometheus exposition content type and carries
@@ -12,26 +15,23 @@ The contracts under test here:
 - ``/healthz`` exposes the restart-detection pair: a seed-derived
   ``run_id`` that survives restarts and an ``uptime_ticks`` that resets
   with the process;
-- a traced client's request spans join the server's span trees, and the
-  access log of that run replays through the SLO engine with no page.
+- the access log of a traced run links each line to its route span and
+  replays through the SLO engine with no page; closing the service
+  writes the rest of the trace directory.
 """
 
 import http.client
 import json
+import threading
 import time
 
 import pytest
 
 from repro.federation.report import DeviceReport, encode_report, token_for
-from repro.obs.context import (
-    RequestTracer,
-    TraceContext,
-    audit_trace_join,
-    request_span_line,
-)
+from repro.obs.context import TraceContext
 from repro.obs.slo import replay_access_log
 from repro.service.server import ServiceConfig, ServiceServer, SignatureService
-from repro.service.wire import encode_event, inject_traceparent
+from repro.service.wire import encode_event
 from repro.serving.loadgen import ScreeningEvent
 from repro.signatures.conjunction import ConjunctionSignature
 from repro.simulation.rng import derive_rng
@@ -60,12 +60,13 @@ def events_from(small_corpus, n=6, seed=5):
 
 @pytest.fixture()
 def traced(tmp_path):
-    """A live tracing-enabled service writing an access log."""
-    access_log = tmp_path / "access_log.jsonl"
+    """A live service tracing into ``tmp_path / "trace"``."""
+    trace_dir = tmp_path / "trace"
+    access_log = trace_dir / "access_log.jsonl"
     service = SignatureService(
         boot_signatures(),
         db_path=str(tmp_path / "service.sqlite3"),
-        config=ServiceConfig(tracing=True, access_log_path=str(access_log)),
+        config=ServiceConfig(trace_dir=str(trace_dir)),
     )
     server = ServiceServer(service)
     host, port = server.start()
@@ -93,9 +94,7 @@ def traced(tmp_path):
 
     yield service, request, access_log
     server.stop()
-    service.close_access_log()
-    if service.store is not None:
-        service.store.close()
+    service.close()
 
 
 CONTEXT = TraceContext(trace_id="ab" * 16, span_id="cd" * 8)
@@ -108,14 +107,14 @@ class TestPropagation:
             "GET", "/v1/signatures", headers={"traceparent": CONTEXT.to_traceparent()}
         )
         assert status == 200
-        (route,) = service.request_tracer.spans_named("fetch")
-        assert route.trace_id == CONTEXT.trace_id
-        assert route.parent_span_id == CONTEXT.span_id
+        (route,) = service.tracer.spans_named("fetch")
+        assert route.context == CONTEXT
+        assert route.parent_id is None
         assert route.attrs["status"] == 200
-        # the repository read nests under the route span, same trace
-        (child,) = service.request_tracer.spans_named("repository_read")
-        assert child.trace_id == CONTEXT.trace_id
-        assert child.parent_span_id == route.span_id
+        # the repository read nests under the route span
+        (child,) = service.tracer.spans_named("repository_read")
+        assert child.parent_id == route.span_id
+        assert child.context is None
 
     def test_malformed_traceparent_is_ignored_not_rejected(self, traced):
         service, request, __log = traced
@@ -123,9 +122,8 @@ class TestPropagation:
             "GET", "/v1/signatures", headers={"traceparent": "garbage-header"}
         )
         assert status == 200
-        (route,) = service.request_tracer.spans_named("fetch")
-        assert route.trace_id != CONTEXT.trace_id
-        assert route.parent_span_id is None
+        (route,) = service.tracer.spans_named("fetch")
+        assert route.context is None
 
     def test_screen_span_tree_carries_gateway_attrs(self, traced, small_corpus):
         service, request, __log = traced
@@ -137,10 +135,10 @@ class TestPropagation:
             headers={"traceparent": CONTEXT.to_traceparent()},
         )
         assert status == 200
-        (route,) = service.request_tracer.spans_named("screen")
-        (gateway_span,) = service.request_tracer.spans_named("gateway_screen")
-        assert gateway_span.trace_id == CONTEXT.trace_id
-        assert gateway_span.parent_span_id == route.span_id
+        (route,) = service.tracer.spans_named("screen")
+        (gateway_span,) = service.tracer.spans_named("gateway_screen")
+        assert route.context == CONTEXT
+        assert gateway_span.parent_id == route.span_id
         assert gateway_span.attrs["n_events"] == 6
         assert gateway_span.attrs["set_version"] == 1
 
@@ -150,6 +148,43 @@ class TestPropagation:
             "GET", "/v1/signatures", headers={"traceparent": CONTEXT.to_traceparent()}
         )
         assert not any(name.lower().startswith("trace") for name in headers)
+
+
+class TestConcurrentRequests:
+    def test_child_spans_parent_within_their_own_thread(self, traced, small_corpus):
+        """Overlapping fetch and screen requests keep separate span trees."""
+        service, request, __log = traced
+        screen_body = json.dumps(
+            {"events": [encode_event(e) for e in events_from(small_corpus)]}
+        ).encode()
+        calls = [("GET", "/v1/signatures", None), ("POST", "/v1/screen", screen_body)] * 4
+        start = threading.Barrier(len(calls))
+        statuses = []
+
+        def client(method, path, body):
+            start.wait()
+            statuses.append(request(method, path, body)[0])
+
+        threads = [threading.Thread(target=client, args=call) for call in calls]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        deadline = time.monotonic() + 5.0
+        while service._requests_observed < len(calls):  # every span closed
+            assert time.monotonic() < deadline
+            time.sleep(0.002)
+        assert statuses == [200] * len(calls)
+        by_id = {span.span_id: span for span in service.tracer.closed_spans}
+        routes = {"repository_read": "fetch", "gateway_screen": "screen"}
+        children = [span for span in by_id.values() if span.name in routes]
+        assert len(children) == len(calls)
+        for child in children:
+            parent = by_id[child.parent_id]
+            assert parent.name == routes[child.name]
+            assert parent.parent_id is None
+        # one child per route span: no request adopted another's child
+        assert len({child.parent_id for child in children}) == len(calls)
 
 
 class TestByteIdentity:
@@ -169,7 +204,9 @@ class TestByteIdentity:
             service = SignatureService(
                 boot_signatures(),
                 db_path=str(tmp_path / f"svc_{tracing}.sqlite3"),
-                config=ServiceConfig(tracing=tracing),
+                config=ServiceConfig(
+                    trace_dir=str(tmp_path / "trace") if tracing else None
+                ),
             )
             server = ServiceServer(service)
             host, port = server.start()
@@ -190,8 +227,7 @@ class TestByteIdentity:
                         time.sleep(0.002)
             finally:
                 server.stop()
-                if service.store is not None:
-                    service.store.close()
+                service.close()
             return out
 
         assert run(tracing=True) == run(tracing=False)
@@ -280,7 +316,7 @@ class TestHealthz:
 
 class TestAccessLog:
     def test_jsonl_lines_carry_route_status_ms_trace(self, traced):
-        __s, request, access_log = traced
+        service, request, access_log = traced
         request(
             "GET", "/v1/signatures", headers={"traceparent": CONTEXT.to_traceparent()}
         )
@@ -295,22 +331,24 @@ class TestAccessLog:
         assert fetch["trace_id"] == CONTEXT.trace_id
         assert fetch["ms"] >= 0.0
         assert health["route"] == "healthz"
-        # no traceparent sent: the route span roots a fresh server-side
-        # trace, so the logged id is real but not the client's
-        assert health["trace_id"] is not None
-        assert health["trace_id"] != CONTEXT.trace_id
+        assert health["trace_id"] is None  # no traceparent sent
+        # each line names its route span in spans.jsonl
+        spans = {span.span_id: span.name for span in service.tracer.closed_spans}
+        assert [spans[line["span_id"]] for line in lines] == ["fetch", "healthz"]
 
     def test_disabled_by_default(self, tmp_path):
         service = SignatureService(boot_signatures(), config=ServiceConfig())
         record = service.observe_request("fetch", 200, 1.0)
         assert record["kind"] == "access"
+        assert service.tracer is None
         assert service._access_log is None
+        with service.span("repository_read") as span:
+            assert span is None
 
 
-class TestClientServerJoin:
-    def test_client_traces_join_and_access_log_meets_slo(self, traced, small_corpus):
+class TestTraceDirectory:
+    def test_access_log_meets_slo_and_close_writes_the_rest(self, traced, small_corpus):
         service, request, access_log = traced
-        client = RequestTracer("client", run_id="tracing-test-client")
         packets = small_corpus.trace.packets
         records = [
             encode_report(
@@ -325,23 +363,28 @@ class TestClientServerJoin:
         ]
         screen = {"events": [encode_event(e) for e in events_from(small_corpus)]}
         calls = [
-            ("fetch", "GET", "/v1/signatures", None),
-            ("screen", "POST", "/v1/screen", json.dumps(screen).encode()),
-            ("report", "POST", "/v1/reports", json.dumps({"reports": records}).encode()),
-            ("fetch", "GET", "/v1/signatures?since=1", None),
+            ("GET", "/v1/signatures", None),
+            ("POST", "/v1/screen", json.dumps(screen).encode()),
+            ("POST", "/v1/reports", json.dumps({"reports": records}).encode()),
+            ("GET", "/v1/signatures?since=1", None),
         ]
-        for route, method, path, body in calls:
-            with client.request(route) as span:
-                headers = inject_traceparent({}, span.context)
-                status, __b, __h = request(method, path, body, headers=headers)
-            assert status in (200, 304), (route, status)
+        for method, path, body in calls:
+            status, __b, __h = request(
+                method, path, body, headers={"traceparent": CONTEXT.to_traceparent()}
+            )
+            assert status in (200, 304), (path, status)
 
-        join = audit_trace_join(
-            [request_span_line(span) for span in client.closed_spans],
-            [request_span_line(span) for span in service.request_tracer.closed_spans],
-        )
-        assert join["complete"], join
-        assert join["n_joined"] == len(calls)
         slo = replay_access_log(access_log).report()
         assert slo["ok"], slo
-        assert slo["page_alerts"] == 0
+        assert slo["objectives"]["availability"]["total"] == len(calls)
+        service.close()
+        trace_dir = access_log.parent
+        spans = [
+            json.loads(line) for line in (trace_dir / "spans.jsonl").read_text().splitlines()
+        ]
+        routes = [s for s in spans[1:] if s["parent_id"] is None]
+        assert [s["name"] for s in routes] == ["fetch", "screen", "reports", "fetch"]
+        assert all(s["trace_id"] == CONTEXT.trace_id for s in routes)
+        assert "traceEvents" in json.loads((trace_dir / "trace.json").read_text())
+        header = json.loads((trace_dir / "flight_recorder.jsonl").read_text().splitlines()[0])
+        assert header["kind"] == "flight_recorder"

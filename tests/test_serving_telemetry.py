@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from repro.serving.telemetry import Histogram, ServingTelemetry
+from repro.service.server import SignatureService
+from repro.service.wire import encode_event
+from repro.serving.loadgen import ScreeningEvent
+from repro.serving.telemetry import SPAN_LOG_CAPACITY, Histogram, ServingTelemetry
+from repro.signatures.conjunction import ConjunctionSignature
 
 
 class TestHistogram:
@@ -142,3 +146,36 @@ class TestTelemetry:
         t.increment("batches")
         assert metrics.counters == {"channel_publishes": 1, "batches": 1}
         assert "repro_batches 1" in metrics.to_prometheus()
+
+
+class TestSpanLogBound:
+    def test_long_lived_service_keeps_the_newest_spans_and_counts_evictions(
+        self, small_corpus
+    ):
+        service = SignatureService(
+            [ConjunctionSignature(tokens=("imei=1234",), label="IMEI")]
+        )
+        packets = small_corpus.trace.packets[:32]
+        body = {
+            "events": [
+                encode_event(ScreeningEvent(seq=i, tick=float(i), device_id="d", packet=p))
+                for i, p in enumerate(packets)
+            ]
+        }
+        telemetry = service.gateway.telemetry
+        assert service.screen(body)[0] == 200
+        per_post = len(telemetry.spans)
+        assert per_post > 1
+        assert "span_log_evicted" not in telemetry.counters  # nothing dropped yet
+        posts = 2 * SPAN_LOG_CAPACITY // per_post
+        for _ in range(posts - 1):
+            assert service.screen(body)[0] == 200
+
+        emitted = telemetry.counters["batches"]
+        assert emitted == posts * per_post > SPAN_LOG_CAPACITY
+        assert len(telemetry.spans) == SPAN_LOG_CAPACITY
+        assert telemetry.counters["span_log_evicted"] == emitted - SPAN_LOG_CAPACITY
+        # the ring holds the newest spans: the last post's batches, in order
+        tail = [span["batch_id"] for span in list(telemetry.spans)[-per_post:]]
+        assert tail == list(range(per_post))
+        assert "repro_span_log_evicted" in service.metrics_text()
