@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.obs.context import FlightRecorder, TraceContext, parse_traceparent
+from repro.service.server import ServiceConfig, SignatureService
+from repro.signatures.conjunction import ConjunctionSignature
 
 
 class TestTraceContext:
@@ -42,6 +44,20 @@ class TestTraceContext:
         context = parse_traceparent(header)
         assert context is not None
         assert context.trace_id == "ab" * 16
+
+
+class TestNullObjects:
+    def test_null_tracer_yields_none_and_records_nothing(self):
+        service = SignatureService(
+            [ConjunctionSignature(tokens=("imei=1234",), label="IMEI")],
+            config=ServiceConfig(),
+        )
+        opened = [service.span(name, route="fetch") for name in ("fetch", "repository_read")]
+        assert opened[0] is opened[1]
+        for context in opened:
+            with context as span:
+                assert span is None
+        assert service.tracer is None
 
 
 class TestFlightRecorder:
