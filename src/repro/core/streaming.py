@@ -19,10 +19,12 @@ sub-linear.
 received new items (or were merged by a bridging packet) are marked
 *dirty*.  Compaction reclusters each dirty block from scratch —
 agglomerate over the block's full sub-matrix, flat cut at the absolute
-threshold — and replaces that block's clusters.  The sub-matrix is
+threshold — and replaces that block's clusters.  The sub-matrices are
 served by the :class:`~repro.distance.engine.PairStream` pair cache, so
 pairs probed during attach (or by earlier compactions) are never
-recomputed; only genuinely new pairs cost compression.
+recomputed; only genuinely new pairs cost compression.  All dirty
+blocks are served by one cache call, so their misses reach the engine
+as one batch and a compaction starts the worker pool at most once.
 
 With exact blocking and a reducible linkage, a compacted clusterer's
 partition is **identical** to a full recluster of everything seen so
@@ -41,6 +43,7 @@ from repro.clustering.cut import cut_by_height
 from repro.clustering.linkage import Linkage, agglomerate
 from repro.distance.blocking import BlockingConfig, BlockingMode, make_blocker
 from repro.distance.engine import DistanceEngine, PairStream
+from repro.distance.matrix import CondensedMatrix
 from repro.errors import ClusteringError
 from repro.http.packet import HttpPacket
 from repro.obs import NULL_OBS, Observability
@@ -299,8 +302,10 @@ class StreamingClusterer:
         with self.obs.span(
             "stream_compact", track="stream", blocks=len(roots), full=full
         ):
-            for root in sorted(roots):
-                self._compact_block(root)
+            blocks = [sorted(self.blocker.members(root)) for root in sorted(roots)]
+            # One pair-cache call for every block: their misses form one batch.
+            for members, matrix in zip(blocks, self.stream.matrices(blocks)):
+                self._recluster(members, matrix)
                 self.obs.advance(1)
         self.stats.compact_pairs_evaluated += self.stream.pairs_evaluated - pairs_before
         self.stats.compactions += 1
@@ -311,12 +316,11 @@ class StreamingClusterer:
         self._batches_since_compact = 0
         return len(roots)
 
-    def _compact_block(self, root: int) -> None:
-        members = sorted(self.blocker.members(root))
+    def _recluster(self, members: list[int], matrix: CondensedMatrix) -> None:
+        """Agglomerate one block over its matrix and cut it at the threshold."""
         if len(members) == 1:
             self._set_clusters(members, [members])
             return
-        matrix = self.stream.matrix(members)
         dendrogram = agglomerate(matrix, self.config.linkage)
         clusters = [
             sorted(members[leaf] for leaf in dendrogram.leaves(node))

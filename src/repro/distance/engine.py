@@ -43,7 +43,9 @@ item population over time (``repro.core.incremental``).
 
 **One dispatcher, with worker-pool fault tolerance.**  Every chunk, in
 the parent or in a worker, goes through one evaluation step that
-checksums its result before delivery.  Passing a
+checksums its result before delivery (a batch of one chunk without a
+fault plan, which can neither fail nor be corrupted, is evaluated
+directly).  Passing a
 :class:`~repro.reliability.workerfaults.WorkerFaultPlan` lets that step
 inject faults: a chunk attempt may crash (result lost), hang (charged the
 plan's logical-tick deadline, then declared dead), or return poisoned
@@ -62,6 +64,8 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
+import math
 import multiprocessing
 import os
 import pickle
@@ -84,6 +88,11 @@ from repro.simulation.rng import derive_rng
 #: Condensed-index pairs per pool task.  Small enough to load-balance a
 #: handful of workers, large enough that per-task IPC is negligible.
 DEFAULT_CHUNK_PAIRS = 4096
+
+#: A cached pair of ids ``i <= j`` is the one int ``(i << 32) | j``: the
+#: low bits hold ``j``, so ids stay below ``2**32``.
+_PAIR_SHIFT = 32
+_LOW_MASK = (1 << _PAIR_SHIFT) - 1
 
 
 def usable_cpus() -> int:
@@ -194,9 +203,11 @@ class _PacketEvaluator:
         self.cookie_of: list[int] = []
         self.body_of: list[int] = []
 
-        # Component caches, filled on demand during chunk evaluation.
-        self._dest_cache: dict[tuple[int, int], float] = {}
-        self._ncd_cache: dict[tuple[int, int], float] = {}
+        # Component caches, filled on demand during chunk evaluation and
+        # keyed like the pair cache: one int per id pair (no tuple to
+        # allocate per lookup, nothing for the garbage collector to track).
+        self._dest_cache: dict[int, float] = {}
+        self._ncd_cache: dict[int, float] = {}
 
         self.add_items(items)
 
@@ -236,7 +247,6 @@ class _PacketEvaluator:
 
     def pairs(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, _ChunkStats]:
         """Evaluate ``d_pkt`` for each ``(rows[t], cols[t])`` pair."""
-        out = np.empty(len(rows), dtype=float)
         stats = _ChunkStats()
         singles = self.ncd.stats
         singles_hits0, singles_misses0 = singles.hits, singles.misses
@@ -251,7 +261,7 @@ class _PacketEvaluator:
         def ncd_component(id_x: int, id_y: int) -> float:
             # Ordered key: C(xy) depends on concatenation order, and the
             # serial loop always concatenates row-item first.
-            key = (id_x, id_y)
+            key = (id_x << _PAIR_SHIFT) | id_y
             value = ncd_cache.get(key)
             if value is None:
                 value = ncd_distance(blobs[id_x], blobs[id_y])
@@ -261,13 +271,13 @@ class _PacketEvaluator:
                 stats.pair_hits += 1
             return value
 
-        for t in range(len(rows)):
-            i = int(rows[t])
-            j = int(cols[t])
+        out: list[float] = []
+        for i, j in zip(rows.tolist(), cols.tolist()):
             total = 0.0
             if dest_weight:
                 a, b = self.dest_of[i], self.dest_of[j]
-                key = (a, b) if a <= b else (b, a)  # every component is symmetric
+                # every component is symmetric
+                key = (a << _PAIR_SHIFT) | b if a <= b else (b << _PAIR_SHIFT) | a
                 dest = dest_cache.get(key)
                 if dest is None:
                     dest = destination_distance(
@@ -287,14 +297,14 @@ class _PacketEvaluator:
                 if self.use_body:
                     header += ncd_component(self.body_of[i], self.body_of[j])
                 total += content_weight * header
-            if not np.isfinite(total) or total < 0:
+            if not math.isfinite(total) or total < 0:
                 raise DistanceError(
                     f"metric returned invalid value {total!r} for pair ({i}, {j})"
                 )
-            out[t] = total
+            out.append(total)
         stats.singles_hits = singles.hits - singles_hits0
         stats.singles_misses = singles.misses - singles_misses0
-        return out, stats
+        return np.array(out, dtype=float), stats
 
 
 @dataclass(slots=True)
@@ -328,7 +338,7 @@ class _ChunkOutcome:
     corruption between compute and delivery.
     """
 
-    kind: str  # ChunkFaultKind value
+    kind: ChunkFaultKind
     values: np.ndarray | None
     stats: _ChunkStats | None
     checksum: str | None
@@ -354,12 +364,12 @@ def _evaluate_chunk(
     if kind in (ChunkFaultKind.CRASH, ChunkFaultKind.HANG):
         # The work is lost either way; computing it first would only burn
         # cycles without changing any observable output.
-        return _ChunkOutcome(kind.value, None, None, None)
+        return _ChunkOutcome(kind, None, None, None)
     values, stats = evaluator.pairs(rows[start:stop], cols[start:stop])
     checksum = _chunk_checksum(values)
     if kind is ChunkFaultKind.POISON:
         values = plan.corrupt(values, chunk_index, attempt)
-    return _ChunkOutcome(kind.value, values, stats, checksum)
+    return _ChunkOutcome(kind, values, stats, checksum)
 
 
 def _worker_chunk(task: tuple[int, int, int, int]) -> _ChunkOutcome:
@@ -546,11 +556,31 @@ class DistanceEngine:
         the parent, which the fault plan never touches.  Recovery is thus
         deterministic for a seed regardless of worker count or scheduling,
         and without a plan every chunk is delivered in the first round.
+
+        One chunk without a plan is evaluated straight away, with the span,
+        counters and stats the loop would give it: in-process and with
+        nothing injected, no attempt can fail and no result can change
+        between compute and delivery, so there is nothing to retry or
+        checksum.  Attach-sized ``PairStream`` batches take this path about
+        2,000 times per ``stream`` run, where the loop's fixed cost (some
+        15 µs a call between other work) showed in the batch latency.
         """
         self.stats.workers_requested = self.workers
         if total == 0:
             return np.empty(0, dtype=float)
         chunk = self.chunk_pairs
+        if total <= chunk and self.fault_plan is None:
+            if rows is None:
+                rows, cols = np.triu_indices(n_full, k=1)
+            self.stats.chunks = self.stats.workers_used = 1
+            values, delta = evaluator.pairs(rows, cols)
+            with self.obs.span("engine_chunk", track="engine", chunk=0, pairs=total):
+                self.obs.advance(total)
+            self._absorb(delta)
+            if progress is not None:
+                progress(total, total)
+            self.stats.recovered = True
+            return values
         pending = [
             (index, start, min(start + chunk, total), 0)
             for index, start in enumerate(range(0, total, chunk))
@@ -587,7 +617,7 @@ class DistanceEngine:
                     )
                 for task, outcome in zip(pending, outcomes):
                     chunk_index, start, stop, attempt = task
-                    kind = ChunkFaultKind(outcome.kind)
+                    kind = outcome.kind
                     if plan is not None:
                         plan.record(kind)
                     if kind is not ChunkFaultKind.NONE:
@@ -743,6 +773,24 @@ class MatrixCache:
         return self.matrix
 
 
+#: Key of a diagonal pair: no real pair has it, so it is never cached.
+_DIAGONAL = -1
+#: Lookup default that marks a miss (identity-compared; cached values are finite).
+_MISS = float("nan")
+
+
+def _pair_keys(pairs: np.ndarray) -> list[int]:
+    """Cache keys of an ``(n, 2)`` pair array, diagonal pairs as ``_DIAGONAL``."""
+    pairs = pairs.astype(np.int64, copy=False)
+    low = pairs.min(axis=1)
+    high = pairs.max(axis=1)
+    diagonal = low == high
+    low <<= _PAIR_SHIFT
+    low |= high
+    low[diagonal] = _DIAGONAL
+    return low.tolist()
+
+
 class PairStream:
     """On-demand pair distances over a growing item population.
 
@@ -758,12 +806,25 @@ class PairStream:
     always evaluated with the smaller index as the row item, matching
     the condensed layout's row-major concatenation order for NCD.
 
+    The cache maps one int per pair, ``(i << 32) | j`` with ``i < j``, to
+    its distance.  A :meth:`distances` call looks all its keys up in one
+    pass, evaluates every miss as one batch through
+    :meth:`DistanceEngine._compute` (in-process, or on the pool when the
+    batch holds two full chunks, under the engine's fault plan either
+    way), and writes the misses back with one ``dict.update``.
+    :meth:`matrices` serves several blocks from one such call, so a
+    streaming compaction sends all its dirty blocks' misses as one batch.
+
     :param max_cached_pairs: optional LRU bound on the pair cache.  Over
         an unbounded stream (e.g. arena rounds feeding misses forever)
-        the cache would otherwise grow with every pair ever probed; with
-        a bound, the least-recently-used pairs are evicted and simply
-        recomputed (deterministically) if requested again, so capping
-        the cache never changes any distance — only ``pairs_evaluated``.
+        the cache would otherwise grow with every pair ever probed.  With
+        a bound, each call first refreshes its hits in call order, then
+        appends its misses, then evicts the least recently used pairs
+        down to the bound; an evicted pair is recomputed, to the same
+        bits, if it is requested again.  A bound therefore never changes a
+        distance, or a partition built from them: only ``pairs_evaluated``
+        may differ, and with it ``cache_hits`` and ``evictions``, which
+        count where each value came from.
     """
 
     def __init__(
@@ -778,7 +839,7 @@ class PairStream:
         self.max_cached_pairs = max_cached_pairs
         self.items: list = []
         self._evaluator = None
-        self._cache: dict[tuple[int, int], float] = {}
+        self._cache: dict[int, float] = {}
         self.pairs_evaluated = 0
         self.cache_hits = 0
         self.evictions = 0
@@ -787,14 +848,6 @@ class PairStream:
     def cached_pairs(self) -> int:
         """Current number of pair distances held in the cache."""
         return len(self._cache)
-
-    def _evict_over_cap(self) -> None:
-        if self.max_cached_pairs is None:
-            return
-        while len(self._cache) > self.max_cached_pairs:
-            # dict preserves insertion order; hits re-insert (LRU order).
-            self._cache.pop(next(iter(self._cache)))
-            self.evictions += 1
 
     def __len__(self) -> int:
         return len(self.items)
@@ -817,63 +870,81 @@ class PairStream:
             return 0.0
         return float(self.distances([(i, j)])[0])
 
-    def distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    def distances(self, pairs: Sequence[tuple[int, int]] | np.ndarray) -> np.ndarray:
         """Distances for ``pairs``; only cache misses are evaluated.
 
-        Miss batches the engine would spread over a pool (see
-        :meth:`DistanceEngine._pool_size`) go through its chunked
-        dispatch; all others are evaluated in-process on the persistent
-        evaluator, whose component caches they warm.
+        :param pairs: ``(i, j)`` item-index pairs, as a sequence of tuples
+            or an ``(n, 2)`` integer array (keyed without a Python loop).
+            A diagonal pair is ``0.0`` by the matrix convention and is
+            neither evaluated nor cached.
         """
-        out = np.empty(len(pairs), dtype=float)
-        missing: list[tuple[int, int]] = []
-        missing_pos: list[int] = []
-        for t, (i, j) in enumerate(pairs):
-            if i == j:  # diagonal, by the matrix convention
-                out[t] = 0.0
-                continue
-            key = (i, j) if i < j else (j, i)
-            value = self._cache.get(key)
-            if value is None:
-                missing.append(key)
-                missing_pos.append(t)
-            else:
-                if self.max_cached_pairs is not None:
-                    # Refresh recency so hot pairs survive eviction.
-                    self._cache[key] = self._cache.pop(key)
-                out[t] = value
-                self.cache_hits += 1
-        if missing:
-            rows = np.fromiter((k[0] for k in missing), dtype=np.intp, count=len(missing))
-            cols = np.fromiter((k[1] for k in missing), dtype=np.intp, count=len(missing))
-            if self.engine._pool_size(len(missing)) > 1:
-                values = self.engine._compute(
-                    self._evaluator, len(rows),
-                    n_full=None, rows=rows, cols=cols, progress=None,
-                )
-            else:
-                values, delta = self._evaluator.pairs(rows, cols)
-                self.engine._absorb(delta)
-            for key, pos, value in zip(missing, missing_pos, values):
-                self._cache[key] = float(value)
-                out[pos] = value
-            self.pairs_evaluated += len(missing)
-            self._evict_over_cap()
+        cache = self._cache
+        if isinstance(pairs, np.ndarray):
+            keys = _pair_keys(pairs)
+        else:
+            keys = [
+                (i << _PAIR_SHIFT) | j if i < j else (j << _PAIR_SHIFT) | i if i > j else _DIAGONAL
+                for i, j in pairs
+            ]
+        get = cache.get
+        found = [get(key, _MISS) for key in keys]
+        missed = [t for t, value in enumerate(found) if value is _MISS]
+        if self.max_cached_pairs is not None:
+            # Refresh recency in call order so hot pairs survive eviction.
+            for key, value in zip(keys, found):
+                if value is not _MISS:
+                    cache[key] = cache.pop(key)
+        self.cache_hits += len(keys) - len(missed)
+        missed_keys = keys if len(missed) == len(keys) else [keys[t] for t in missed]
+        if _DIAGONAL in missed_keys:
+            for t in missed:
+                if keys[t] == _DIAGONAL:
+                    found[t] = 0.0
+            missed = [t for t in missed if keys[t] != _DIAGONAL]
+            missed_keys = [key for key in missed_keys if key != _DIAGONAL]
+        if not missed:
+            return np.array(found, dtype=float)
+        # The hits are copied out now, so the per-pair lists of a large
+        # call are freed before the cache grows.
+        out = np.array(found, dtype=float) if len(missed) < len(keys) else None
+        del keys, found
+
+        packed = np.array(missed_keys, dtype=np.int64)
+        values = self.engine._compute(
+            self._evaluator, len(packed), n_full=None,
+            rows=packed >> _PAIR_SHIFT, cols=packed & _LOW_MASK, progress=None,
+        )
+        cache.update(zip(missed_keys, values.tolist()))
+        self.pairs_evaluated += len(missed)
+        if self.max_cached_pairs is not None and len(cache) > self.max_cached_pairs:
+            excess = len(cache) - self.max_cached_pairs
+            # dict order is recency order: the oldest entries come first.
+            for key in list(itertools.islice(cache, excess)):
+                del cache[key]
+            self.evictions += excess
+        if out is None:
+            return values
+        out[missed] = values
         return out
 
-    def matrix(self, indices: Sequence[int]) -> CondensedMatrix:
-        """Condensed matrix over ``items[indices]`` (cache-backed).
+    def matrices(self, blocks: Sequence[Sequence[int]]) -> list[CondensedMatrix]:
+        """Condensed matrices over ``items[block]``, one per block (cache-backed).
 
-        Used for dirty-block compaction: pairs already probed during
-        attach are served from the cache; only the rest are evaluated.
+        Every block's pairs go to one :meth:`distances` call, so their
+        misses form one batch: a streaming compaction fills all its dirty
+        blocks with at most one pool start.  Pairs already probed during
+        attach are served from the cache.
         """
-        picked = list(indices)
-        m = len(picked)
-        if m < 2:
-            return CondensedMatrix(m, np.empty(0, dtype=float))
-        local_rows, local_cols = np.triu_indices(m, k=1)
-        pairs = [
-            (picked[a], picked[b])
-            for a, b in zip(local_rows.tolist(), local_cols.tolist())
+        sizes = [len(block) * (len(block) - 1) // 2 for block in blocks]
+        bounds = np.cumsum([0, *sizes]).tolist()
+        pairs = np.empty((bounds[-1], 2), dtype=np.int64)
+        for block, lo, hi in zip(blocks, bounds, bounds[1:]):
+            picked = np.asarray(block, dtype=np.int64)
+            local_rows, local_cols = np.triu_indices(len(picked), k=1)
+            pairs[lo:hi, 0] = picked[local_rows]
+            pairs[lo:hi, 1] = picked[local_cols]
+        values = self.distances(pairs)
+        return [
+            CondensedMatrix(len(block), values[lo:hi])
+            for block, lo, hi in zip(blocks, bounds, bounds[1:])
         ]
-        return CondensedMatrix(m, self.distances(pairs))

@@ -15,8 +15,8 @@ Prometheus text — is a pure function of the seed and configuration.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator
+from contextlib import nullcontext
+from typing import Any
 
 from repro.obs.context import FlightRecorder, TraceContext, parse_traceparent
 from repro.obs.export import (
@@ -136,12 +136,8 @@ class _NullObservability(Observability):
         self.tracer = None  # type: ignore[assignment]
         self.metrics = None  # type: ignore[assignment]
 
-    @contextmanager
-    def _null_span(self) -> Iterator[None]:
-        yield None
-
     def span(self, name: str, track: str | None = None, **attrs: Any):
-        return self._null_span()
+        return _NO_SPAN
 
     def advance(self, ticks: int = 1) -> None:
         return None
@@ -161,6 +157,9 @@ class _NullObservability(Observability):
     def profile(self) -> StageProfile:
         raise RuntimeError("observability is disabled; no profile exists")
 
+
+#: The span every disabled bundle opens: a reusable context yielding ``None``.
+_NO_SPAN = nullcontext()
 
 #: The shared disabled bundle (safe to share: it holds no state).
 NULL_OBS = _NullObservability()

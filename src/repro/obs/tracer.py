@@ -13,6 +13,11 @@ that thread; span ids, the span list and the tick clock are shared and
 updated under one lock.  A span may also carry the
 :class:`~repro.obs.context.TraceContext` its request arrived with.
 
+A long-lived tracer can be given a ``capacity``: its span list is then a
+ring of the newest spans, so memory stays bounded, and the first span
+that falls out registers the ``trace_spans_evicted`` counter on the
+tracer's metrics registry (when it has one).
+
 Wall-clock capture is **optional and off by default** — tests and the
 determinism contract run without it; benches turn it on to attribute real
 seconds per stage.  When enabled, each span additionally records
@@ -30,11 +35,13 @@ import hashlib
 import json
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.obs.context import TraceContext
+from repro.obs.metrics import Metrics
 
 
 def deterministic_run_id(seed: int, config: Any = None) -> str:
@@ -91,12 +98,28 @@ class Tracer:
         :func:`deterministic_run_id` for the seeded form).
     :param wall_clock: capture real elapsed seconds per span.  Off by
         default so traces stay byte-identical across same-seed runs.
+    :param capacity: keep only the newest ``capacity`` spans (``None``,
+        the default: keep every span).  Ids and ticks keep counting over
+        the dropped spans; :attr:`evicted` counts them.
+    :param metrics: registry that gets ``trace_spans_evicted`` once the
+        first span is dropped.
     """
 
-    def __init__(self, run_id: str = "run", wall_clock: bool = False) -> None:
+    def __init__(
+        self,
+        run_id: str = "run",
+        wall_clock: bool = False,
+        *,
+        capacity: int | None = None,
+        metrics: Metrics | None = None,
+    ) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError(f"capacity must be >= 1 when set, got {capacity}")
         self.run_id = run_id
         self.wall_clock = wall_clock
-        self.spans: list[Span] = []
+        self.spans: deque[Span] = deque(maxlen=capacity)
+        self.evicted = 0
+        self.metrics = metrics
         self.tick = 0
         self._next_id = 1
         self._lock = threading.Lock()
@@ -150,6 +173,10 @@ class Tracer:
             )
             self._next_id += 1
             self.tick += 1
+            if len(self.spans) == self.spans.maxlen:
+                self.evicted += 1
+                if self.metrics is not None:
+                    self.metrics.inc("trace_spans_evicted")
             self.spans.append(span)
         stack.append(span)
         wall_started = time.perf_counter() if self.wall_clock else None
@@ -177,4 +204,5 @@ class Tracer:
 
     def children_of(self, span: Span) -> list[Span]:
         """Direct children of ``span``, in start order."""
-        return [s for s in self.spans if s.parent_id == span.span_id]
+        with self._lock:
+            return [s for s in self.spans if s.parent_id == span.span_id]

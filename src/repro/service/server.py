@@ -33,7 +33,9 @@ Request handling is thread-per-request; the gateway and ingest plane are
 each guarded by a lock, so one screening episode or publish is atomic
 while sqlite WAL lets readers proceed.  Every unexpected exception is
 caught at the route boundary and mapped to a counted JSON ``500`` — the
-load harness budgets that count at zero.
+load harness budgets that count at zero.  :meth:`ServiceServer.stop`
+lets requests already inside a route finish (up to a bound) before it
+returns, so a trace written after it holds their spans.
 """
 
 from __future__ import annotations
@@ -41,11 +43,11 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ServiceError, SignatureStoreError
@@ -71,6 +73,15 @@ REQUEST_MS_BOUNDS: tuple[float, ...] = (
 #: What an untraced request opens instead of a span: shared, stateless,
 #: and yielding ``None``.
 _NO_SPAN = nullcontext()
+
+#: Spans a traced service keeps: the newest ones, about 6 MB at the
+#: ~0.37 KB a span costs, or some 4,000 requests of route plus children.
+SERVICE_SPAN_CAPACITY = 16_384
+
+#: Seconds :meth:`ServiceServer.stop` waits for in-flight requests, and
+#: how often it looks.
+DRAIN_TIMEOUT_S = 5.0
+DRAIN_POLL_S = 0.01
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,7 +157,9 @@ class SignatureService:
         if self.config.trace_dir is not None:
             trace_dir = Path(self.config.trace_dir)
             trace_dir.mkdir(parents=True, exist_ok=True)
-            self.tracer = Tracer(self.run_id)
+            self.tracer = Tracer(
+                self.run_id, capacity=SERVICE_SPAN_CAPACITY, metrics=self.metrics
+            )
             self._access_log = (trace_dir / "access_log.jsonl").open("w", encoding="utf-8")
         self._obs_lock = threading.Lock()
         self._requests_observed = 0
@@ -221,8 +234,9 @@ class SignatureService:
         if self._access_log is not None:
             line = json.dumps(record, sort_keys=True)
             with self._obs_lock:
-                self._access_log.write(line + "\n")
-                self._access_log.flush()
+                if self._access_log is not None:
+                    self._access_log.write(line + "\n")
+                    self._access_log.flush()
         return record
 
     def close(self) -> None:
@@ -235,9 +249,10 @@ class SignatureService:
             export_spans_jsonl(self.tracer, trace_dir / "spans.jsonl")
             export_chrome_trace(self.tracer, trace_dir / "trace.json")
             self.flight_recorder.export_jsonl(trace_dir / "flight_recorder.jsonl")
-        if self._access_log is not None:
-            self._access_log.close()
-            self._access_log = None
+        with self._obs_lock:
+            if self._access_log is not None:
+                self._access_log.close()
+                self._access_log = None
         if self.store is not None:
             self.store.close()
 
@@ -456,36 +471,38 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         A traced route span keeps the client's ``traceparent`` context
         when one arrived; either way the request lands in the access
         accounting (histogram, access log, flight recorder) with the
-        status the client actually saw.
+        status the client actually saw.  The request counts as in flight
+        until its access line is written, so a stop drains it whole.
         """
         service = self.service
-        service.metrics.inc(f"service_requests_{route}")
-        context = extract_traceparent(self.headers) if service.tracer is not None else None
-        self.last_status = 0
-        started = time.perf_counter()
-        with service.span(route, context=context, route=route) as span:
-            try:
-                handler()
-            except BrokenPipeError:  # client went away mid-response
-                service.metrics.inc("service_client_disconnects")
-            except Exception as exc:  # noqa: BLE001 — the zero-5xx budget counts these
-                service.metrics.inc("service_unhandled_errors")
+        with self.server.in_flight():  # type: ignore[attr-defined]
+            service.metrics.inc(f"service_requests_{route}")
+            context = extract_traceparent(self.headers) if service.tracer is not None else None
+            self.last_status = 0
+            started = time.perf_counter()
+            with service.span(route, context=context, route=route) as span:
                 try:
-                    self._respond_json(500, {"error": f"{type(exc).__name__}: {exc}"})
-                except OSError:
-                    pass
-            if span is not None:
-                span.attrs["status"] = self.last_status
-                span.attrs["set_version"] = service.gateway.set_version
-                span.attrs["generation"] = service.gateway.generation
-        elapsed_ms = 1000.0 * (time.perf_counter() - started)
-        service.observe_request(
-            route,
-            self.last_status,
-            elapsed_ms,
-            trace_id=context.trace_id if context is not None else None,
-            span_id=span.span_id if span is not None else None,
-        )
+                    handler()
+                except BrokenPipeError:  # client went away mid-response
+                    service.metrics.inc("service_client_disconnects")
+                except Exception as exc:  # noqa: BLE001 — the zero-5xx budget counts these
+                    service.metrics.inc("service_unhandled_errors")
+                    try:
+                        self._respond_json(500, {"error": f"{type(exc).__name__}: {exc}"})
+                    except OSError:
+                        pass
+                if span is not None:
+                    span.attrs["status"] = self.last_status
+                    span.attrs["set_version"] = service.gateway.set_version
+                    span.attrs["generation"] = service.gateway.generation
+            elapsed_ms = 1000.0 * (time.perf_counter() - started)
+            service.observe_request(
+                route,
+                self.last_status,
+                elapsed_ms,
+                trace_id=context.trace_id if context is not None else None,
+                span_id=span.span_id if span is not None else None,
+            )
 
     # -- routes -------------------------------------------------------------------
 
@@ -555,10 +572,44 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
 
 class _ListeningServer(ThreadingHTTPServer):
+    """The socket server, counting requests that are inside a route.
+
+    Handler threads are daemons and nothing joins them, so :meth:`drain`
+    is how a stop waits for requests in flight.  An idle keep-alive
+    connection is not in flight: its thread blocks reading the next
+    request line, which may never come.
+    """
+
     # The socketserver default backlog of 5 makes a thundering herd of
     # load-harness clients retransmit SYNs (a clean +1s latency mode);
     # must be set before __init__ calls listen().
     request_queue_size = 128
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        # One token per request in flight.  A set's add and discard are
+        # atomic, so the request path takes no lock that every handler
+        # thread would contend for.
+        self._in_flight: set[object] = set()
+
+    @contextmanager
+    def in_flight(self) -> Iterator[None]:
+        """Count one request as in flight while the block runs."""
+        token = object()
+        self._in_flight.add(token)
+        try:
+            yield
+        finally:
+            self._in_flight.discard(token)
+
+    def drain(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` s for no request in flight; ``True`` if none is."""
+        deadline = time.monotonic() + timeout
+        while self._in_flight:
+            if time.monotonic() >= deadline:
+                return False
+            time.sleep(DRAIN_POLL_S)
+        return True
 
 
 class ServiceServer:
@@ -596,10 +647,16 @@ class ServiceServer:
         """Serve on the calling thread until interrupted."""
         self.httpd.serve_forever()
 
-    def stop(self) -> None:
-        """Stop serving and release the socket."""
+    def stop(self) -> bool:
+        """Stop accepting, let in-flight requests finish, release the socket.
+
+        Waits at most :data:`DRAIN_TIMEOUT_S` for requests already inside
+        a route; returns ``False`` if some were still running then.
+        """
         self.httpd.shutdown()
+        drained = self.httpd.drain(DRAIN_TIMEOUT_S)
         self.httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        return drained

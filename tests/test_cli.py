@@ -4,6 +4,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -195,28 +196,44 @@ class TestParser:
         assert args.trace_dir == ""
 
 
+def _boot_service(tmp_path):
+    """A traced ``repro service`` child; returns it, its address and trace dir."""
+    ready, trace_dir = tmp_path / "service.addr", tmp_path / "trace"
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "service",
+            "--apps", "12", "--sample", "10", "--seed", "0",
+            "--ready-file", str(ready), "--trace-dir", str(trace_dir),
+        ],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+    )
+    deadline = time.monotonic() + 60.0
+    while not (ready.exists() and ready.read_text().endswith("\n")):
+        if process.poll() is not None or time.monotonic() > deadline:
+            process.kill()
+            process.wait()
+            pytest.fail(f"service never became ready: {process.stderr.read()!r}")
+        time.sleep(0.05)
+    host, __, port = ready.read_text().strip().rpartition(":")
+    return process, (host, int(port)), trace_dir
+
+
+def _stop(process) -> None:
+    if process.poll() is None:
+        process.kill()
+        process.wait()
+    process.stderr.close()
+
+
 class TestServiceShutdown:
     def test_sigterm_stops_cleanly_and_writes_the_trace_directory(self, tmp_path):
-        ready, trace_dir = tmp_path / "service.addr", tmp_path / "trace"
-        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-        process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "service",
-                "--apps", "12", "--sample", "10", "--seed", "0",
-                "--ready-file", str(ready), "--trace-dir", str(trace_dir),
-            ],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-        )
+        process, (host, port), trace_dir = _boot_service(tmp_path)
         try:
             deadline = time.monotonic() + 60.0
-            while not (ready.exists() and ready.read_text().endswith("\n")):
-                assert process.poll() is None, process.stderr.read()
-                assert time.monotonic() < deadline, "service never became ready"
-                time.sleep(0.05)
-            host, __, port = ready.read_text().strip().rpartition(":")
-            connection = http.client.HTTPConnection(host, int(port), timeout=10.0)
+            connection = http.client.HTTPConnection(host, port, timeout=10.0)
             connection.request("GET", "/healthz")
             assert connection.getresponse().status == 200
             connection.close()
@@ -228,16 +245,43 @@ class TestServiceShutdown:
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=30.0) == 0, process.stderr.read()
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
-            process.stderr.close()
+            _stop(process)
         for name in ("access_log.jsonl", "spans.jsonl", "trace.json", "flight_recorder.jsonl"):
             assert (trace_dir / name).is_file(), name
         spans = (trace_dir / "spans.jsonl").read_text().splitlines()
         assert json.loads(spans[1])["name"] == "healthz"
 
-
+    def test_sigterm_drains_a_request_in_flight(self, tmp_path):
+        process, address, trace_dir = _boot_service(tmp_path)
+        body = b"[]"
+        head = (
+            "POST /v1/reports HTTP/1.1\r\nHost: service\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii")
+        try:
+            with socket.create_connection(address, timeout=10.0) as client:
+                # Half the body: the handler enters the route and waits for
+                # the rest, so the request is in flight when SIGTERM lands.
+                client.sendall(head + body[:1])
+                time.sleep(0.5)
+                process.send_signal(signal.SIGTERM)
+                time.sleep(0.5)
+                assert process.poll() is None, "stopped without draining"
+                client.sendall(body[1:])
+                status_line = client.makefile("rb").readline()
+            assert status_line.startswith(b"HTTP/1.1 "), status_line
+            assert process.wait(timeout=30.0) == 0, process.stderr.read()
+        finally:
+            _stop(process)
+        spans = [
+            json.loads(line) for line in (trace_dir / "spans.jsonl").read_text().splitlines()
+        ]
+        assert [span["name"] for span in spans[1:]].count("reports") == 1
+        access = [
+            json.loads(line)
+            for line in (trace_dir / "access_log.jsonl").read_text().splitlines()
+        ]
+        assert [line["route"] for line in access] == ["reports"]
 
 
 class TestExport:

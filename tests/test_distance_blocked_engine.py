@@ -216,10 +216,9 @@ class TestPairStream:
     def test_matrix_over_indices_matches_subset(self, packets, full):
         stream = PairStream(DistanceEngine(PacketDistance.paper()))
         stream.extend(packets)
-        indices = [2, 9, 30, 55, 60]
-        assert np.array_equal(
-            stream.matrix(indices).values, full.subset(indices).values
-        )
+        blocks = [[2, 9, 30, 55, 60], [70], [], [61, 3, 44]]
+        for block, matrix in zip(blocks, stream.matrices(blocks), strict=True):
+            assert np.array_equal(matrix.values, full.subset(block).values)
 
     def test_incremental_extend_equals_fresh(self, packets, full):
         grown = PairStream(DistanceEngine(PacketDistance.paper()))

@@ -9,7 +9,7 @@ the fault-free run, at every rate, worker count, and chunking.
 import numpy as np
 import pytest
 
-from repro.distance.engine import DistanceEngine
+from repro.distance.engine import DistanceEngine, PairStream
 from repro.distance.packet import PacketDistance
 from repro.obs import Observability
 from repro.reliability.retry import RetryPolicy
@@ -183,3 +183,36 @@ class TestFaultRecovery:
         built = engine.matrix(sample)
         assert built.values.tobytes() == clean.values.tobytes()
         assert engine.stats.recovered
+
+
+class TestPairStreamUnderFaults:
+    """Attach-sized cache misses take the same supervised route as a matrix."""
+
+    PAIRS = [(20 + k, k) for k in range(16)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["crash", "poison"])
+    def test_plan_reaches_a_sixteen_pair_batch(self, baseline, workers, kind):
+        plan = WorkerFaultPlan(seed=5, **{kind: 1.0})
+        retry = RetryPolicy(max_attempts=2, base_delay=1.0, jitter=0.0)
+        obs = Observability.create(seed=0)
+        engine = DistanceEngine(METRIC, workers=workers, fault_plan=plan, retry=retry, obs=obs)
+        stream = PairStream(engine)
+        stream.extend(ITEMS)
+        values = stream.distances(self.PAIRS)
+        assert values.tolist() == [baseline.get(i, j) for i, j in self.PAIRS]
+        assert engine.stats.workers_used == 1  # one chunk: in-process at any worker count
+        assert engine.stats.faults_injected == (2 if kind == "crash" else 1)
+        assert engine.stats.chunks_quarantined == 1
+        assert len(obs.tracer.spans_named("engine_chunk_recompute")) == 1
+        # The recomputed values are cached: asking again injects nothing.
+        assert stream.distances(self.PAIRS).tobytes() == values.tobytes()
+        assert engine.stats.faults_injected == (2 if kind == "crash" else 1)
+
+    def test_clean_batch_opens_one_engine_chunk_span(self):
+        obs = Observability.create(seed=0)
+        stream = PairStream(DistanceEngine(METRIC, obs=obs))
+        stream.extend(ITEMS)
+        stream.distances(self.PAIRS)
+        (span,) = obs.tracer.spans_named("engine_chunk")
+        assert span.attrs == {"chunk": 0, "pairs": 16}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import NULL_OBS, Observability
+from repro.obs.metrics import Metrics
 from repro.obs.profile import StageProfile
 from repro.obs.tracer import Tracer, deterministic_run_id
 
@@ -87,6 +88,41 @@ class TestSpans:
         with t.span("a") as span:
             pass
         assert span.wall_s is not None and span.wall_s >= 0.0
+
+
+class TestSpanRing:
+    def test_unbounded_by_default(self):
+        t = Tracer()
+        for __ in range(100):
+            with t.span("s"):
+                pass
+        assert len(t.spans) == 100 and t.evicted == 0
+
+    def test_keeps_the_newest_spans_and_counts_the_rest(self):
+        metrics = Metrics()
+        t = Tracer(capacity=3, metrics=metrics)
+        for __ in range(3):
+            with t.span("s"):
+                pass
+        assert "trace_spans_evicted" not in metrics.counters
+        for __ in range(2):
+            with t.span("s"):
+                pass
+        assert [span.span_id for span in t.spans] == [3, 4, 5]
+        assert t.evicted == 2
+        assert metrics.counters["trace_spans_evicted"] == 2
+        assert t.tick == 10  # the clock keeps counting over dropped spans
+
+    def test_open_span_survives_its_eviction(self):
+        t = Tracer(capacity=1)
+        with t.span("outer") as outer:
+            with t.span("inner"):
+                pass
+        assert outer.closed and [span.name for span in t.closed_spans] == ["inner"]
+
+    def test_capacity_below_one_is_rejected(self):
+        with pytest.raises(ValueError):
+            Tracer(capacity=0)
 
 
 class TestStageProfile:

@@ -17,7 +17,9 @@ The contracts under test here:
   with the process;
 - the access log of a traced run links each line to its route span and
   replays through the SLO engine with no page; closing the service
-  writes the rest of the trace directory.
+  writes the rest of the trace directory;
+- the service tracer keeps a bounded ring of spans, and a stop waits for
+  requests in flight but not for idle keep-alive connections.
 """
 
 import http.client
@@ -30,7 +32,12 @@ import pytest
 from repro.federation.report import DeviceReport, encode_report, token_for
 from repro.obs.context import TraceContext
 from repro.obs.slo import replay_access_log
-from repro.service.server import ServiceConfig, ServiceServer, SignatureService
+from repro.service.server import (
+    SERVICE_SPAN_CAPACITY,
+    ServiceConfig,
+    ServiceServer,
+    SignatureService,
+)
 from repro.service.wire import encode_event
 from repro.serving.loadgen import ScreeningEvent
 from repro.signatures.conjunction import ConjunctionSignature
@@ -388,3 +395,26 @@ class TestTraceDirectory:
         assert "traceEvents" in json.loads((trace_dir / "trace.json").read_text())
         header = json.loads((trace_dir / "flight_recorder.jsonl").read_text().splitlines()[0])
         assert header["kind"] == "flight_recorder"
+
+
+class TestBoundedLifetime:
+    def test_service_tracer_is_a_ring_reporting_to_the_registry(self, traced):
+        service, __r, __a = traced
+        assert service.tracer.spans.maxlen == SERVICE_SPAN_CAPACITY
+        assert service.tracer.metrics is service.metrics
+
+    def test_stop_does_not_wait_for_an_idle_keep_alive_connection(self, tmp_path):
+        server = ServiceServer(SignatureService(boot_signatures()))
+        host, port = server.start()
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            # The connection stays open; its handler thread waits for a
+            # next request that never comes, and the drain does not wait
+            # for it (a timed-out drain returns False).
+            assert server.stop()
+        finally:
+            connection.close()
