@@ -49,6 +49,28 @@ class HttpRequest:
         if not self.target:
             raise HttpParseError("empty request target")
 
+    @classmethod
+    def from_checked(
+        cls,
+        method: str,
+        target: str,
+        version: str,
+        headers: list[tuple[str, str]],
+        body: bytes,
+    ) -> "HttpRequest":
+        """A request from fields its caller has already checked.
+
+        ``method`` must be upper-case and in :data:`SUPPORTED_METHODS` and
+        ``target`` non-empty; :meth:`__post_init__` is not run again.
+        """
+        request = object.__new__(cls)
+        request.method = method
+        request.target = target
+        request.version = version
+        request.headers = headers
+        request.body = body
+        return request
+
     # -- header access -----------------------------------------------------
 
     def header(self, name: str, default: str = "") -> str:

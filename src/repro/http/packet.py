@@ -13,11 +13,11 @@ from typing import Any
 
 from repro.errors import ParseError
 from repro.http.message import HttpRequest
-from repro.http.parser import parse_request
+from repro.http.parser import parse_canonical_request, parse_request
 from repro.http.serializer import serialize_request
-from repro.net.fqdn import normalize_host, registered_domain_of_normalized
+from repro.net.fqdn import LEGAL_HOST, normalize_host, registered_domain_of_normalized
 from repro.net.ipv4 import IPv4Address
-from repro.net.ports import validate_port
+from repro.net.ports import MAX_PORT, validate_port
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,6 +41,18 @@ class Destination:
         """Convenience constructor from dotted-quad text."""
         return cls(IPv4Address.parse(ip), port, host)
 
+    @classmethod
+    def from_checked(cls, ip: IPv4Address, port: int, host: str) -> "Destination":
+        """A destination from a valid port and an already normalized host.
+
+        :meth:`__post_init__` is not run again.
+        """
+        destination = object.__new__(cls)
+        _set_ip(destination, ip)
+        _set_port(destination, port)
+        _set_host(destination, host)
+        return destination
+
     @property
     def registered_domain(self) -> str:
         """Aggregation key used by the paper's Table II."""
@@ -48,6 +60,12 @@ class Destination:
 
     def __str__(self) -> str:
         return f"{self.host}[{self.ip}]:{self.port}"
+
+
+#: The slot setters, past the frozen ``__setattr__``, for :meth:`Destination.from_checked`.
+_set_ip = Destination.ip.__set__  # type: ignore[attr-defined]
+_set_port = Destination.port.__set__  # type: ignore[attr-defined]
+_set_host = Destination.host.__set__  # type: ignore[attr-defined]
 
 
 @dataclass(slots=True)
@@ -128,10 +146,17 @@ class HttpPacket:
     def from_dict(cls, data: dict[str, Any]) -> "HttpPacket":
         """Inverse of :meth:`to_dict`.
 
+        A record in the exact form :meth:`to_dict` writes is decoded in one
+        pass by :meth:`_from_canonical_dict`; any other record takes the
+        general path below, which yields the same packet or error.
+
         :raises ParseError: when required keys are missing, ``ip``, ``host``
             or ``raw`` is not a string, or the embedded raw request does not
             parse.
         """
+        packet = cls._from_canonical_dict(data)
+        if packet is not None:
+            return packet
         try:
             ip, port, host, raw = data["ip"], data["port"], data["host"], data["raw"]
         except KeyError as exc:
@@ -147,4 +172,41 @@ class HttpPacket:
             app_id=data.get("app_id", ""),
             timestamp=float(data.get("timestamp", 0.0)),
             meta=dict(data.get("meta", {})),
+        )
+
+    @classmethod
+    def _from_canonical_dict(cls, data: Any) -> "HttpPacket | None":
+        """:meth:`from_dict` of a record in canonical form, else ``None``.
+
+        Canonical means: a canonical dotted-quad ``ip``, an int ``port`` in
+        range, an already normalized ``host``, and a ``raw`` request that
+        :func:`~repro.http.parser.parse_canonical_request` accepts.  Those
+        checks are the only validation the parts get.  The remaining
+        fields are read as the general path reads them, and raise the
+        same errors it would.
+        """
+        if type(data) is not dict:
+            return None
+        ip, port, host, raw = data.get("ip"), data.get("port"), data.get("host"), data.get("raw")
+        if (
+            type(port) is not int
+            or not 1 <= port <= MAX_PORT
+            or type(host) is not str
+            or LEGAL_HOST.fullmatch(host) is None
+            or type(ip) is not str
+            or type(raw) is not str
+        ):
+            return None
+        address = IPv4Address.parse_canonical(ip)
+        if address is None:
+            return None
+        request = parse_canonical_request(raw)
+        if request is None:
+            return None
+        return cls(
+            Destination.from_checked(address, port, host),
+            request,
+            data.get("app_id", ""),
+            float(data.get("timestamp", 0.0)),
+            dict(data.get("meta", {})),
         )

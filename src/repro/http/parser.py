@@ -38,6 +38,56 @@ def _too_long(line: str) -> HttpParseError:
     return HttpParseError("header line too long", line[:40].encode("latin-1"))
 
 
+def parse_canonical_request(raw: str) -> HttpRequest | None:
+    """Parse the canonical form :func:`~repro.http.serializer.serialize_request`
+    writes, given as latin-1 text; ``None`` for any other input.
+
+    Returns exactly what ``parse_request(raw.encode("latin-1"))`` would, in
+    one pass over the text.  It accepts a request whose head is ASCII, no
+    longer in all than one line may be (16 KiB), and split into lines by
+    CRLF alone; whose
+    request line is three words, the method upper-case and supported, the
+    version starting ``HTTP/``; and whose header lines each hold a colon
+    and start with neither space nor tab.  Everything else, including
+    whatever :func:`parse_request` rejects, returns ``None`` so the caller
+    takes the general path and its errors.
+    """
+    end = raw.find("\r\n\r\n")
+    if end < 0:
+        return None
+    head = raw[:end]
+    if len(head) > _MAX_LINE_LENGTH or not head.isascii():
+        return None
+    lines = head.split("\r\n")
+    # A bare LF would end a line (or the head) for the general parser.
+    if head.count("\n") != len(lines) - 1 or len(lines) > _MAX_HEADER_COUNT + 1:
+        return None
+    parts = lines[0].split()
+    if len(parts) != 3:
+        return None
+    method, target, version = parts
+    if method not in SUPPORTED_METHODS or not version.startswith("HTTP/"):
+        return None
+    headers: list[tuple[str, str]] = []
+    for line in lines[1:]:
+        name, colon, value = line.partition(":")
+        if not colon or line[0] in " \t":
+            return None
+        headers.append((name.strip(), value.strip()))
+    try:
+        body = raw[end + 4:].encode("latin-1")
+    except UnicodeEncodeError:
+        return None
+    if body:
+        for name, value in headers:
+            if name.lower() == "content-length":
+                # The head is ASCII, so a digit string here is one int() reads.
+                if value.isdigit() and int(value) < len(body):
+                    body = body[: int(value)]
+                break
+    return HttpRequest.from_checked(method, target, version.upper(), headers, body)
+
+
 def parse_request(raw: bytes) -> HttpRequest:
     """Parse raw request bytes into a :class:`HttpRequest`.
 

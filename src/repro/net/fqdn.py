@@ -36,7 +36,8 @@ _MULTI_LABEL_SUFFIXES: frozenset[tuple[str, ...]] = frozenset(
 _ALLOWED = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-_")
 
 #: A whole legal host: non-empty labels of :data:`_ALLOWED` characters.
-_LEGAL_HOST = re.compile(r"[a-z0-9_-]+(?:\.[a-z0-9_-]+)*")
+#: A host it matches in full is its own :func:`normalize_host`.
+LEGAL_HOST = re.compile(r"[a-z0-9_-]+(?:\.[a-z0-9_-]+)*")
 
 
 def normalize_host(host: str) -> str:
@@ -45,7 +46,7 @@ def normalize_host(host: str) -> str:
     :raises ParseError: on an empty host or one with illegal characters.
     """
     cleaned = host.strip().rstrip(".").lower()
-    if _LEGAL_HOST.fullmatch(cleaned) is None:
+    if LEGAL_HOST.fullmatch(cleaned) is None:
         # Rejected: walk the labels only to name the first fault.
         if not cleaned:
             raise ParseError("empty host name", host)

@@ -10,6 +10,8 @@ the metric relies on is explicit and testable).
 
 from __future__ import annotations
 
+import re
+import socket
 from dataclasses import dataclass
 
 from repro.errors import AddressError
@@ -18,6 +20,12 @@ from repro.errors import AddressError
 ADDRESS_BITS = 32
 
 _MAX = (1 << ADDRESS_BITS) - 1
+
+_OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+
+#: Dotted-quad text exactly as :meth:`IPv4Address.__str__` writes it: four
+#: ASCII decimal octets in ``0..255``, without leading zeros or spaces.
+_CANONICAL_DOTTED_QUAD = re.compile(r"\.".join([_OCTET] * 4))
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -60,6 +68,20 @@ class IPv4Address:
         return cls(value)
 
     @classmethod
+    def parse_canonical(cls, text: str) -> "IPv4Address | None":
+        """The address ``text`` names if ``str()`` of it would write ``text``.
+
+        Returns ``None`` for anything else, which :meth:`parse` may still
+        accept or must reject.  Canonical text is in range by construction,
+        so the range check is not run again.
+        """
+        if _CANONICAL_DOTTED_QUAD.fullmatch(text) is None:
+            return None
+        address = object.__new__(cls)
+        _set_value(address, int.from_bytes(socket.inet_aton(text), "big"))
+        return address
+
+    @classmethod
     def from_octets(cls, a: int, b: int, c: int, d: int) -> "IPv4Address":
         """Build an address from four integer octets."""
         for octet in (a, b, c, d):
@@ -88,6 +110,10 @@ class IPv4Address:
             return True
         shift = ADDRESS_BITS - prefix_len
         return (self.value >> shift) == (network.value >> shift)
+
+
+#: Sets the field past the frozen ``__setattr__``, for :meth:`IPv4Address.parse_canonical`.
+_set_value = IPv4Address.value.__set__  # type: ignore[attr-defined]
 
 
 def common_prefix_length(a: IPv4Address, b: IPv4Address) -> int:

@@ -19,6 +19,7 @@ runs with the same arguments produce **byte-identical** files — CI's
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -249,8 +250,9 @@ def _service_episode(
     metrics.inc(f"service_responses_{status}")
     service.observe_request("health", status, 2.0 + 1.5 * (len(calls) - 1))
 
+    screen_reply = json.loads(screen_body) if isinstance(screen_body, bytes) else screen_body
     screened = sum(
-        1 for result in screen_body.get("results", []) if result.get("screened")
+        1 for result in screen_reply.get("results", []) if result.get("screened")
     )
     return {
         "run_id": service.run_id,

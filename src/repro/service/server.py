@@ -61,7 +61,14 @@ from repro.obs.tracer import Tracer, deterministic_run_id
 from repro.serving.gateway import GatewayConfig, ScreeningGateway
 from repro.serving.telemetry import ServingTelemetry
 from repro.service.repository import open_repositories
-from repro.service.wire import decode_event, encode_results, extract_traceparent
+# ``encode_results`` is not called here; it stays importable from this
+# module because ``bench/trace.py`` wraps ``wire.encode`` by this name.
+from repro.service.wire import (  # noqa: F401
+    decode_event,
+    encode_results,
+    encode_screen_reply,
+    extract_traceparent,
+)
 from repro.signatures.conjunction import ConjunctionSignature
 from repro.signatures.store import SignatureStore
 
@@ -82,6 +89,13 @@ SERVICE_SPAN_CAPACITY = 16_384
 #: how often it looks.
 DRAIN_TIMEOUT_S = 5.0
 DRAIN_POLL_S = 0.01
+
+#: Bytes of an unread request body read and dropped before a ``413`` or
+#: bad-length ``400`` closes its connection, and how long to wait for more.
+#: Closing with unread bytes makes the kernel send a TCP reset, which can
+#: reach a client still sending before it reads the reply.
+UNREAD_BODY_DRAIN_BYTES = 8 * 1024 * 1024
+UNREAD_BODY_DRAIN_WAIT_S = 0.25
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,8 +315,13 @@ class SignatureService:
             return 304, {}, envelope.set_version
         return 200, document, envelope.set_version
 
-    def screen(self, records: Any) -> tuple[int, dict[str, Any]]:
-        """``POST /v1/screen``: one gateway episode over posted events."""
+    def screen(self, records: Any) -> tuple[int, bytes | dict[str, Any]]:
+        """``POST /v1/screen``: one gateway episode over posted events.
+
+        A ``200`` carries the reply body already written as JSON bytes
+        (:func:`~repro.service.wire.encode_screen_reply`); an error carries
+        a dict, as every other endpoint does.
+        """
         if isinstance(records, dict):
             records = records.get("events")
         if not isinstance(records, list) or not records:
@@ -319,6 +338,7 @@ class SignatureService:
                     return 400, {"error": str(exc)}
                 generation = self.gateway.generation
                 set_version = self.gateway.set_version
+                fragments = self.gateway.matcher.fragments
                 if span is not None:
                     span.attrs["generation"] = generation
                     span.attrs["set_version"] = set_version
@@ -327,11 +347,7 @@ class SignatureService:
             self.flight_recorder.trip(
                 "shed", route="screen", shed=shed, n_events=len(events)
             )
-        return 200, {
-            "results": encode_results(results),
-            "generation": generation,
-            "set_version": set_version,
-        }
+        return 200, encode_screen_reply(results, generation, set_version, fragments)
 
     def ingest_reports(self, records: Any) -> tuple[int, dict[str, Any]]:
         """``POST /v1/reports``: run each envelope through the ingest gauntlet."""
@@ -440,7 +456,25 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         # The unread body would be parsed as the next request: close instead.
         self.close_connection = True
         self._respond_json(status, {"error": error}, Connection="close")
+        self._drop_unread_body()
         return None
+
+    def _drop_unread_body(self) -> None:
+        """Read and drop what the client sends, up to a bound, before the close.
+
+        Stops at the bound, at end of stream, or when nothing arrives for
+        :data:`UNREAD_BODY_DRAIN_WAIT_S`.
+        """
+        self.connection.settimeout(UNREAD_BODY_DRAIN_WAIT_S)
+        left = UNREAD_BODY_DRAIN_BYTES
+        try:
+            while left > 0:
+                chunk = self.rfile.read1(min(left, 64 * 1024))
+                if not chunk:
+                    return
+                left -= len(chunk)
+        except OSError:  # the wait ran out, or the client reset first
+            pass
 
     def _respond(self, status: int, payload: bytes, content_type: str, **headers: str) -> None:
         self.send_response(status)
@@ -568,7 +602,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
             self._respond_json(400, {"error": f"body is not valid JSON: {exc}"})
             return
-        self._respond_json(*endpoint(decoded))
+        status, payload = endpoint(decoded)
+        if isinstance(payload, bytes):  # already written as JSON
+            self._respond(status, payload, "application/json")
+        else:
+            self._respond_json(status, payload)
 
 
 class _ListeningServer(ThreadingHTTPServer):

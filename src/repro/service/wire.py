@@ -13,12 +13,13 @@ payload is compared byte-for-byte.
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+import math
+from typing import Any, Mapping, Sequence
 
 from repro.errors import ParseError, ServiceError
 from repro.http.packet import HttpPacket
 from repro.obs.context import TraceContext, parse_traceparent
-from repro.serving.gateway import ServeResult
+from repro.serving.gateway import ServeOutcome, ServeResult
 from repro.serving.loadgen import ScreeningEvent
 
 #: The W3C trace-propagation header both sides of the socket agree on.
@@ -62,6 +63,8 @@ def decode_event(record: Any) -> ScreeningEvent:
         tick = float(tick)
     except OverflowError as exc:  # an int beyond float range
         raise ServiceError(f"bad event tick {tick!r}") from exc
+    if not math.isfinite(tick):  # NaN never orders, so the gateway could not queue it
+        raise ServiceError(f"bad event tick {tick!r}")
     device_id = record.get("device_id")
     if not isinstance(device_id, str) or not device_id:
         raise ServiceError(f"bad event device_id {device_id!r}")
@@ -72,7 +75,20 @@ def decode_event(record: Any) -> ScreeningEvent:
         packet = HttpPacket.from_dict(packet_record)
     except (ParseError, TypeError, ValueError, OverflowError) as exc:
         raise ServiceError(f"unparseable event packet: {exc}") from exc
-    return ScreeningEvent(seq=seq, tick=tick, device_id=device_id, packet=packet)
+    event = object.__new__(ScreeningEvent)
+    _set_seq(event, seq)
+    _set_tick(event, tick)
+    _set_device_id(event, device_id)
+    _set_packet(event, packet)
+    return event
+
+
+# A frozen dataclass's ``__init__`` sets each field through
+# ``object.__setattr__``; the slot setters cost a third of that per event.
+_set_seq = ScreeningEvent.seq.__set__  # type: ignore[attr-defined]
+_set_tick = ScreeningEvent.tick.__set__  # type: ignore[attr-defined]
+_set_device_id = ScreeningEvent.device_id.__set__  # type: ignore[attr-defined]
+_set_packet = ScreeningEvent.packet.__set__  # type: ignore[attr-defined]
 
 
 def encode_result(result: ServeResult) -> dict[str, Any]:
@@ -105,6 +121,87 @@ def encode_result(result: ServeResult) -> dict[str, Any]:
 def encode_results(results: Sequence[ServeResult]) -> list[dict[str, Any]]:
     """A whole verdict stream, in gateway output order."""
     return [encode_result(result) for result in results]
+
+
+_OUTCOME_JSON = {outcome: json.dumps(outcome.value) for outcome in ServeOutcome}
+
+
+def _is_finite_float(value: Any) -> bool:
+    """Whether ``repr(value)`` is how :func:`json.dumps` writes ``value``."""
+    return type(value) is float and value - value == 0.0
+
+
+def _result_json(result: ServeResult, fragments: Mapping[int, str]) -> str:
+    """``json.dumps(encode_result(result), sort_keys=True)``, from fragments.
+
+    Fields of an unusual type (an int tick, a non-finite float, an outcome
+    outside :class:`ServeOutcome`) take ``json.dumps`` itself.
+    """
+    match = result.match
+    if match is None:
+        match_json: str | None = "null"
+    elif type(match.matched) is bool and _is_finite_float(match.score):
+        signature = match.signature
+        if signature is None:
+            signature_json = "null"
+        else:
+            signature_json = fragments.get(id(signature)) or json.dumps(
+                signature.to_dict(), sort_keys=True
+            )
+        match_json = (
+            f'{{"matched": {"true" if match.matched else "false"}, '
+            f'"score": {match.score!r}, "signature": {signature_json}}}'
+        )
+    else:
+        match_json = None
+    seq = result.event.seq
+    completed = result.completed_tick
+    latency = result.latency_ticks
+    outcome = _OUTCOME_JSON.get(result.outcome)
+    if (
+        match_json is None
+        or outcome is None
+        or type(seq) is not int
+        or type(result.batch_id) is not int
+        or type(result.generation) is not int
+        or type(result.set_version) is not int
+        or not _is_finite_float(completed)
+        or not _is_finite_float(latency)
+    ):
+        return json.dumps(encode_result(result), sort_keys=True)
+    return (
+        f'{{"batch_id": {result.batch_id}, "completed_tick": {completed!r}, '
+        f'"generation": {result.generation}, "latency_ticks": {latency!r}, '
+        f'"match": {match_json}, "outcome": {outcome}, '
+        f'"screened": {"false" if match is None else "true"}, "seq": {seq}, '
+        f'"set_version": {result.set_version}}}'
+    )
+
+
+def encode_screen_reply(
+    results: Sequence[ServeResult],
+    generation: int,
+    set_version: int,
+    fragments: Mapping[int, str],
+) -> bytes:
+    """The ``POST /v1/screen`` reply body, written as bytes.
+
+    Byte-identical to ``json.dumps({"results": encode_results(results),
+    "generation": generation, "set_version": set_version},
+    sort_keys=True).encode()``, but each verdict is one string format and
+    each signature is a fragment rendered when its matcher was built.
+
+    :param fragments: ``id(signature) -> json.dumps(signature.to_dict(),
+        sort_keys=True)`` for the live matcher's signatures
+        (:attr:`~repro.serving.shards.ShardedMatcher.fragments`); a
+        signature it lacks, such as one from an earlier generation, is
+        rendered on the spot.
+    """
+    body = ", ".join([_result_json(result, fragments) for result in results])
+    return (
+        f'{{"generation": {json.dumps(generation)}, "results": [{body}], '
+        f'"set_version": {json.dumps(set_version)}}}'
+    ).encode()
 
 
 def canonical_decisions(records: Sequence[dict[str, Any]]) -> str:

@@ -263,13 +263,22 @@ class ScreeningGateway:
         """Serve one arrival stream to completion.
 
         :param events: arrivals in non-decreasing tick order (as produced
-            by :class:`~repro.serving.loadgen.FleetLoadGenerator`).
+            by :class:`~repro.serving.loadgen.FleetLoadGenerator`), each
+            tick finite.
         :param reloads: scheduled signature swaps; applied between batches
             at the first dispatch at or after their tick.
         :returns: one verdict per arrival, in arrival order.
+        :raises SimulationError: for a NaN or infinite tick, or arrivals
+            out of tick order; nothing has been served then.
         """
         arrivals = list(events)
         pending_reloads = sorted(reloads, key=lambda r: r.tick)
+        infinity = float("inf")
+        for event in arrivals:
+            # NaN compares false both ways, so the loop below would never
+            # admit or dispatch it; an infinite tick never dispatches either.
+            if event.tick != event.tick or abs(event.tick) == infinity:
+                raise SimulationError(f"arrival tick must be finite, got {event.tick!r}")
         if any(a.tick > b.tick for a, b in zip(arrivals, arrivals[1:])):
             raise SimulationError("arrival stream must be tick-ordered")
         config = self.config
@@ -283,7 +292,6 @@ class ScreeningGateway:
         batch_id = 0
         index = 0
         n = len(arrivals)
-        infinity = float("inf")
 
         while index < n or queue:
             next_arrival = arrivals[index].tick if index < n else infinity

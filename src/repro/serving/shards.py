@@ -28,6 +28,7 @@ in the packet text at all.
 
 from __future__ import annotations
 
+import json
 from collections import defaultdict
 from typing import Sequence
 
@@ -109,6 +110,15 @@ class ShardedMatcher:
         # within each scope class, and mixed-class order is restored by the
         # per-bucket split inside MatcherShard.
         self.shards = [MatcherShard(entries[k :: n_shards]) for k in range(n_shards)]
+        #: ``id(signature) -> its sorted-key JSON``, the fragment a verdict
+        #: reply quotes (:func:`repro.service.wire.encode_screen_reply`).
+        #: Ids are unique while this matcher holds its signatures, and a
+        #: reload builds a new matcher, so fragments live exactly as long
+        #: as the generation they render.
+        self.fragments = {
+            id(signature): json.dumps(signature.to_dict(), sort_keys=True)
+            for signature in self.signatures
+        }
 
     def __len__(self) -> int:
         return len(self.signatures)

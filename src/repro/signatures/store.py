@@ -175,9 +175,15 @@ class SignatureStore:
 
     @staticmethod
     def _decode_document(text: str) -> dict[str, Any]:
+        # Only text is a document: a stored row of bytes or a number (at-rest
+        # corruption) is as corrupt as bad JSON, never a crash.
+        if not isinstance(text, str):
+            raise SignatureStoreError(
+                f"signature document must be text, got {type(text).__name__}"
+            )
         try:
             document = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
             raise SignatureStoreError(f"signature document is not valid JSON: {exc}") from exc
         if not isinstance(document, dict):
             raise SignatureStoreError("signature document must be a JSON object")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import threading
 from random import Random
+from typing import Any, Callable
 
 import pytest
 
@@ -34,6 +36,29 @@ def make_packet(
     return HttpPacket(
         destination=Destination.make(ip, port, host), request=request, app_id=app_id
     )
+
+
+def call_with_timeout(fn: Callable[[], Any], seconds: float) -> Any:
+    """``fn()`` on a daemon thread: its result, or its exception re-raised.
+
+    Fails the calling test if ``fn`` has not returned after ``seconds``
+    (a hang is left spinning on its daemon thread).
+    """
+    outcome: dict[str, Any] = {}
+
+    def target() -> None:
+        try:
+            outcome["result"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - handed back to the caller
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no return within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from repro.federation.report import DeviceReport, _payload_checksum, encode_repo
 from repro.signatures.conjunction import ConjunctionSignature
 from repro.signatures.store import SignatureStore
 from repro.simulation.rng import derive_rng
+from tests.conftest import call_with_timeout
 
 
 def boot_signatures():
@@ -190,6 +191,47 @@ class TestScreen:
             assert status == 400
         assert "service_unhandled_errors" not in service.metrics.counters
 
+    def test_non_finite_tick_400_and_service_keeps_serving(self, live, small_corpus):
+        # A NaN tick once hung the gateway while it held the lock, so every
+        # later request blocked; Infinity was a 400 about a list index.
+        service, request, __db = live
+        record = encode_event(events_from(small_corpus, n=1)[0])
+        for tick, shown in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")):
+            body = json.dumps({"events": [record]}).replace('"tick": 0.0', f'"tick": {tick}')
+            status, reply, __h = call_with_timeout(
+                lambda body=body: request("POST", "/v1/screen", body.encode()), 30.0
+            )
+            assert status == 400, reply
+            assert json.loads(reply) == {"error": f"bad event tick {shown}"}
+        status, __b, __h = call_with_timeout(lambda: request("GET", "/healthz"), 30.0)
+        assert status == 200
+        assert "service_unhandled_errors" not in service.metrics.counters
+
+    def test_nan_tick_in_process_returns(self, small_corpus):
+        service = SignatureService(boot_signatures())
+        record = encode_event(events_from(small_corpus, n=1)[0])
+        record["tick"] = float("nan")
+        status, payload = call_with_timeout(lambda: service.screen({"events": [record]}), 30.0)
+        assert (status, payload) == (400, {"error": "bad event tick nan"})
+
+    def test_canonical_and_lf_only_packets_decide_alike(self, live, small_corpus):
+        __, request, __db = live
+        events = events_from(small_corpus, n=8)
+        canonical = [encode_event(e) for e in events]
+        lf_only = [encode_event(e) for e in events]
+        for record in lf_only:
+            raw = record["packet"]["raw"]
+            head, __, body = raw.partition("\r\n\r\n")
+            record["packet"]["raw"] = head.replace("\r\n", "\n") + "\n\n" + body
+        replies = []
+        for records in (canonical, lf_only):
+            status, reply, __h = request(
+                "POST", "/v1/screen", json.dumps({"events": records}).encode()
+            )
+            assert status == 200
+            replies.append(reply)
+        assert replies[0] == replies[1]
+
     def test_screen_after_reload_uses_new_version(self, live, small_corpus):
         __, request, __db = live
         document = SignatureStore.dumps_envelope(boot_signatures()[:1], 2)
@@ -333,6 +375,29 @@ class TestOperationalEndpoints:
             )
             assert replies.startswith(b"HTTP/1.1 413 ")
             assert replies.count(b"HTTP/1.") == 1  # no 501 for the leftover bytes
+        finally:
+            server.stop()
+
+    def test_client_still_sending_reads_its_413(self):
+        # Closing with unread body bytes makes the kernel reset the
+        # connection; without reading some of them first, a client still
+        # sending a body this size got EPIPE/ECONNRESET, not the reply.
+        service = SignatureService(
+            boot_signatures(), config=ServiceConfig(max_body_bytes=64)
+        )
+        server = ServiceServer(service)
+        host, port = server.start()
+        try:
+            for __ in range(3):
+                connection = http.client.HTTPConnection(host, port, timeout=10.0)
+                connection.request(
+                    "POST", "/v1/screen", body=b"x" * (4 * 1024 * 1024),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                assert response.status == 413
+                assert json.loads(response.read()) == {"error": "body exceeds 64 byte limit"}
+                connection.close()
         finally:
             server.stop()
 

@@ -2,9 +2,13 @@
 
 import json
 import sqlite3
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.errors import ServiceError, SignatureStoreError
 from repro.federation.report import DeviceReport, encode_report, token_for
@@ -136,6 +140,93 @@ class TestCorruptionDegradation:
             )
         assert sig_repo.latest() is None
         assert sig_repo.corrupt_reads() == 1
+
+
+#: Stored row payloads: near-envelopes, arbitrary text, and non-text values.
+_row_payloads = st.one_of(
+    st.sampled_from([
+        b"\x80abc",
+        envelope_doc(2).encode(),
+        envelope_doc(2)[:40],
+        "[" * 5000,
+        '{"format_version": 2, "set_version": 1e999}',
+        "1" * 5000,
+        "",
+        5,
+        2.5,
+    ]),
+    st.text(max_size=40),
+    st.binary(max_size=40),
+    st.integers(),
+    st.floats(),
+)
+
+
+class TestCorruptRowPayloads:
+    """Whatever a stored row holds, a read counts it corrupt or verifies it."""
+
+    @staticmethod
+    def check_reads(repo, good: str) -> None:
+        document, envelope = repo.latest()
+        assert isinstance(document, str)
+        if envelope.set_version == 1:
+            assert document == good and repo.corrupt_reads() >= 1
+            assert repo.get(2) is None
+        assert repo.get(1) == (good, repo.get(1)[1])
+
+    @seed(2305)
+    @settings(max_examples=120, deadline=None)
+    @given(payload=_row_payloads)
+    def test_sqlite_rows(self, payload):
+        with tempfile.TemporaryDirectory() as directory:
+            db_path = str(Path(directory) / "service.sqlite3")
+            store = SqliteStore(db_path)
+            repo = SqliteSignatureRepository(store)
+            good = envelope_doc(1)
+            repo.store(good)
+            repo.store(envelope_doc(2))
+            store.write(
+                "UPDATE signature_envelopes SET document = ? WHERE set_version = 2", (payload,)
+            )
+            self.check_reads(repo, good)
+            store.close()
+            # Boot recovers past the row, and the fetch route serves text.
+            service = SignatureService([], db_path=db_path)
+            try:
+                status, served, version = service.fetch()
+                assert status == 200 and isinstance(served, str)
+                assert service.gateway.set_version == version
+            finally:
+                service.close()
+
+    @seed(2306)
+    @settings(max_examples=120, deadline=None)
+    @given(payload=st.one_of(_row_payloads, st.lists(st.integers(), max_size=2)))
+    def test_in_memory_rows(self, payload):
+        repo = InMemorySignatureRepository()
+        good = envelope_doc(1)
+        repo.store(good)
+        repo.store(envelope_doc(2))
+        repo.corrupt(2, payload)
+        self.check_reads(repo, good)
+
+    def test_blob_row_is_a_corrupt_read(self, tmp_path):
+        store = SqliteStore(tmp_path / "repo.sqlite3")
+        repo = SqliteSignatureRepository(store)
+        repo.store(envelope_doc(1))
+        repo.store(envelope_doc(2))
+        store.write(
+            "UPDATE signature_envelopes SET document = ? WHERE set_version = 2", (b"\x80abc",)
+        )
+        assert repo.latest()[1].set_version == 1
+        assert repo.get(2) is None
+        assert repo.corrupt_reads() == 2
+        store.close()
+
+    def test_non_text_documents_raise_store_errors(self):
+        for document in (b"\x80abc", envelope_doc(1).encode(), 5, None):
+            with pytest.raises(SignatureStoreError, match="must be text"):
+                SignatureStore.loads_envelope(document)
 
 
 class TestReportRepository:

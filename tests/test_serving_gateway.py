@@ -1,5 +1,7 @@
 """The screening gateway: equivalence, shedding, backpressure, hot reload."""
 
+import math
+
 import pytest
 
 from repro.core.distribution import SignatureChannel
@@ -13,7 +15,7 @@ from repro.serving.gateway import (
 )
 from repro.serving.loadgen import FleetLoadGenerator, LoadProfile, ScreeningEvent
 from repro.signatures.matcher import SignatureMatcher
-from tests.conftest import make_packet
+from tests.conftest import call_with_timeout, make_packet
 from tests.test_serving_shards import corpus_signatures
 
 
@@ -235,6 +237,21 @@ class TestValidationAndTelemetry:
         gateway = ScreeningGateway(list(channel.envelope(1).signatures))
         with pytest.raises(SimulationError):
             gateway.run(shuffled)
+
+    @pytest.mark.parametrize("tick", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tick_before_serving(self, channel, tick):
+        # A NaN tick once spun the event loop forever: it never compares
+        # below a dispatch time, and no dispatch time compares below it.
+        packet = make_packet(target="/p?x=1")
+        events = [
+            ScreeningEvent(seq=0, tick=0.0, device_id="d", packet=packet),
+            ScreeningEvent(seq=1, tick=tick, device_id="d", packet=packet),
+        ]
+        gateway = ScreeningGateway(list(channel.envelope(1).signatures))
+        with pytest.raises(SimulationError, match="arrival tick must be finite"):
+            call_with_timeout(lambda: gateway.run(events), 10.0)
+        assert gateway.telemetry.counters.get("admitted", 0) == 0
+        assert gateway.run(events[:1])[0].screened  # still serving
 
     def test_rejects_bad_config(self):
         with pytest.raises(SimulationError):
