@@ -318,11 +318,6 @@ WEB_SERVICES: tuple[ServiceSpec, ...] = (
 )
 
 
-def build_web_services() -> list[Service]:
-    """Instantiate the shared benign-service catalog."""
-    return [Service(spec) for spec in WEB_SERVICES]
-
-
 # -- app-specific backends ------------------------------------------------------
 
 _TLDS = ("com", "jp", "net", "co.jp", "info")

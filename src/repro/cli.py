@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 from pathlib import Path
@@ -314,6 +315,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_arena(args: argparse.Namespace) -> int:
     from repro.arena import ArenaBudget, run_arena
 
+    if not (math.isfinite(args.threshold) and args.threshold > 0):
+        print(f"--threshold must be finite and positive, got {args.threshold!r}", file=sys.stderr)
+        return 2
     if args.quick:
         # Smoke configuration: every recovery gate still applies in full
         # — only the corpus/round scale shrinks.

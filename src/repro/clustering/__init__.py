@@ -8,14 +8,12 @@ history is a dendrogram from which signature generation reads clusters.
 - :func:`repro.clustering.linkage.agglomerate` — the algorithm
   (group-average default; single/complete/ward for the ablation bench),
 - :class:`repro.clustering.dendrogram.Dendrogram` — the merge tree,
-- :mod:`repro.clustering.cut` — extraction of flat clusters,
-- :mod:`repro.clustering.validation` — internal quality measures.
+- :mod:`repro.clustering.cut` — extraction of flat clusters.
 """
 
-from repro.clustering.cut import cut_by_count, cut_by_height, cut_top_level
+from repro.clustering.cut import cut_by_height
 from repro.clustering.dendrogram import Dendrogram, Merge
 from repro.clustering.linkage import Linkage, agglomerate
-from repro.clustering.validation import cophenetic_correlation, silhouette_score
 
 __all__ = [
     "Linkage",
@@ -23,8 +21,4 @@ __all__ = [
     "Dendrogram",
     "Merge",
     "cut_by_height",
-    "cut_by_count",
-    "cut_top_level",
-    "silhouette_score",
-    "cophenetic_correlation",
 ]

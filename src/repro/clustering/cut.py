@@ -2,9 +2,8 @@
 
 The paper's signature step walks clusters "from the top"; in practice a
 signature per *every* internal node is redundant, so implementations cut
-the tree into flat clusters first.  Three standard strategies are
-provided — by height threshold, by target cluster count, and the paper's
-literal top-level traversal (each maximal cluster below a relative height).
+the tree into flat clusters first: every maximal cluster at or below a
+height threshold.
 """
 
 from __future__ import annotations
@@ -20,8 +19,10 @@ def cut_by_height(dendrogram: Dendrogram, height: float) -> list[int]:
     flat cluster, the union covers all leaves, singleton leaves whose
     parent merged above the threshold come back as leaf nodes.
     """
-    if height < 0:
-        raise ClusteringError("cut height must be non-negative")
+    # ``not height >= 0`` also catches NaN: every comparison with it is
+    # false, so the walk below would try to split a leaf.
+    if not height >= 0:
+        raise ClusteringError(f"cut height must be non-negative, got {height}")
     # Iterative walk: a chained dendrogram (single linkage) can be as deep
     # as the leaf count, which would blow Python's recursion limit.
     clusters: list[int] = []
@@ -35,42 +36,6 @@ def cut_by_height(dendrogram: Dendrogram, height: float) -> list[int]:
             stack.append(left)
             stack.append(right)
     return clusters
-
-
-def cut_by_count(dendrogram: Dendrogram, k: int) -> list[int]:
-    """Cut into exactly ``k`` clusters by undoing the last ``k - 1`` merges.
-
-    :raises ClusteringError: when ``k`` is outside ``1 .. n_leaves``.
-    """
-    n = dendrogram.n_leaves
-    if not 1 <= k <= n:
-        raise ClusteringError(f"k={k} outside 1..{n}")
-    # Nodes created by the last k-1 merges are "broken"; clusters are their
-    # children that are not themselves broken.
-    broken = {dendrogram.n_leaves + i for i in range(n - k, n - 1)}
-    clusters: list[int] = []
-    if not broken:
-        return [dendrogram.root]
-    for node in broken:
-        for child in dendrogram.children(node):
-            if child not in broken:
-                clusters.append(child)
-    clusters.sort()
-    return clusters
-
-
-def cut_top_level(dendrogram: Dendrogram, fraction: float = 0.5) -> list[int]:
-    """Cut at ``fraction`` of the root height (the paper-style heuristic).
-
-    With ``fraction=0.5`` a cluster survives if its members merged in the
-    lower half of the tree — tight groups of near-duplicate packets, which
-    is where module-specific signatures live.  ``fraction=1.0`` degenerates
-    to a single cluster, ``0.0`` to all singletons (unless ties at height
-    zero exist).
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ClusteringError("fraction must be within [0, 1]")
-    return cut_by_height(dendrogram, fraction * dendrogram.height(dendrogram.root))
 
 
 def cut_min_size(dendrogram: Dendrogram, height: float, min_size: int) -> list[int]:

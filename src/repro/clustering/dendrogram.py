@@ -120,51 +120,9 @@ class Dendrogram:
         internal.sort(key=lambda node: (self.height(node), node), reverse=True)
         return internal
 
-    def cophenetic_distance(self, i: int, j: int) -> float:
-        """Height of the lowest common ancestor of two leaves."""
-        if not (self.is_leaf(i) and self.is_leaf(j)):
-            raise ClusteringError("cophenetic distance is defined between leaves")
-        if i == j:
-            return 0.0
-        # Walk upward from each leaf, recording ancestors.
-        parent: dict[int, int] = {}
-        for k, merge in enumerate(self.merges):
-            node = self.n_leaves + k
-            parent[merge.left] = node
-            parent[merge.right] = node
-        ancestors_i: set[int] = {i}
-        current = i
-        while current in parent:
-            current = parent[current]
-            ancestors_i.add(current)
-        current = j
-        while current not in ancestors_i:
-            current = parent[current]
-        return self.height(current)
-
     def to_linkage_array(self) -> list[list[float]]:
         """Scipy-compatible ``(n-1) x 4`` linkage matrix (as nested lists)."""
         return [
             [float(m.left), float(m.right), float(m.height), float(m.size)]
             for m in self.merges
         ]
-
-    def render_ascii(self, labels: list[str] | None = None, *, max_leaves: int = 40) -> str:
-        """A small indented text rendering, for logs and debugging."""
-        if self.n_leaves > max_leaves:
-            return f"<dendrogram with {self.n_leaves} leaves (too large to render)>"
-        lines: list[str] = []
-
-        def walk(node: int, depth: int) -> None:
-            indent = "  " * depth
-            if self.is_leaf(node):
-                label = labels[node] if labels else f"leaf {node}"
-                lines.append(f"{indent}- {label}")
-            else:
-                lines.append(f"{indent}+ h={self.height(node):.3f} (n={self.size(node)})")
-                left, right = self.children(node)
-                walk(left, depth + 1)
-                walk(right, depth + 1)
-
-        walk(self.root, 0)
-        return "\n".join(lines)

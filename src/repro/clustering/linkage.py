@@ -200,21 +200,3 @@ def _lance_williams_update(
     square[slot_x, mask] = new[mask]
     square[mask, slot_x] = new[mask]
     square[slot_x, slot_x] = np.inf
-
-
-def cluster_assignments(dendrogram: Dendrogram, cluster_nodes: list[int]) -> list[int]:
-    """Map each leaf to the index of the cluster node covering it.
-
-    :param cluster_nodes: disjoint dendrogram nodes covering all leaves
-        (the output of a cut strategy).
-    :raises ClusteringError: when the nodes do not partition the leaves.
-    """
-    assignment = [-1] * dendrogram.n_leaves
-    for cluster_index, node in enumerate(cluster_nodes):
-        for leaf in dendrogram.leaves(node):
-            if assignment[leaf] != -1:
-                raise ClusteringError(f"leaf {leaf} covered by two cluster nodes")
-            assignment[leaf] = cluster_index
-    if any(a == -1 for a in assignment):
-        raise ClusteringError("cluster nodes do not cover all leaves")
-    return assignment

@@ -144,13 +144,6 @@ class ChannelHealth:
     last_good_version: int = 0
     breaker_state: str = BreakerState.CLOSED.value
 
-    @property
-    def failure_ratio(self) -> float:
-        """Failed transmissions over all transmissions attempted."""
-        if self.attempts == 0:
-            return 0.0
-        return 1.0 - self.successes / self.attempts
-
 
 @dataclass(frozen=True, slots=True)
 class FetchResult:
@@ -210,11 +203,6 @@ class SignatureFetcher:
     def _inc(self, name: str, by: int = 1) -> None:
         if self.metrics is not None:
             self.metrics.inc(name, by)
-
-    @property
-    def last_good(self) -> tuple[ConjunctionSignature, ...] | None:
-        """The last verified signature set, if any session ever succeeded."""
-        return self._last_good[1] if self._last_good else None
 
     def fetch(self) -> FetchResult:
         """Run one fetch session: retry, verify, fall back.

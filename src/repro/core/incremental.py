@@ -20,7 +20,9 @@ broadens.  The maintainer therefore keeps a few *exemplars* per signature
 and offers :meth:`IncrementalSignatureSet.consolidate` — re-cluster all
 exemplars plus pending residue and regenerate the set — to be run at a
 slow cadence (nightly), recovering one-shot quality at a fraction of the
-cost of re-clustering the full history.
+cost of re-clustering the full history.  Consolidation keeps the newest
+``max_consolidation_material`` packets and clusters one full distance
+matrix over them, as the paper's server does for its sample.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 
 from repro.clustering.linkage import agglomerate
 from repro.core.pipeline import PipelineConfig
-from repro.distance.engine import DistanceEngine, MatrixCache
+from repro.distance.engine import DistanceEngine
 from repro.eval.crossval import generate_from
 from repro.http.packet import HttpPacket
 from repro.signatures.conjunction import ConjunctionSignature
@@ -59,13 +61,7 @@ class IncrementalSignatureSet:
     :param exemplars_per_signature: covered packets retained per signature
         as consolidation material.
     :param max_consolidation_material: ceiling on the packets retained for
-        consolidation.  While under the ceiling, successive consolidations
-        *extend* the cached distance matrix (only the k x M new pairs are
-        computed, via :class:`~repro.distance.engine.MatrixCache`); when
-        the ceiling would be exceeded, the oldest material is pruned out
-        of the cached matrix (a gather, not a recompute) and the fresh
-        packets are appended through the same extension path — a full
-        rebuild only happens when no old material survives.
+        consolidation; past it, the oldest material is dropped first.
     """
 
     def __init__(
@@ -85,9 +81,7 @@ class IncrementalSignatureSet:
         self._carryover: list[HttpPacket] = []
         self._match_counts: dict[ConjunctionSignature, int] = {s: 0 for s in self.signatures}
         self._exemplars: dict[ConjunctionSignature, list[HttpPacket]] = {}
-        self._consolidation = MatrixCache(
-            DistanceEngine(self.config.distance, workers=self.config.workers)
-        )
+        self._material: list[HttpPacket] = []
 
     def __len__(self) -> int:
         return len(self.signatures)
@@ -99,8 +93,8 @@ class IncrementalSignatureSet:
 
     @property
     def consolidation_material(self) -> int:
-        """Packets retained (with a cached matrix) for consolidation."""
-        return len(self._consolidation)
+        """Packets retained for consolidation."""
+        return len(self._material)
 
     def matcher(self) -> SignatureMatcher:
         """A matcher over the current set."""
@@ -150,35 +144,19 @@ class IncrementalSignatureSet:
         Re-clustering the exemplar pool lets clusters that were split
         across batches re-form, broadening value-anchored tokens the same
         way one-shot generation would.  Material survives across
-        consolidations (up to ``max_consolidation_material``) and its
-        distance matrix is *extended* rather than rebuilt: only the pairs
-        involving packets gathered since the last consolidation are
-        computed.  Returns the new set size.
+        consolidations: the newest ``max_consolidation_material`` packets,
+        in arrival order.  Returns the new set size.
         """
         fresh: list[HttpPacket] = list(self._carryover)
         for packets in self._exemplars.values():
             fresh.extend(packets)
-        if len(self._consolidation) + len(fresh) < self.min_residue:
+        if len(self._material) + len(fresh) < self.min_residue:
             return len(self.signatures)
-        if len(self._consolidation) + len(fresh) > self.max_consolidation_material:
-            keep_old = self.max_consolidation_material - len(fresh)
-            if keep_old > 0 and self._consolidation.matrix is not None:
-                # Prune the oldest material out of the cached matrix
-                # (vectorized gather, no recompute), then extend with the
-                # fresh packets — only the fresh x kept pairs are evaluated.
-                retained = len(self._consolidation)
-                self._consolidation.prune(range(retained - keep_old, retained))
-                matrix = self._consolidation.add(fresh)
-            else:
-                # No old material survives (or nothing was ever cached):
-                # a rebuild over the tail is the only option.
-                kept = (self._consolidation.items + fresh)[-self.max_consolidation_material:]
-                matrix = self._consolidation.rebuild(kept)
-        else:
-            matrix = self._consolidation.add(fresh)
-        dendrogram = agglomerate(matrix, self.config.linkage)
+        self._material = (self._material + fresh)[-self.max_consolidation_material:]
+        engine = DistanceEngine(self.config.distance, workers=self.config.workers)
+        dendrogram = agglomerate(engine.matrix(self._material), self.config.linkage)
         regenerated = SignatureGenerator(self.config.generator).from_dendrogram(
-            dendrogram, self._consolidation.items
+            dendrogram, self._material
         )
         # Union-merge: regeneration broadens value/app-anchored signatures
         # (exemplars from different apps cluster together), while the old

@@ -41,7 +41,7 @@ from typing import Sequence
 
 from repro.clustering.cut import cut_by_height
 from repro.clustering.linkage import Linkage, agglomerate
-from repro.distance.blocking import BlockingConfig, BlockingMode, make_blocker
+from repro.distance.blocking import BlockingConfig, make_blocker
 from repro.distance.engine import DistanceEngine, PairStream
 from repro.distance.matrix import CondensedMatrix
 from repro.errors import ClusteringError

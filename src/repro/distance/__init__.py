@@ -28,7 +28,6 @@ from repro.distance.destination import (
 from repro.distance.engine import (
     DistanceEngine,
     EngineStats,
-    MatrixCache,
     PairStream,
 )
 from repro.distance.matrix import CondensedMatrix, distance_matrix
@@ -51,7 +50,6 @@ __all__ = [
     "CondensedMatrix",
     "DistanceEngine",
     "EngineStats",
-    "MatrixCache",
     "PairStream",
     "BlockingMode",
     "BlockingConfig",

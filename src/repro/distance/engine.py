@@ -34,13 +34,6 @@ serial :func:`repro.distance.matrix.distance_matrix` loop:
    order, so the output is deterministic and independent of worker
    count or scheduling.
 
-The engine also supports **incremental extension**: given the condensed
-matrix over M items, :meth:`DistanceEngine.extend` appends k new items by
-computing only the k·M + k(k-1)/2 new pairs and splicing the old values
-into the larger condensed layout — bit-identical to a full rebuild.
-:class:`MatrixCache` packages that pattern for consumers that grow an
-item population over time (``repro.core.incremental``).
-
 **One dispatcher, with worker-pool fault tolerance.**  Every chunk, in
 the parent or in a worker, goes through one evaluation step that
 checksums its result before delivery (a batch of one chunk without a
@@ -313,7 +306,7 @@ class _WorkerState:
 
     evaluator: _PacketEvaluator
     n_full: int | None  # condensed triu over n items …
-    rows: np.ndarray | None  # … or an explicit pair list (extension mode)
+    rows: np.ndarray | None  # … or an explicit pair list (PairStream)
     cols: np.ndarray | None
     plan: WorkerFaultPlan | None
 
@@ -463,57 +456,6 @@ class DistanceEngine:
         self.stats.n_items = n
         self.stats.n_pairs = total
         return CondensedMatrix(n, values)
-
-    def extend(
-        self,
-        matrix: CondensedMatrix,
-        items: Sequence,
-        new_items: Sequence,
-        *,
-        progress: Callable[[int, int], None] | None = None,
-    ) -> CondensedMatrix:
-        """Append ``new_items`` to an existing matrix over ``items``.
-
-        Computes only the ``k*M + k(k-1)/2`` pairs that involve a new item
-        and splices ``matrix.values`` into the larger condensed layout;
-        the result is bit-identical to a full rebuild over
-        ``list(items) + list(new_items)``.
-
-        :raises DistanceError: when ``matrix`` does not match ``items``.
-        """
-        n = len(items)
-        if matrix.n != n:
-            raise DistanceError(
-                f"matrix covers {matrix.n} items but {n} were supplied"
-            )
-        k = len(new_items)
-        if k == 0:
-            return CondensedMatrix(n, matrix.values.copy())
-        combined = list(items) + list(new_items)
-        n_new = n + k
-
-        # Old pairs keep their values; only their condensed indices shift.
-        new_values = np.empty(n_new * (n_new - 1) // 2, dtype=float)
-        if n > 1:
-            old_rows, old_cols = np.triu_indices(n, k=1)
-            new_values[_condensed_indices(old_rows, old_cols, n_new)] = matrix.values
-
-        # The new pairs: every old x new, then new x new — computed with
-        # the same evaluator a full rebuild would use.
-        rows_on = np.repeat(np.arange(n), k)
-        cols_on = np.tile(np.arange(n, n_new), n)
-        rows_nn, cols_nn = np.triu_indices(k, k=1)
-        rows = np.concatenate([rows_on, rows_nn + n])
-        cols = np.concatenate([cols_on, cols_nn + n])
-
-        evaluator = self._build_evaluator(combined)
-        computed = self._compute(
-            evaluator, len(rows), n_full=None, rows=rows, cols=cols, progress=progress
-        )
-        new_values[_condensed_indices(rows, cols, n_new)] = computed
-        self.stats.n_items = n_new
-        self.stats.n_pairs = len(rows)
-        return CondensedMatrix(n_new, new_values)
 
     # -- internals ----------------------------------------------------------------
 
@@ -721,58 +663,6 @@ def _chunk_checksum(values: np.ndarray) -> str:
     return hashlib.sha256(values.tobytes()).hexdigest()
 
 
-def _condensed_indices(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Condensed (upper-triangle, row-major) index of each ``(i, j)`` pair."""
-    return rows * n - rows * (rows + 1) // 2 + (cols - rows - 1)
-
-
-class MatrixCache:
-    """A condensed matrix that grows with its item list.
-
-    Consumers that accumulate packets over time (incremental consolidation,
-    streaming re-clustering) call :meth:`add` with each new tranche; only
-    the new-pair block is computed, via :meth:`DistanceEngine.extend`.
-    """
-
-    def __init__(self, engine: DistanceEngine | None = None) -> None:
-        self.engine = engine or DistanceEngine()
-        self.items: list = []
-        self.matrix: CondensedMatrix | None = None
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def add(self, new_items: Sequence) -> CondensedMatrix:
-        """Extend the cached matrix with ``new_items`` and return it."""
-        new_items = list(new_items)
-        if self.matrix is None:
-            self.items = new_items
-            self.matrix = self.engine.matrix(self.items)
-        elif new_items:
-            self.matrix = self.engine.extend(self.matrix, self.items, new_items)
-            self.items.extend(new_items)
-        return self.matrix
-
-    def rebuild(self, items: Sequence) -> CondensedMatrix:
-        """Replace the cached population outright (full recompute)."""
-        self.items = list(items)
-        self.matrix = self.engine.matrix(self.items)
-        return self.matrix
-
-    def prune(self, keep_indices: Sequence[int]) -> CondensedMatrix | None:
-        """Restrict the cached population to ``items[keep_indices]``.
-
-        The cached matrix is *gathered*, not recomputed — every surviving
-        pair keeps its exact value — so a later :meth:`add` extends from
-        the pruned state instead of rebuilding from scratch.
-        """
-        keep = list(keep_indices)
-        self.items = [self.items[index] for index in keep]
-        if self.matrix is not None:
-            self.matrix = self.matrix.subset(keep)
-        return self.matrix
-
-
 #: Key of a diagonal pair: no real pair has it, so it is never cached.
 _DIAGONAL = -1
 #: Lookup default that marks a miss (identity-compared; cached values are finite).
@@ -794,12 +684,11 @@ def _pair_keys(pairs: np.ndarray) -> list[int]:
 class PairStream:
     """On-demand pair distances over a growing item population.
 
-    Where :class:`MatrixCache` maintains the *full* condensed matrix,
-    ``PairStream`` is the sparse companion for blocked/streaming
-    clustering: it keeps one persistent evaluator (dedup id tables +
-    warm ``C(x)`` cache, grown incrementally via ``add_items``) and an
-    item-level pair cache, and computes only the pairs callers actually
-    request — attach probes, then dirty-block matrices, with every pair
+    ``PairStream`` serves blocked/streaming clustering, which never needs
+    the full condensed matrix: it keeps one persistent evaluator (dedup id
+    tables + warm ``C(x)`` cache, grown incrementally via ``add_items``)
+    and an item-level pair cache, and computes only the pairs callers
+    actually request — attach probes, then dirty-block matrices, with every pair
     evaluated at most once across both phases.
 
     Distances are bit-identical to the full-matrix build: pairs are

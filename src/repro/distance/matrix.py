@@ -45,6 +45,8 @@ class CondensedMatrix:
     def get(self, i: int, j: int) -> float:
         """Distance between items ``i`` and ``j`` (0.0 on the diagonal)."""
         if i == j:
+            if not 0 <= i < self.n:
+                raise DistanceError(f"index ({i}, {j}) out of range for n={self.n}")
             return 0.0
         return float(self.values[self._index(i, j)])
 

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.distance.content import ContentDistance
 from repro.distance.destination import destination_distance
-from repro.distance.ncd import CacheStats, Compressor
+from repro.distance.ncd import Compressor
 from repro.errors import DistanceError
 from repro.http.packet import HttpPacket
 
@@ -59,11 +59,6 @@ class PacketDistance:
     def max_distance(self) -> float:
         """Upper bound of :meth:`distance` under this configuration."""
         return 3.0 * self.destination_weight + self.content.component_count * self.content_weight
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss counters of the content-side ``C(x)`` cache."""
-        return self.content.calculator.stats
 
     def precompute(self, packets: Iterable[HttpPacket]) -> int:
         """Batch-compress every content field once, ahead of the pair loop.

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from repro.clustering.linkage import agglomerate
 from repro.core.pipeline import PipelineConfig
-from repro.dataset.split import holdout_split, sample_packets
+from repro.dataset.split import holdout_split
 from repro.distance.engine import DistanceEngine
 from repro.errors import ReproError
 from repro.http.packet import HttpPacket
@@ -100,45 +100,3 @@ def learning_curve(
         holdout_evaluation(suspicious, normal, n, seed=seed, config=config)
         for n in train_sizes
     ]
-
-
-def kfold_recall(
-    suspicious: Sequence[HttpPacket],
-    normal: Sequence[HttpPacket],
-    k: int = 5,
-    *,
-    seed: int = 0,
-    max_train: int = 300,
-    config: PipelineConfig | None = None,
-) -> list[HoldoutResult]:
-    """K-fold style evaluation over the suspicious group.
-
-    Each fold is held out once; signatures are generated from (a capped
-    sample of) the other folds.  Returns one result per fold.
-
-    :raises ReproError: for ``k`` < 2 or too little data.
-    """
-    if k < 2:
-        raise ReproError("k must be at least 2")
-    if len(suspicious) < 2 * k:
-        raise ReproError(f"too few suspicious packets ({len(suspicious)}) for {k} folds")
-    shuffled, __ = holdout_split(suspicious, 1.0, seed=seed)
-    folds = [shuffled[i::k] for i in range(k)]
-    results = []
-    for i, heldout in enumerate(folds):
-        train_pool = [p for j, fold in enumerate(folds) if j != i for p in fold]
-        train = sample_packets(train_pool, min(max_train, len(train_pool)), seed=seed + i)
-        signatures = generate_from(train, config)
-        matcher = SignatureMatcher(signatures)
-        recall = sum(1 for p in heldout if matcher.is_sensitive(p)) / len(heldout)
-        fp = sum(1 for p in normal if matcher.is_sensitive(p)) / len(normal) if normal else 0.0
-        results.append(
-            HoldoutResult(
-                n_train=len(train),
-                n_heldout=len(heldout),
-                heldout_recall=recall,
-                false_positive_rate=fp,
-                n_signatures=len(signatures),
-            )
-        )
-    return results

@@ -228,9 +228,6 @@ class FederatedAggregator:
     def support(self, token: str) -> int:
         return self.store.support(token)
 
-    def n_tokens(self) -> int:
-        return len(self.store.tokens())
-
     def admitted_tokens(self, min_support: int) -> list[str]:
         """Tokens seen on at least ``min_support`` distinct devices, sorted."""
         if min_support < 1:

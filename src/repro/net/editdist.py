@@ -5,9 +5,7 @@ The HTTP host distance in the paper is
     d_host(p_x, p_y) = ed(host_x, host_y) / max(len(host_x), len(host_y))
 
 where ``ed`` is the classic edit distance.  We implement the iterative
-two-row dynamic program (O(len_a * len_b) time, O(min) space) plus an early
-exit banded variant for callers that only care whether two strings are
-within a cutoff.
+two-row dynamic program (O(len_a * len_b) time, O(min) space).
 """
 
 from __future__ import annotations
@@ -45,40 +43,6 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
             )
         previous = current
     return previous[-1]
-
-
-def levenshtein_within(a: Sequence, b: Sequence, cutoff: int) -> int | None:
-    """Edit distance if it does not exceed ``cutoff``, else ``None``.
-
-    Uses the banded dynamic program: cells farther than ``cutoff`` from the
-    diagonal can never contribute to a result <= cutoff, so the row is
-    trimmed.  Useful when bucketing many hostnames by near-equality.
-    """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    if abs(len(a) - len(b)) > cutoff:
-        return None
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    inf = cutoff + 1
-    previous = [j if j <= cutoff else inf for j in range(len(b) + 1)]
-    for i, item_a in enumerate(a, start=1):
-        lo = max(1, i - cutoff)
-        hi = min(len(b), i + cutoff)
-        current = [inf] * (len(b) + 1)
-        if lo == 1:
-            current[0] = i if i <= cutoff else inf
-        for j in range(lo, hi + 1):
-            item_b = b[j - 1]
-            cost = 0 if item_a == item_b else 1
-            current[j] = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-        if min(current[lo - 1 : hi + 1], default=inf) > cutoff:
-            return None
-        previous = current
-    result = previous[len(b)]
-    return result if result <= cutoff else None
 
 
 def normalized_levenshtein(a: str, b: str) -> float:

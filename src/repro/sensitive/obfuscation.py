@@ -25,14 +25,10 @@ paper's claim quantitative.
 
 from __future__ import annotations
 
-import base64
 import codecs
 import enum
-import gzip
 import hashlib
 from random import Random
-
-from repro.http.url import percent_decode, percent_encode
 
 #: Fixed substitution used by ROT13_HEX (a bijection over hex digits).
 _HEX_MAP = str.maketrans("0123456789abcdef", "fedcba9876543210")
@@ -58,100 +54,6 @@ class Obfuscation(enum.Enum):
             Obfuscation.ROT13_HEX,
             Obfuscation.XOR_FIXED_KEY,
         )
-
-
-class WireEncoding(enum.Enum):
-    """Invertible on-wire encodings a leaking SDK may layer over a value.
-
-    Unlike :class:`Obfuscation` (one-way disguises), every member here is
-    a bijection with :func:`decode_wire` as its exact inverse, so chains
-    compose and round-trip (``decode_chain(encode_chain(v, c), c) == v``).
-
-    ``DETECTABLE_WIRE_ENCODINGS`` is the subset whose output the payload
-    check still recognizes (its spelling table covers literal, upper-hex,
-    percent and base64 forms — see ``transforms.wire_spellings``).  The
-    arena's encoding-churn attacker rotates a leak value only within that
-    subset; ``HEX_BYTES`` and ``GZIP_BASE64`` escape the table and are
-    reserved for chaff and round-trip tests.
-    """
-
-    IDENTITY = "identity"
-    UPPER_HEX = "upper_hex"
-    PERCENT = "percent"
-    BASE64 = "base64"
-    HEX_BYTES = "hex_bytes"
-    GZIP_BASE64 = "gzip_b64"
-
-
-#: Encodings whose output stays inside the payload check's spelling table.
-DETECTABLE_WIRE_ENCODINGS: tuple[WireEncoding, ...] = (
-    WireEncoding.IDENTITY,
-    WireEncoding.UPPER_HEX,
-    WireEncoding.PERCENT,
-    WireEncoding.BASE64,
-)
-
-_HEX_DIGITS = set("0123456789abcdef")
-
-
-def _is_hex_shaped(value: str) -> bool:
-    return bool(value) and all(c in _HEX_DIGITS for c in value)
-
-
-def encode_wire(value: str, encoding: WireEncoding) -> str:
-    """Apply one invertible wire encoding to ``value``.
-
-    :raises ValueError: for ``UPPER_HEX`` on a value that is not
-        lowercase hex (the upper-casing would not be invertible).
-    """
-    if encoding is WireEncoding.IDENTITY:
-        return value
-    if encoding is WireEncoding.UPPER_HEX:
-        if not _is_hex_shaped(value):
-            raise ValueError("UPPER_HEX needs a lowercase hex-shaped value")
-        return value.upper()
-    if encoding is WireEncoding.PERCENT:
-        return percent_encode(value)
-    if encoding is WireEncoding.BASE64:
-        return base64.b64encode(value.encode("utf-8")).decode("ascii")
-    if encoding is WireEncoding.HEX_BYTES:
-        return value.encode("utf-8").hex()
-    if encoding is WireEncoding.GZIP_BASE64:
-        compressed = gzip.compress(value.encode("utf-8"), mtime=0)
-        return base64.b64encode(compressed).decode("ascii")
-    raise ValueError(f"unknown wire encoding {encoding!r}")
-
-
-def decode_wire(encoded: str, encoding: WireEncoding) -> str:
-    """Exact inverse of :func:`encode_wire` for the same member."""
-    if encoding is WireEncoding.IDENTITY:
-        return encoded
-    if encoding is WireEncoding.UPPER_HEX:
-        return encoded.lower()
-    if encoding is WireEncoding.PERCENT:
-        return percent_decode(encoded)
-    if encoding is WireEncoding.BASE64:
-        return base64.b64decode(encoded.encode("ascii")).decode("utf-8")
-    if encoding is WireEncoding.HEX_BYTES:
-        return bytes.fromhex(encoded).decode("utf-8")
-    if encoding is WireEncoding.GZIP_BASE64:
-        compressed = base64.b64decode(encoded.encode("ascii"))
-        return gzip.decompress(compressed).decode("utf-8")
-    raise ValueError(f"unknown wire encoding {encoding!r}")
-
-
-def encode_chain(value: str, encodings: tuple[WireEncoding, ...]) -> str:
-    """Compose encodings left to right: the first is applied first."""
-    for encoding in encodings:
-        value = encode_wire(value, encoding)
-    return value
-
-
-def decode_chain(encoded: str, encodings: tuple[WireEncoding, ...]) -> str:
-    """Invert :func:`encode_chain` for the same chain (applied in reverse)."""
-    for encoding in reversed(encodings):
-        encoded = decode_wire(encoded, encoding)
-    return encoded
 
 
 def obfuscate(

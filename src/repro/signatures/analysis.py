@@ -7,7 +7,6 @@ before shipping a signature set to devices:
   through (per Table III label)?
 - *verbosity*: are any signatures close to the match-everything pathology
   the paper warns about (short total token mass, unscoped)?
-- *redundancy*: how much do signatures overlap on real traffic?
 - *expected noise*: what prompt rate will users see on clean traffic?
 
 Everything here is measurement over labeled traffic — no new matching
@@ -100,34 +99,6 @@ def verbosity_report(
         )
     reports.sort(key=lambda r: r.total_token_length)
     return reports
-
-
-def overlap_matrix(
-    signatures: Sequence[ConjunctionSignature],
-    packets: Sequence[HttpPacket],
-) -> dict[tuple[int, int], int]:
-    """Pairwise co-fire counts over a traffic sample.
-
-    Key ``(i, j)`` (i < j) maps to the number of packets matched by both
-    signature ``i`` and signature ``j``.  Heavy overlap suggests the
-    dendrogram cut split one module across clusters.
-    """
-    fire_sets: list[set[int]] = [set() for __ in signatures]
-    for index, packet in enumerate(packets):
-        text = packet.canonical_text()
-        domain = packet.destination.registered_domain
-        for sig_index, signature in enumerate(signatures):
-            if signature.scope_domain and signature.scope_domain != domain:
-                continue
-            if signature.matches_text(text):
-                fire_sets[sig_index].add(index)
-    overlaps: dict[tuple[int, int], int] = {}
-    for i in range(len(signatures)):
-        for j in range(i + 1, len(signatures)):
-            shared = len(fire_sets[i] & fire_sets[j])
-            if shared:
-                overlaps[(i, j)] = shared
-    return overlaps
 
 
 def expected_prompt_rate(

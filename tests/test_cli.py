@@ -530,6 +530,14 @@ class TestArena:
         assert data["ground_truth_intact"] is True
         assert data["families"]["padding_chaff"]["rounds"]
 
+    @pytest.mark.parametrize("threshold", ["nan", "0", "-1", "inf"])
+    def test_rejects_a_threshold_that_is_not_finite_and_positive(self, threshold, capsys):
+        # A NaN threshold once ended in "ClusteringError: leaf 81 has no children".
+        assert main(["arena", "--quick", "--threshold", threshold]) == 2
+        err = capsys.readouterr().err
+        assert "--threshold must be finite and positive" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_quick_flag_clamps_scale(self):
         from repro.cli import build_parser
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clustering.cut import cut_by_count, cut_by_height, cut_min_size, cut_top_level
+from repro.clustering.cut import cut_by_height, cut_min_size
 from repro.clustering.dendrogram import Dendrogram, Merge
 from repro.errors import ClusteringError
 
@@ -35,37 +35,10 @@ class TestHeightCut:
         with pytest.raises(ClusteringError):
             cut_by_height(tree(), -1.0)
 
-
-class TestCountCut:
-    def test_k_equals_one(self):
-        assert cut_by_count(tree(), 1) == [6]
-
-    def test_k_equals_two(self):
-        assert sorted(cut_by_count(tree(), 2)) == [4, 5]
-
-    def test_k_equals_three(self):
-        assert sorted(cut_by_count(tree(), 3)) == [2, 3, 4]
-
-    def test_k_equals_n(self):
-        assert sorted(cut_by_count(tree(), 4)) == [0, 1, 2, 3]
-
-    @pytest.mark.parametrize("bad", [0, 5, -1])
-    def test_invalid_k_rejected(self, bad):
-        with pytest.raises(ClusteringError):
-            cut_by_count(tree(), bad)
-
-
-class TestTopLevel:
-    def test_fraction_one_is_root(self):
-        assert cut_top_level(tree(), 1.0) == [6]
-
-    def test_fraction_half(self):
-        # Root height 5; cut at 2.5 -> nodes 4 (h=1) and 5 (h=2).
-        assert sorted(cut_top_level(tree(), 0.5)) == [4, 5]
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ClusteringError):
-            cut_top_level(tree(), 1.5)
+    def test_nan_height_rejected(self):
+        # NaN fails every comparison: the walk once tried to split a leaf.
+        with pytest.raises(ClusteringError, match="non-negative"):
+            cut_by_height(tree(), float("nan"))
 
 
 class TestMinSize:

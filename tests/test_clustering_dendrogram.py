@@ -1,4 +1,4 @@
-"""Dendrogram structure, traversal, and cophenetic distances."""
+"""Dendrogram structure and traversal."""
 
 import pytest
 
@@ -82,31 +82,9 @@ class TestTraversal:
         assert set(order) == {4, 5, 6}
         assert order == sorted(order, key=lambda n: (d.height(n), n), reverse=True)
 
-    def test_cophenetic(self):
-        d = simple_tree()
-        assert d.cophenetic_distance(0, 1) == 1.0
-        assert d.cophenetic_distance(2, 3) == 2.0
-        assert d.cophenetic_distance(0, 3) == 5.0
-        assert d.cophenetic_distance(1, 1) == 0.0
-
-    def test_cophenetic_requires_leaves(self):
-        with pytest.raises(ClusteringError):
-            simple_tree().cophenetic_distance(4, 0)
-
 
 class TestExport:
     def test_linkage_array_shape(self):
         arr = simple_tree().to_linkage_array()
         assert len(arr) == 3
         assert arr[0] == [0.0, 1.0, 1.0, 2.0]
-
-    def test_ascii_render(self):
-        text = simple_tree().render_ascii(labels=["a", "b", "c", "d"])
-        assert "a" in text and "d" in text
-        assert "h=5.000" in text
-
-    def test_ascii_render_caps_size(self):
-        d = Dendrogram(2, [Merge(0, 1, 1.0, 2)])
-        assert "leaf" in d.render_ascii() or "+" in d.render_ascii()
-        big = simple_tree()
-        assert "too large" in big.render_ascii(max_leaves=2)

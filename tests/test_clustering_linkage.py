@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clustering.cut import cut_by_height
-from repro.clustering.linkage import Linkage, agglomerate, cluster_assignments
+from repro.clustering.linkage import Linkage, agglomerate
 from repro.distance.matrix import CondensedMatrix, distance_matrix
 from repro.errors import ClusteringError
 
@@ -152,24 +152,6 @@ class TestInputValidation:
         values = np.array([1.0, 2.0, -1.0, 4.0, float("nan"), 6.0])
         with pytest.raises(ClusteringError, match=r"distance \(0, 3\) is -1.0"):
             agglomerate(CondensedMatrix(4, values), Linkage.SINGLE)
-
-
-class TestAssignments:
-    def test_assignments_partition(self):
-        d = agglomerate(matrix_from_points([0.0, 0.1, 10.0, 10.1]))
-        from repro.clustering.cut import cut_by_count
-
-        nodes = cut_by_count(d, 2)
-        assignment = cluster_assignments(d, nodes)
-        assert len(assignment) == 4
-        assert assignment[0] == assignment[1]
-        assert assignment[2] == assignment[3]
-        assert assignment[0] != assignment[2]
-
-    def test_incomplete_cover_rejected(self):
-        d = agglomerate(matrix_from_points([0.0, 1.0, 2.0]))
-        with pytest.raises(ClusteringError):
-            cluster_assignments(d, [0])  # leaf 1, 2 uncovered
 
 
 @settings(max_examples=25, deadline=None)

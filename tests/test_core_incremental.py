@@ -1,6 +1,5 @@
 """Incremental signature-set maintenance over traffic batches."""
 
-import pytest
 
 from repro.core.incremental import IncrementalSignatureSet
 from repro.signatures.conjunction import ConjunctionSignature
@@ -84,8 +83,15 @@ class TestRetirement:
         assert sum(counts.values()) == 4
 
 
-class TestConsolidationMatrixCache:
-    def test_material_retained_and_matrix_extended(self):
+def arrivals(incset):
+    """Packets the next consolidation takes in, in arrival order."""
+    return list(incset._carryover) + [
+        packet for packets in incset._exemplars.values() for packet in packets
+    ]
+
+
+class TestConsolidationMaterial:
+    def test_material_retained_across_consolidations(self):
         incset = IncrementalSignatureSet()
         incset.update([module_packet("alpha", i) for i in range(8)])
         incset.update([module_packet("alpha", i) for i in range(8, 16)])  # exemplars
@@ -95,11 +101,8 @@ class TestConsolidationMatrixCache:
         incset.update([module_packet("beta", i) for i in range(8)])
         incset.update([module_packet("beta", i) for i in range(8, 16)])
         incset.consolidate()
-        # Second consolidation extends the cached matrix instead of
-        # starting over: earlier material is still in the pool.
+        # Earlier material is still in the pool.
         assert incset.consolidation_material > first
-        matrix = incset._consolidation.matrix
-        assert matrix is not None and matrix.n == incset.consolidation_material
 
     def test_material_bounded_by_cap(self):
         incset = IncrementalSignatureSet(max_consolidation_material=10)
@@ -117,51 +120,37 @@ class TestConsolidationMatrixCache:
         assert incset.consolidate() == 0
         assert incset.consolidation_material == 0
 
-    def test_over_ceiling_prunes_and_extends_cached_matrix(self):
-        """Regression: overflowing the material cap used to throw the whole
-        cached matrix away and recompute every pair from scratch.  Now the
-        cache is pruned to the surviving window and extended via
-        ``DistanceEngine.extend`` — old surviving pairs are never paid twice."""
+    def test_window_is_newest_material_clustered_in_full(self, monkeypatch):
+        """Each consolidation clusters the newest ``max_consolidation_material``
+        packets in arrival order, over the engine's full matrix of them."""
         import numpy as np
 
+        from repro.core import incremental
         from repro.distance.engine import DistanceEngine
         from repro.distance.packet import PacketDistance
 
-        incset = IncrementalSignatureSet(max_consolidation_material=12)
-        incset.update([module_packet("alpha", i) for i in range(8)])
-        incset.update([module_packet("alpha", i) for i in range(8, 16)])
-        incset.consolidate()
-        assert incset.consolidation_material > 0
-        incset.update([module_packet("beta", i) for i in range(8)])
-        incset.update([module_packet("beta", i) for i in range(8, 16)])
-        pairs_before = incset._consolidation.engine.stats.n_pairs
-        incset.consolidate()
-        pairs_added = incset._consolidation.engine.stats.n_pairs - pairs_before
-        material = incset.consolidation_material
-        assert material <= 12
-        # The cached matrix stays bit-identical to a from-scratch build...
-        reference = DistanceEngine(PacketDistance.paper()).matrix(
-            incset._consolidation.items
-        )
-        assert np.array_equal(incset._consolidation.matrix.values, reference.values)
-        # ...while only the new-pair block was computed, not all pairs.
-        assert 0 < pairs_added < material * (material - 1) // 2
+        clustered = []
 
-    def test_over_ceiling_without_cached_matrix_rebuilds(self):
-        """The cache-miss path: no matrix survives to extend, so the window
-        is rebuilt outright — and the cache is coherent afterwards."""
+        def recording_agglomerate(matrix, linkage):
+            clustered.append(matrix)
+            return agglomerate(matrix, linkage)
+
+        agglomerate = incremental.agglomerate
+        monkeypatch.setattr(incremental, "agglomerate", recording_agglomerate)
         incset = IncrementalSignatureSet(max_consolidation_material=12)
-        incset.update([module_packet("alpha", i) for i in range(8)])
-        incset.update([module_packet("alpha", i) for i in range(8, 16)])
-        incset.consolidate()
-        incset._consolidation.matrix = None  # simulate a lost cache
-        incset.update([module_packet("beta", i) for i in range(8)])
-        incset.update([module_packet("beta", i) for i in range(8, 16)])
-        incset.consolidate()
-        material = incset.consolidation_material
-        assert 0 < material <= 12
-        matrix = incset._consolidation.matrix
-        assert matrix is not None and matrix.n == material
+        expected: list = []
+        for module in ("alpha", "beta", "gamma"):
+            incset.update([module_packet(module, i) for i in range(8)])
+            incset.update([module_packet(module, i) for i in range(8, 16)])
+            expected = (expected + arrivals(incset))[-12:]
+            incset.consolidate()
+            assert incset._material == expected
+            reference = DistanceEngine(PacketDistance.paper()).matrix(expected)
+            assert np.array_equal(clustered[-1].values, reference.values)
+        assert len(clustered) == 3
+        # The window overflowed: the first module's packets aged out.
+        assert len(expected) == 12
+        assert not any(packet.host == "ads.alpha.com" for packet in expected)
 
 
 class TestOnCorpus:

@@ -7,15 +7,13 @@ cutting the full matrix — the exact-mode losslessness proof made
 operational.
 """
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
 from repro.clustering.cut import cut_by_height
 from repro.clustering.linkage import Linkage, agglomerate
-from repro.distance.blocking import BlockingConfig, BlockingMode, assign_blocks
-from repro.distance.engine import DistanceEngine, MatrixCache, PairStream
+from repro.distance.blocking import BlockingConfig, assign_blocks
+from repro.distance.engine import DistanceEngine, PairStream
 from repro.distance.matrix import distance_matrix
 from repro.distance.packet import PacketDistance
 from repro.errors import DistanceError
@@ -42,10 +40,10 @@ def flat_clusters(matrix, linkage=Linkage.GROUP_AVERAGE):
     )
 
 
-def blocked_clusters(packets, full, mode=BlockingMode.EXACT, linkage=Linkage.GROUP_AVERAGE):
+def blocked_clusters(packets, full, linkage=Linkage.GROUP_AVERAGE):
     """Flat clusters of each block's slice of ``full``, in global indices."""
     assignment = assign_blocks(
-        packets, PacketDistance.paper(), BlockingConfig(mode=mode, threshold=THRESHOLD)
+        packets, PacketDistance.paper(), BlockingConfig(threshold=THRESHOLD)
     )
     clusters = []
     for block in assignment.blocks:
@@ -55,63 +53,7 @@ def blocked_clusters(packets, full, mode=BlockingMode.EXACT, linkage=Linkage.GRO
             continue
         for cluster in flat_clusters(full.subset(members), linkage):
             clusters.append([members[local] for local in cluster])
-    return sorted(clusters, key=lambda cluster: cluster[0]), assignment
-
-
-def partition_agreement(
-    ours: list[list[int]], reference: list[list[int]], n_items: int
-) -> dict:
-    """Pairwise co-membership agreement between two partitions.
-
-    Counting-based (contingency cells, no materialized pair sets).
-    Precision/recall are over same-cluster pairs with ``reference`` as
-    truth.
-    """
-    label_ours: dict[int, int] = {}
-    for cluster_id, members in enumerate(ours):
-        for member in members:
-            label_ours[member] = cluster_id
-    label_ref: dict[int, int] = {}
-    for cluster_id, members in enumerate(reference):
-        for member in members:
-            label_ref[member] = cluster_id
-
-    def same_pairs(counts: Counter) -> int:
-        return sum(count * (count - 1) // 2 for count in counts.values())
-
-    same_ours = same_pairs(Counter(label_ours.values()))
-    same_ref = same_pairs(Counter(label_ref.values()))
-    same_both = same_pairs(
-        Counter((label_ours[item], label_ref[item]) for item in range(n_items))
-    )
-    precision = same_both / same_ours if same_ours else 1.0
-    recall = same_both / same_ref if same_ref else 1.0
-    f1 = (
-        2 * precision * recall / (precision + recall)
-        if precision + recall
-        else 0.0
-    )
-    return {"precision": precision, "recall": recall, "f1": f1}
-
-
-class TestPartitionAgreement:
-    def test_identical_partitions(self):
-        result = partition_agreement([[0, 1, 2], [3, 4]], [[3, 4], [0, 1, 2]], 5)
-        assert result["precision"] == result["recall"] == result["f1"] == 1.0
-
-    def test_split_cluster_scores(self):
-        # ours splits the reference's single 4-cluster into two halves:
-        # all our co-pairs are true (precision 1), 2 of 6 survive (recall
-        # 1/3), F1 = 0.5.
-        result = partition_agreement([[0, 1], [2, 3]], [[0, 1, 2, 3]], 4)
-        assert result["precision"] == 1.0
-        assert result["recall"] == pytest.approx(1 / 3)
-        assert result["f1"] == pytest.approx(0.5)
-
-    def test_all_singletons_vs_one_cluster(self):
-        result = partition_agreement([[0], [1], [2]], [[0, 1, 2]], 3)
-        assert result["precision"] == 1.0  # vacuous: no same-pairs claimed
-        assert result["recall"] == 0.0
+    return sorted(clusters, key=lambda cluster: cluster[0])
 
 
 class TestBlockedMatrix:
@@ -137,15 +79,8 @@ class TestBlockedMatrix:
         "linkage", [Linkage.GROUP_AVERAGE, Linkage.SINGLE, Linkage.COMPLETE]
     )
     def test_threshold_cut_identical_to_full(self, packets, full, linkage):
-        blocked, __ = blocked_clusters(packets, full, linkage=linkage)
+        blocked = blocked_clusters(packets, full, linkage=linkage)
         assert blocked == flat_clusters(full, linkage)
-
-    def test_lsh_mode_cut_agrees_within_audit_floor(self, packets, full):
-        # LSH is approximate: the contract is an agreement floor, not identity.
-        blocked, assignment = blocked_clusters(packets, full, mode=BlockingMode.LSH)
-        assert assignment.stats.pairs_pruned > 0
-        agreement = partition_agreement(blocked, flat_clusters(full), len(packets))
-        assert agreement["f1"] >= 0.97
 
 
 class TestSubset:
@@ -170,28 +105,6 @@ class TestSubset:
     def test_subset_rejects_duplicates(self, full):
         with pytest.raises(DistanceError):
             full.subset([4, 4])
-
-
-class TestMatrixCachePrune:
-    def test_prune_keeps_exact_values_and_extends(self, packets):
-        cache = MatrixCache(DistanceEngine(PacketDistance.paper()))
-        cache.add(packets[:10])
-        cache.prune(range(4, 10))
-        reference = DistanceEngine(PacketDistance.paper()).matrix(packets[4:10])
-        assert len(cache) == 6
-        assert np.array_equal(cache.matrix.values, reference.values)
-        # A later add extends from the pruned state, not from scratch.
-        cache.add(packets[10:14])
-        extended_reference = DistanceEngine(PacketDistance.paper()).matrix(
-            packets[4:14]
-        )
-        assert np.array_equal(cache.matrix.values, extended_reference.values)
-
-    def test_prune_without_matrix_trims_items_only(self, packets):
-        cache = MatrixCache(DistanceEngine(PacketDistance.paper()))
-        cache.items = list(packets[:6])
-        assert cache.prune([2, 3]) is None
-        assert len(cache) == 2
 
 
 class TestPairStream:

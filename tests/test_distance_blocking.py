@@ -1,4 +1,4 @@
-"""Candidate-pair blocking: exact losslessness, LSH recall, determinism."""
+"""Candidate-pair blocking: exact losslessness and determinism."""
 
 import pytest
 
@@ -7,20 +7,14 @@ from repro.distance.blocking import (
     BlockingConfig,
     BlockingMode,
     ExactBlocker,
-    LshBlocker,
-    MinHasher,
     UnionFind,
     assign_blocks,
-    destination_block_key,
-    header_shingles,
-    header_tokens,
     make_blocker,
 )
 from repro.distance.matrix import distance_matrix
 from repro.distance.packet import PacketDistance
 from repro.errors import DistanceError
 from repro.simulation.corpus import mini_corpus
-from tests.conftest import make_packet
 
 
 def corpus_packets(seed: int, n: int = 70) -> list:
@@ -50,19 +44,11 @@ class TestConfig:
         with pytest.raises(DistanceError):
             BlockingConfig(threshold=0.0)
 
-    def test_bands_must_divide_hashes(self):
-        with pytest.raises(DistanceError):
-            BlockingConfig(num_hashes=32, bands=7)
-
-    def test_shingle_must_be_positive(self):
-        with pytest.raises(DistanceError):
-            BlockingConfig(shingle=0)
-
-    def test_to_dict_round_trips_policy(self):
-        data = BlockingConfig(mode=BlockingMode.LSH, threshold=0.9).to_dict()
-        assert data["mode"] == "lsh"
-        assert data["threshold"] == 0.9
-        assert data["num_hashes"] % data["bands"] == 0
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        # NaN fails every comparison, so ``threshold <= 0`` once let it through.
+        with pytest.raises(DistanceError, match="finite and positive"):
+            BlockingConfig(threshold=threshold)
 
 
 class TestUnionFind:
@@ -94,51 +80,6 @@ class TestUnionFind:
         uf.add(1)
         assert uf.union(0, 1) == (0, True)
         assert uf.union(1, 0) == (0, False)
-
-
-class TestHeaderFeatures:
-    def test_tokens_cover_request_line_and_cookie(self):
-        packet = make_packet(target="/imp?sid=abc", cookie="uid=xyz9")
-        tokens = header_tokens(packet)
-        assert "imp" in tokens and "abc" in tokens
-        assert "uid" in tokens and "xyz9" in tokens
-
-    def test_shingle_window_count(self):
-        packet = make_packet(target="/a?b=c&d=e&f=g")
-        tokens = header_tokens(packet)
-        shingles = header_shingles(packet, 3)
-        assert len(shingles) <= len(tokens) - 2  # distinct 3-windows
-
-    def test_short_input_yields_single_full_window(self):
-        packet = make_packet(target="/x")
-        tokens = header_tokens(packet)
-        assert len(header_shingles(packet, len(tokens) + 5)) == 1
-
-    def test_destination_key_includes_path_not_query(self):
-        packet = make_packet(host="h.example.com", port=8080, target="/p/q?x=1")
-        assert destination_block_key(packet) == "h.example.com:8080/p/q"
-
-
-class TestMinHasher:
-    def test_signatures_stable_across_instances(self):
-        shingles = {b"alpha", b"beta", b"gamma"}
-        assert (
-            MinHasher(16, seed=4).signature(shingles)
-            == MinHasher(16, seed=4).signature(shingles)
-        )
-
-    def test_seed_changes_signature(self):
-        shingles = {b"alpha", b"beta"}
-        assert MinHasher(16, seed=1).signature(shingles) != MinHasher(
-            16, seed=2
-        ).signature(shingles)
-
-    def test_empty_sets_collide(self):
-        hasher = MinHasher(8, seed=0)
-        assert hasher.signature(set()) == hasher.signature(set())
-
-    def test_signature_length(self):
-        assert len(MinHasher(24, seed=0).signature({b"x"})) == 24
 
 
 class TestExactBlocking:
@@ -190,14 +131,8 @@ class TestExactBlocking:
             len(b) * (len(b) - 1) // 2 for b in assignment.blocks
         )
         assert stats.pairs_pruned == stats.pairs_total - stats.pairs_within
-        assert 0.0 < stats.pruned_fraction < 1.0
+        assert 0 < stats.pairs_pruned < stats.pairs_total
         assert stats.largest_block == max(len(b) for b in assignment.blocks)
-        assert sorted(stats.to_dict()) == sorted(
-            [
-                "n_items", "n_blocks", "largest_block", "pairs_total",
-                "pairs_within", "pairs_pruned", "pruned_fraction",
-            ]
-        )
 
     def test_zero_destination_weight_is_one_vacuous_block(self):
         packets = corpus_packets(3, n=20)
@@ -222,35 +157,3 @@ class TestExactBlocking:
         assert isinstance(
             make_blocker(PacketDistance.paper(), BlockingConfig()), ExactBlocker
         )
-
-
-class TestLshBlocking:
-    @pytest.mark.parametrize("seed", [3, 7])
-    def test_recall_of_true_merge_pairs(self, seed):
-        """LSH is approximate; the bench audits it, the test floors it."""
-        packets = corpus_packets(seed)
-        metric = PacketDistance.paper()
-        config = BlockingConfig(mode=BlockingMode.LSH, threshold=1.2)
-        owner = block_of(assign_blocks(packets, metric, config))
-        matrix = distance_matrix(packets, metric)
-        caught = missed = 0
-        for i in range(len(packets)):
-            for j in range(i + 1, len(packets)):
-                if matrix.get(i, j) <= config.threshold:
-                    if owner[i] == owner[j]:
-                        caught += 1
-                    else:
-                        missed += 1
-        assert caught + missed > 0
-        assert caught / (caught + missed) >= 0.9
-
-    def test_generic_metric_allowed(self):
-        blocker = make_blocker(lambda a, b: abs(a - b), BlockingConfig(mode=BlockingMode.LSH))
-        assert isinstance(blocker, LshBlocker)
-
-    def test_shared_destination_key_joins_a_block(self):
-        config = BlockingConfig(mode=BlockingMode.LSH)
-        blocker = LshBlocker(config)
-        blocker.add(0, make_packet(target="/same/path?a=1"))
-        blocker.add(1, make_packet(target="/same/path?b=2"))
-        assert blocker.find(0) == blocker.find(1)

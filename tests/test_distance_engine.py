@@ -14,7 +14,6 @@ from repro.distance import engine as engine_module
 from repro.distance.engine import (
     DEFAULT_CHUNK_PAIRS,
     DistanceEngine,
-    MatrixCache,
     PairStream,
     usable_cpus,
 )
@@ -83,59 +82,6 @@ class TestBitIdentical:
             reference = distance_matrix(packets, metric)
             built = DistanceEngine(metric, workers=2, chunk_pairs=16).matrix(packets)
             assert np.array_equal(built.values, reference.values)
-
-
-class TestIncrementalExtension:
-    def test_extension_equals_full_rebuild(self, packets):
-        engine = DistanceEngine(PacketDistance.paper())
-        base = engine.matrix(packets[:9])
-        extended = engine.extend(base, packets[:9], packets[9:])
-        full = engine.matrix(packets)
-        assert extended.n == full.n
-        assert np.array_equal(extended.values, full.values)
-
-    def test_extension_parallel(self, packets):
-        serial = DistanceEngine(PacketDistance.paper())
-        parallel = DistanceEngine(PacketDistance.paper(), workers=2, chunk_pairs=8)
-        base = serial.matrix(packets[:9])
-        assert np.array_equal(
-            parallel.extend(base, packets[:9], packets[9:]).values,
-            serial.matrix(packets).values,
-        )
-
-    def test_extension_computes_only_new_pairs(self, packets):
-        engine = DistanceEngine(PacketDistance.paper())
-        base = engine.matrix(packets[:10])
-        engine.extend(base, packets[:10], packets[10:14])
-        assert engine.stats.n_pairs == 10 * 4 + 4 * 3 // 2
-
-    def test_empty_extension_copies(self, packets):
-        engine = DistanceEngine(PacketDistance.paper())
-        base = engine.matrix(packets[:5])
-        same = engine.extend(base, packets[:5], [])
-        assert same.n == 5
-        assert np.array_equal(same.values, base.values)
-
-    def test_mismatched_base_rejected(self, packets):
-        engine = DistanceEngine(PacketDistance.paper())
-        base = engine.matrix(packets[:5])
-        with pytest.raises(DistanceError):
-            engine.extend(base, packets[:6], packets[6:8])
-
-    def test_matrix_cache_grows_incrementally(self, packets):
-        cache = MatrixCache(DistanceEngine(PacketDistance.paper()))
-        cache.add(packets[:6])
-        cache.add(packets[6:10])
-        full = DistanceEngine(PacketDistance.paper()).matrix(packets[:10])
-        assert len(cache) == 10
-        assert np.array_equal(cache.matrix.values, full.values)
-
-    def test_matrix_cache_rebuild(self, packets):
-        cache = MatrixCache(DistanceEngine(PacketDistance.paper()))
-        cache.add(packets[:6])
-        cache.rebuild(packets[4:8])
-        assert len(cache) == 4
-        assert cache.matrix.n == 4
 
 
 class TestCacheAccounting:

@@ -77,6 +77,14 @@ class TestDistanceMatrix:
         with pytest.raises(DistanceError):
             m.get(0, 5)
 
+    @pytest.mark.parametrize("index", [3, 7, -1])
+    def test_out_of_range_diagonal(self, index):
+        # The diagonal short-circuit once returned 0.0 for any i == j.
+        m = distance_matrix([0.0, 1.0, 3.0], abs_metric)
+        with pytest.raises(DistanceError, match="out of range for n=3"):
+            m.get(index, index)
+        assert m.get(2, 2) == 0.0
+
     def test_wrong_vector_length_rejected(self):
         with pytest.raises(DistanceError):
             CondensedMatrix(3, np.zeros(2))

@@ -1,11 +1,10 @@
-"""Held-out evaluation, learning curves, k-fold recall."""
+"""Held-out evaluation and learning curves."""
 
 import pytest
 
 from repro.errors import ReproError
 from repro.eval.crossval import (
     holdout_evaluation,
-    kfold_recall,
     learning_curve,
 )
 
@@ -57,27 +56,3 @@ class TestLearningCurve:
         suspicious, normal = groups
         curve = learning_curve(suspicious, normal, [10, 30], seed=3)
         assert [r.n_train for r in curve] == [10, 30]
-
-
-class TestKfold:
-    def test_fold_count_and_coverage(self, groups):
-        suspicious, normal = groups
-        results = kfold_recall(suspicious, normal, k=3, seed=1, max_train=80)
-        assert len(results) == 3
-        assert sum(r.n_heldout for r in results) == len(suspicious)
-
-    def test_recall_stable_across_folds(self, groups):
-        suspicious, normal = groups
-        results = kfold_recall(suspicious, normal, k=3, seed=1, max_train=80)
-        recalls = [r.heldout_recall for r in results]
-        assert max(recalls) - min(recalls) < 0.35
-
-    def test_invalid_k_rejected(self, groups):
-        suspicious, normal = groups
-        with pytest.raises(ReproError):
-            kfold_recall(suspicious, normal, k=1)
-
-    def test_too_little_data_rejected(self, groups):
-        __, normal = groups
-        with pytest.raises(ReproError):
-            kfold_recall(normal[:5], normal, k=5)

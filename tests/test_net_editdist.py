@@ -1,10 +1,10 @@
-"""Edit distance: exact values, the banded variant, and metric properties."""
+"""Edit distance: exact values and metric properties."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.editdist import levenshtein, levenshtein_within, normalized_levenshtein
+from repro.net.editdist import levenshtein, normalized_levenshtein
 
 short_text = st.text(alphabet="abcdz.", max_size=12)
 
@@ -28,34 +28,6 @@ class TestLevenshtein:
 
     def test_works_on_sequences(self):
         assert levenshtein([1, 2, 3], [1, 3]) == 1
-
-
-class TestBanded:
-    def test_within_cutoff_agrees_with_exact(self):
-        assert levenshtein_within("kitten", "sitting", 3) == 3
-
-    def test_exceeding_cutoff_returns_none(self):
-        assert levenshtein_within("kitten", "sitting", 2) is None
-
-    def test_length_gap_short_circuits(self):
-        assert levenshtein_within("a", "abcdefgh", 3) is None
-
-    def test_zero_cutoff(self):
-        assert levenshtein_within("same", "same", 0) == 0
-        assert levenshtein_within("same", "sane", 0) is None
-
-    def test_negative_cutoff_rejected(self):
-        with pytest.raises(ValueError):
-            levenshtein_within("a", "b", -1)
-
-    @given(short_text, short_text, st.integers(0, 6))
-    def test_matches_exact_within_band(self, a, b, cutoff):
-        exact = levenshtein(a, b)
-        banded = levenshtein_within(a, b, cutoff)
-        if exact <= cutoff:
-            assert banded == exact
-        else:
-            assert banded is None
 
 
 class TestNormalized:

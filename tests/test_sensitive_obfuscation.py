@@ -1,17 +1,11 @@
-"""Obfuscation transforms, wire encodings, and their stability classes."""
+"""Obfuscation transforms and their stability classes."""
 
 from random import Random
 
 import pytest
 
 from repro.sensitive.obfuscation import (
-    DETECTABLE_WIRE_ENCODINGS,
     Obfuscation,
-    WireEncoding,
-    decode_chain,
-    decode_wire,
-    encode_chain,
-    encode_wire,
     obfuscate,
     obfuscated_leak_packets,
 )
@@ -62,66 +56,6 @@ class TestTransforms:
         assert Obfuscation.XOR_FIXED_KEY in stable
         assert Obfuscation.SALTED_HASH_PER_APP not in stable
         assert Obfuscation.RANDOM_NONCE_HASH not in stable
-
-
-class TestWireEncodings:
-    """Every WireEncoding is a bijection; chains compose and invert."""
-
-    VALUES = ("deadbeefcafe0123", "358537041234567", "value with spaces=&?")
-
-    @pytest.mark.parametrize("encoding", list(WireEncoding))
-    def test_single_round_trip(self, encoding):
-        for value in self.VALUES:
-            if encoding is WireEncoding.UPPER_HEX and value != "deadbeefcafe0123":
-                continue
-            assert decode_wire(encode_wire(value, encoding), encoding) == value
-
-    def test_upper_hex_rejects_non_hex(self):
-        with pytest.raises(ValueError):
-            encode_wire("not hex!", WireEncoding.UPPER_HEX)
-
-    @pytest.mark.parametrize(
-        "chain",
-        [
-            (WireEncoding.BASE64, WireEncoding.GZIP_BASE64),
-            (WireEncoding.UPPER_HEX, WireEncoding.PERCENT),
-            (WireEncoding.HEX_BYTES, WireEncoding.BASE64),
-            (WireEncoding.PERCENT, WireEncoding.BASE64, WireEncoding.GZIP_BASE64),
-        ],
-    )
-    def test_composed_chain_round_trips(self, chain):
-        value = "deadbeefcafe0123"
-        encoded = encode_chain(value, chain)
-        assert encoded != value
-        assert decode_chain(encoded, chain) == value
-
-    def test_gzip_output_is_deterministic(self):
-        a = encode_wire("deadbeefcafe0123", WireEncoding.GZIP_BASE64)
-        b = encode_wire("deadbeefcafe0123", WireEncoding.GZIP_BASE64)
-        assert a == b  # mtime pinned to 0: replayable across runs
-
-    def test_hex_then_split_reassembles(self):
-        """The arena's split-then-exfiltrate shape: a hex-encoded value cut
-        into chunks still decodes once the chunks are rejoined."""
-        value = "358537041234567"
-        encoded = encode_wire(value, WireEncoding.HEX_BYTES)
-        parts = [encoded[:8], encoded[8:20], encoded[20:]]
-        assert decode_wire("".join(parts), WireEncoding.HEX_BYTES) == value
-
-    def test_detectable_subset_stays_in_the_spelling_table(self):
-        """Encoding churn is only leak-preserving because every detectable
-        encoding of a canonical value is in ``wire_spellings``."""
-        from repro.sensitive.transforms import wire_spellings
-
-        value = "deadbeefcafe0123"
-        spellings = set(wire_spellings(value))
-        for encoding in DETECTABLE_WIRE_ENCODINGS:
-            encoded = encode_wire(value, encoding)
-            if encoded != value:
-                assert encoded in spellings, encoding
-        # ...and the reserved encodings indeed escape the table.
-        for encoding in (WireEncoding.HEX_BYTES, WireEncoding.GZIP_BASE64):
-            assert encode_wire(value, encoding) not in spellings
 
 
 class TestLeakPackets:

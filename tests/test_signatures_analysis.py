@@ -1,4 +1,4 @@
-"""Signature-set analytics: coverage, verbosity, overlap, prompt rate."""
+"""Signature-set analytics: coverage, verbosity, prompt rate."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.sensitive.payload_check import PayloadCheck
 from repro.signatures.analysis import (
     coverage_by_label,
     expected_prompt_rate,
-    overlap_matrix,
     render_coverage,
     verbosity_report,
 )
@@ -64,28 +63,6 @@ class TestVerbosity:
     def test_sorted_by_token_mass(self):
         reports = verbosity_report([sig("longertoken=abc"), sig("tiny1")])
         assert reports[0].total_token_length <= reports[1].total_token_length
-
-
-class TestOverlap:
-    def test_cofiring_counted(self):
-        a = sig("alpha=1")
-        b = sig("beta=2")
-        both = make_packet(target="/x?alpha=1&beta=2")
-        only_a = make_packet(target="/y?alpha=1")
-        overlaps = overlap_matrix([a, b], [both, only_a, both])
-        assert overlaps == {(0, 1): 2}
-
-    def test_no_overlap_empty(self):
-        a = sig("alpha=1")
-        b = sig("beta=2")
-        packets = [make_packet(target="/x?alpha=1"), make_packet(target="/y?beta=2")]
-        assert overlap_matrix([a, b], packets) == {}
-
-    def test_scope_respected(self):
-        a = sig("alpha=1", scope="one.com")
-        b = sig("alpha=1", scope="two.net")
-        packet = make_packet(host="x.one.com", target="/p?alpha=1")
-        assert overlap_matrix([a, b], [packet]) == {}
 
 
 class TestPromptRate:
