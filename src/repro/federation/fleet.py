@@ -38,7 +38,7 @@ from repro.errors import FederationError
 from repro.eval.crossval import generate_from
 from repro.federation.aggregate import FederatedAggregator, SupportStore
 from repro.federation.faults import DeviceFaultKind, DeviceFaultPlan
-from repro.federation.ingest import FleetIngest, IngestConfig, ReportStatus
+from repro.federation.ingest import FleetIngest, IngestConfig
 from repro.federation.report import DeviceReport, encode_report, token_for
 from repro.http.packet import HttpPacket
 from repro.obs import NULL_OBS, Observability

@@ -32,7 +32,6 @@ from repro.obs.slo import (
     BurnRule,
     SloEngine,
     SloObjective,
-    replay_access_log,
 )
 from repro.obs.tracer import Span, Tracer, deterministic_run_id
 

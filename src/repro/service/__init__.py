@@ -21,8 +21,9 @@ dependencies) that exposes:
 
 Persistence sits behind :class:`SignatureRepository` /
 :class:`ReportRepository` interfaces with in-memory and sqlite (WAL)
-implementations; envelope checksums are re-verified on every read and a
-corrupt row degrades to the last known good version, mirroring
+implementations; a read verifies any stored envelope text other than the
+last one that verified, and a corrupt row degrades to the last known good
+version, mirroring
 :class:`~repro.core.distribution.SignatureFetcher`.
 """
 

@@ -9,13 +9,15 @@ tests) never touch a backend directly:
 - :class:`SignatureRepository` — append-only version history of published
   :class:`~repro.signatures.store.SignatureEnvelope` documents.  Writes
   verify the envelope (checksum, monotonic ``set_version``) before
-  anything is persisted; reads **re-verify the checksum** and degrade to
-  the newest still-valid version when a row is corrupt — the same
-  last-known-good posture as
+  anything is persisted.  Reads compare the stored text with the last
+  text that verified: the same text returns its envelope, any other text
+  is **verified again**, and a row that fails degrades the read to the
+  newest still-valid version — the same last-known-good posture as
   :class:`~repro.core.distribution.SignatureFetcher`, applied to disk
-  instead of the network.  The stored document text round-trips verbatim,
-  so a fetch through the service returns byte-identical JSON to what was
-  published.
+  instead of the network.  A failing text is never kept, so it fails,
+  and counts, on every read.  The stored document text round-trips
+  verbatim, so a fetch through the service returns byte-identical JSON
+  to what was published.
 - :class:`ReportRepository` — accepted fleet reports (post-ingest, so
   everything stored already passed validation and replay defense), keyed
   ``(device_id, seq)`` with per-token support counts for aggregation.
@@ -144,6 +146,47 @@ class ReportRepository(ABC):
         """Distinct-device support per token (the k-anonymity numerator)."""
 
 
+class _VerifiedEnvelopes:
+    """Read-time verification shared by both signature repositories.
+
+    Keeps the last ``(document, envelope)`` pair that verified.  A read
+    of the same text (``==``, under a microsecond on the bench's 6 KB
+    envelope against about 0.2 ms to verify) returns the kept envelope;
+    any other text is verified by
+    :meth:`~repro.signatures.store.SignatureStore.loads_envelope` and kept
+    if it passes.  A text that fails is never kept, so it fails, and
+    counts as a corrupt read, every time it is read.  Keyed by the text,
+    not by ``set_version``: a row rewritten at rest keeps its version.
+    """
+
+    def __init__(self) -> None:
+        self._kept: tuple[str, SignatureEnvelope] | None = None
+        self._corrupt_reads = 0
+        self._count_lock = threading.Lock()
+
+    def keep(self, document: str, envelope: SignatureEnvelope) -> None:
+        """Remember a pair verified elsewhere (a store that just committed)."""
+        self._kept = (document, envelope)
+
+    def read(self, document: Any) -> SignatureEnvelope | None:
+        """The envelope of one stored document; ``None`` (counted) if it fails."""
+        kept = self._kept
+        if kept is not None and kept[0] == document:
+            return kept[1]
+        try:
+            envelope = SignatureStore.loads_envelope(document)
+        except SignatureStoreError:
+            with self._count_lock:
+                self._corrupt_reads += 1
+            return None
+        self._kept = (document, envelope)
+        return envelope
+
+    def corrupt_reads(self) -> int:
+        with self._count_lock:
+            return self._corrupt_reads
+
+
 # ---------------------------------------------------------------------------
 # in-memory backend
 # ---------------------------------------------------------------------------
@@ -154,7 +197,7 @@ class InMemorySignatureRepository(SignatureRepository):
 
     def __init__(self) -> None:
         self._documents: dict[int, str] = {}
-        self._corrupt_reads = 0
+        self._verified = _VerifiedEnvelopes()
         self._lock = threading.Lock()
 
     def store(self, document: str) -> SignatureEnvelope:
@@ -167,6 +210,7 @@ class InMemorySignatureRepository(SignatureRepository):
                     f"<= stored {newest}"
                 )
             self._documents[envelope.set_version] = document
+            self._verified.keep(document, envelope)
         return envelope
 
     def latest_version(self) -> int:
@@ -177,11 +221,8 @@ class InMemorySignatureRepository(SignatureRepository):
         document = self._documents.get(version)
         if document is None:
             return None
-        try:
-            return document, SignatureStore.loads_envelope(document)
-        except SignatureStoreError:
-            self._corrupt_reads += 1
-            return None
+        envelope = self._verified.read(document)
+        return None if envelope is None else (document, envelope)
 
     def latest(self) -> tuple[str, SignatureEnvelope] | None:
         with self._lock:
@@ -200,8 +241,7 @@ class InMemorySignatureRepository(SignatureRepository):
             return sorted(self._documents)
 
     def corrupt_reads(self) -> int:
-        with self._lock:
-            return self._corrupt_reads
+        return self._verified.corrupt_reads()
 
     # test hook: simulate at-rest corruption of one stored version
     def corrupt(self, set_version: int, text: str) -> None:
@@ -342,12 +382,11 @@ class SqliteStore:
 
 
 class SqliteSignatureRepository(SignatureRepository):
-    """Envelope history in ``signature_envelopes``, verified on every read."""
+    """Envelope history in ``signature_envelopes``, read through :class:`_VerifiedEnvelopes`."""
 
     def __init__(self, store: SqliteStore) -> None:
         self.store_backend = store
-        self._corrupt_reads = 0
-        self._count_lock = threading.Lock()
+        self._verified = _VerifiedEnvelopes()
 
     def store(self, document: str) -> SignatureEnvelope:
         envelope = SignatureStore.loads_envelope(document)
@@ -366,6 +405,7 @@ class SqliteSignatureRepository(SignatureRepository):
             raise ServiceError(
                 f"set_version {envelope.set_version} already stored"
             ) from exc
+        self._verified.keep(document, envelope)
         return envelope
 
     def latest_version(self) -> int:
@@ -374,20 +414,12 @@ class SqliteSignatureRepository(SignatureRepository):
         ).fetchone()
         return row[0] or 0
 
-    def _verify(self, document: str) -> SignatureEnvelope | None:
-        try:
-            return SignatureStore.loads_envelope(document)
-        except SignatureStoreError:
-            with self._count_lock:
-                self._corrupt_reads += 1
-            return None
-
     def latest(self) -> tuple[str, SignatureEnvelope] | None:
         rows = self.store_backend.connection().execute(
             "SELECT document FROM signature_envelopes ORDER BY set_version DESC"
         )
         for (document,) in rows:
-            envelope = self._verify(document)
+            envelope = self._verified.read(document)
             if envelope is not None:
                 return document, envelope
         return None
@@ -399,7 +431,7 @@ class SqliteSignatureRepository(SignatureRepository):
         ).fetchone()
         if row is None:
             return None
-        envelope = self._verify(row[0])
+        envelope = self._verified.read(row[0])
         if envelope is None:
             return None
         return row[0], envelope
@@ -411,8 +443,7 @@ class SqliteSignatureRepository(SignatureRepository):
         return [row[0] for row in rows]
 
     def corrupt_reads(self) -> int:
-        with self._count_lock:
-            return self._corrupt_reads
+        return self._verified.corrupt_reads()
 
 
 class SqliteReportRepository(ReportRepository):

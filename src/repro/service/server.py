@@ -29,6 +29,11 @@ prior layer built, one route each:
                             :meth:`~repro.serving.gateway.ScreeningGateway.health_snapshot`
 ==========================  ====================================================
 
+The handler keeps the stdlib's socket loop but reads each request head
+itself (:func:`parse_header_block`, no ``email`` message), reads any
+declared body whether or not the route uses it, and writes each reply,
+the same bytes the stdlib's calls wrote, in one ``send``.
+
 Request handling is thread-per-request; the gateway and ingest plane are
 each guarded by a lock, so one screening episode or publish is atomic
 while sqlite WAL lets readers proceed.  Every unexpected exception is
@@ -41,13 +46,16 @@ returns, so a trace written after it holds their spans.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from email.utils import formatdate
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ServiceError, SignatureStoreError
@@ -96,6 +104,72 @@ DRAIN_POLL_S = 0.01
 #: reach a client still sending before it reads the reply.
 UNREAD_BODY_DRAIN_BYTES = 8 * 1024 * 1024
 UNREAD_BODY_DRAIN_WAIT_S = 0.25
+
+#: Bounds on a request head, as ``http.client`` sets them: bytes per line,
+#: and lines per head with the blank line that ends it.
+MAX_HEAD_LINE_BYTES = 65536
+MAX_HEAD_LINES = 100
+
+#: One entry of a header block (see :func:`parse_header_block`): a ``From``
+#: line or a stray continuation, with no name, or a field with its
+#: continuation lines.
+_HEADER_ENTRY = re.compile(
+    r"(?:From |[\t ])[^\r\n]*(?:\r\n|\r|\n)?"
+    r"|([!-9;-~]*):[ \t]*([^\r\n]*(?:(?:\r\n|\r|\n)[\t ][^\r\n]*)*)(?:\r\n|\r|\n)?"
+)
+
+
+class RequestHeaders(dict):
+    """Header fields by lower-cased name, the first of each name kept.
+
+    :meth:`get` answers as ``http.client.HTTPMessage.get`` does, for the
+    names the handler reads.
+    """
+
+    __slots__ = ()
+
+    def get(self, name: str, default: Any = None) -> Any:
+        return dict.get(self, name.lower(), default)
+
+
+def parse_header_block(lines: list[bytes]) -> RequestHeaders:
+    """The header fields of a request head, as ``http.client.parse_headers`` reads them.
+
+    ``lines`` are the head's lines after the request line, as read from
+    the socket, the blank line that ends the head included.  The values
+    are those the stdlib's ``email`` parser gives, a line break being CR
+    LF, a lone CR or a lone LF: a field name is printable ASCII up to the
+    first colon; the value drops the blanks after the colon, keeps those
+    at its end, and keeps each continuation line (one that starts with a
+    blank) with the break before it.  A continuation with no field before
+    it, a field with an empty name and a ``From`` line are skipped, and
+    the first line that is none of these ends the block: no field after
+    it is read.
+    """
+    text = b"".join(lines).decode("latin-1")
+    fields = RequestHeaders()
+    position = 0
+    while entry := _HEADER_ENTRY.match(text, position):
+        name, value = entry.groups()
+        if name:  # an empty name is skipped too
+            fields.setdefault(name.lower(), value)
+        position = entry.end()
+    return fields
+
+
+#: The ``Date`` header line of the current second: ``(second, line)``.
+_date_line: tuple[int, bytes] = (-1, b"")
+
+
+def date_header_line() -> bytes:
+    """``Date: ...`` for now, formatted at most once per second."""
+    global _date_line
+    now = int(time.time())
+    second, line = _date_line
+    if second != now:
+        line = f"Date: {formatdate(now, usegmt=True)}\r\n".encode("latin-1")
+        _date_line = (now, line)
+    return line
 
 
 @dataclass(frozen=True, slots=True)
@@ -441,9 +515,105 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # replaced by the structured access log in observe_request
 
+    # -- request head -------------------------------------------------------------
+
+    def parse_request(self) -> bool:
+        """Read the request line and header block, as the stdlib does, in one pass.
+
+        Same limits, statuses and header values as
+        ``BaseHTTPRequestHandler.parse_request``, which hands the header
+        lines to ``http.client.parse_headers`` and so to the ``email``
+        parser; :func:`parse_header_block` reads them without building a
+        message.  ``True`` when the request can be routed; otherwise an
+        error reply has been sent, or, for a blank request line, nothing.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                base_version_number = version.split("/", 1)[1]
+                major, minor = base_version_number.split(".")
+                if not (major.isdigit() and minor.isdigit()):
+                    raise ValueError
+                if len(major) > 10 or len(minor) > 10:
+                    raise ValueError
+                number = int(major), int(minor)
+            except ValueError:
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})")
+                return False
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    f"Invalid HTTP version ({base_version_number})",
+                )
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        self.command = command
+        # As the stdlib does, against an open redirect: '//x' is a path, not a host.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+
+        lines: list[bytes] = []
+        while True:
+            line = self.rfile.readline(MAX_HEAD_LINE_BYTES + 1)
+            if len(line) > MAX_HEAD_LINE_BYTES:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"got more than {MAX_HEAD_LINE_BYTES} bytes when reading header line",
+                )
+                return False
+            lines.append(line)
+            if len(lines) > MAX_HEAD_LINES:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Too many headers",
+                    f"got more than {MAX_HEAD_LINES} headers",
+                )
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+        self.headers = headers = parse_header_block(lines)
+
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            headers.get("expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
     # -- plumbing -----------------------------------------------------------------
 
     def _body(self) -> bytes | None:
+        """The declared body, read whole; ``None`` once a 400 or 413 has been sent.
+
+        Every request's body is read, also where the route ignores it:
+        left unread, it would be parsed as the next request.
+        """
         declared = self.headers.get("Content-Length") or "0"
         limit = self.service.config.max_body_bytes
         if not (declared.isascii() and declared.isdigit()):
@@ -476,37 +646,51 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except OSError:  # the wait ran out, or the client reset first
             pass
 
-    def _respond(self, status: int, payload: bytes, content_type: str, **headers: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in headers.items():
-            self.send_header(name.replace("_", "-"), value)
-        self.end_headers()
-        if payload:
-            self.wfile.write(payload)
+    def _respond(
+        self, status: int, payload: bytes, content_type: str | None, **headers: str
+    ) -> None:
+        """Write one reply, head and body, in a single write.
+
+        The bytes are those ``send_response``, ``send_header`` and
+        ``end_headers`` write: status line, ``Server``, ``Date``, then
+        ``Content-Type`` (when given), ``Content-Length`` and ``headers``
+        (``_`` in a name becomes ``-``).  An HTTP/0.9 request gets the body
+        alone.
+        """
+        if self.request_version == "HTTP/0.9":
+            reply = payload
+        else:
+            phrase = self.responses[status][0] if status in self.responses else ""
+            start = f"{self.protocol_version} {status} {phrase}\r\n"
+            start += f"Server: {self.version_string()}\r\n"
+            fields = f"Content-Length: {len(payload)}\r\n"
+            if content_type is not None:
+                fields = f"Content-Type: {content_type}\r\n" + fields
+            for name, value in headers.items():
+                fields += f"{name.replace('_', '-')}: {value}\r\n"
+            head = start.encode("latin-1") + date_header_line() + fields.encode("latin-1")
+            reply = head + b"\r\n" + payload
+        if reply:
+            self.wfile.write(reply)
         self.last_status = status
         self.service.metrics.inc(f"service_responses_{status}")
 
     def _respond_json(self, status: int, payload: dict[str, Any], **headers: str) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
         if status == 304:  # 304 carries no body by spec
-            self.send_response(status)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-            self.last_status = 304
-            self.service.metrics.inc("service_responses_304")
+            self._respond(304, b"", None, **headers)
             return
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self._respond(status, body, "application/json", **headers)
 
-    def _guard(self, route: str, handler) -> None:
-        """Run one route inside its trace span, mapping escapes to a 500.
+    def _guard(self, route: str, handler: Callable[[bytes], None]) -> None:
+        """Read the body and run one route on it, inside its trace span.
 
-        A traced route span keeps the client's ``traceparent`` context
-        when one arrived; either way the request lands in the access
-        accounting (histogram, access log, flight recorder) with the
-        status the client actually saw.  The request counts as in flight
-        until its access line is written, so a stop drains it whole.
+        An escape from the route maps to a 500.  A traced route span keeps
+        the client's ``traceparent`` context when one arrived; either way
+        the request lands in the access accounting (histogram, access
+        log, flight recorder) with the status the client actually saw.
+        The request counts as in flight until its access line is written,
+        so a stop drains it whole.
         """
         service = self.service
         with self.server.in_flight():  # type: ignore[attr-defined]
@@ -516,7 +700,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             started = time.perf_counter()
             with service.span(route, context=context, route=route) as span:
                 try:
-                    handler()
+                    body = self._body()
+                    if body is not None:
+                        handler(body)
                 except BrokenPipeError:  # client went away mid-response
                     service.metrics.inc("service_client_disconnects")
                 except Exception as exc:  # noqa: BLE001 — the zero-5xx budget counts these
@@ -543,19 +729,19 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
         url = urlsplit(self.path)
         if url.path == "/v1/signatures":
-            self._guard("fetch", lambda: self._get_signatures(url.query))
+            self._guard("fetch", lambda __: self._get_signatures(url.query))
         elif url.path == "/metrics":
             self._guard(
                 "metrics",
-                lambda: self._respond(
+                lambda __: self._respond(
                     200,
                     self.service.metrics_text().encode("utf-8"),
                     "text/plain; version=0.0.4",
                 ),
             )
         elif url.path == "/healthz":
-            self._guard("healthz", lambda: self._respond_json(*self.service.health()))
-        else:
+            self._guard("healthz", lambda __: self._respond_json(*self.service.health()))
+        elif self._body() is not None:
             self._respond_json(404, {"error": f"no route {url.path}"})
 
     def do_POST(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
@@ -563,10 +749,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if url.path == "/v1/signatures":
             self._guard("publish", self._post_signatures)
         elif url.path == "/v1/screen":
-            self._guard("screen", lambda: self._post_json(self.service.screen))
+            self._guard("screen", lambda body: self._post_json(self.service.screen, body))
         elif url.path == "/v1/reports":
-            self._guard("reports", lambda: self._post_json(self.service.ingest_reports))
-        else:
+            self._guard("reports", lambda body: self._post_json(self.service.ingest_reports, body))
+        elif self._body() is not None:
             self._respond_json(404, {"error": f"no route {url.path}"})
 
     def _get_signatures(self, query: str) -> None:
@@ -587,16 +773,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             200, payload.encode("utf-8"), "application/json", X_Set_Version=str(version)
         )
 
-    def _post_signatures(self) -> None:
-        body = self._body()
-        if body is None:
-            return
+    def _post_signatures(self, body: bytes) -> None:
         self._respond_json(*self.service.publish(body.decode("utf-8", errors="replace")))
 
-    def _post_json(self, endpoint) -> None:
-        body = self._body()
-        if body is None:
-            return
+    def _post_json(self, endpoint, body: bytes) -> None:
         try:
             decoded = json.loads(body.decode("utf-8", errors="replace"))
         except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
@@ -691,7 +871,11 @@ class ServiceServer:
         Waits at most :data:`DRAIN_TIMEOUT_S` for requests already inside
         a route; returns ``False`` if some were still running then.
         """
-        self.httpd.shutdown()
+        if self._thread is not None:
+            # Only a loop on another thread needs asking to end.  One on the
+            # calling thread has returned already, or never started (an
+            # interrupt before it did), and ``shutdown`` would wait forever.
+            self.httpd.shutdown()
         drained = self.httpd.drain(DRAIN_TIMEOUT_S)
         self.httpd.server_close()
         if self._thread is not None:

@@ -10,7 +10,7 @@ is what keeps false positives low.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import SignatureError

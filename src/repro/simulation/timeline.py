@@ -19,7 +19,7 @@ of periodic regeneration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.android.app import Application
 from repro.android.device import Device

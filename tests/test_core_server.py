@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.server import ServerConfig, SignatureServer
+from repro.core.server import SignatureServer
 from repro.dataset.trace import Trace
 from repro.errors import SignatureError
 from repro.sensitive.payload_check import PayloadCheck

@@ -4,7 +4,6 @@ import hashlib
 
 from repro.dataset.redact import TraceRedactor
 from repro.dataset.trace import Trace
-from repro.sensitive.payload_check import PayloadCheck
 from tests.conftest import make_packet
 
 

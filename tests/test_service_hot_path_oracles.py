@@ -11,12 +11,31 @@ touches.  The ``/v1/screen`` reply writer is checked byte for byte
 against ``json.dumps`` of the records it replaced.  The wire decoders are
 fuzzed too: arbitrary JSON must yield a typed error, never an escaping
 ``AttributeError`` or ``OverflowError``.
+
+The fleet request path is checked the same way.  The service handler's
+own request-head reader runs against the stdlib's ``parse_request`` (with
+``http.client.parse_headers`` and so the ``email`` parser): the same
+replies, state and header values on structured heads and arbitrary bytes.
+Its reply writer runs against ``send_response``/``send_header``/
+``end_headers``: the same bytes, ``Date`` aside, in one write.  And both
+signature repositories, which keep the last envelope text that verified,
+run against a reference that verifies on every read, over seeded
+sequences of publishes, at-rest corruption and reads.
 """
 
 import ast
+import http.client
+import io
 import json
 import math
+import re
+import socket
+import tempfile
 from dataclasses import FrozenInstanceError
+from email.utils import formatdate
+from http.server import BaseHTTPRequestHandler
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, seed, settings
@@ -27,6 +46,7 @@ from repro.errors import (
     ParseError,
     ReportValidationError,
     ServiceError,
+    SignatureStoreError,
 )
 from repro.federation.report import (
     DeviceReport,
@@ -40,7 +60,22 @@ from repro.http.packet import Destination, HttpPacket
 from repro.http.parser import parse_request
 from repro.net.fqdn import _MULTI_LABEL_SUFFIXES, normalize_host, registered_domain
 from repro.net.ipv4 import IPv4Address
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, Metrics
+from repro.service import server as server_module
+from repro.service.repository import (
+    InMemorySignatureRepository,
+    SqliteSignatureRepository,
+    SqliteStore,
+)
+from repro.service.server import (
+    MAX_HEAD_LINE_BYTES,
+    MAX_HEAD_LINES,
+    ServiceConfig,
+    ServiceServer,
+    SignatureService,
+    _ServiceHandler,
+    date_header_line,
+)
 from repro.service.wire import (
     decode_event,
     encode_event,
@@ -60,7 +95,7 @@ from repro.serving.loadgen import ScreeningEvent
 from repro.serving.telemetry import DEPTH_BOUNDS, LATENCY_BOUNDS
 from repro.signatures.conjunction import ConjunctionSignature
 from repro.signatures.matcher import MatchResult
-from repro.signatures.store import SignatureEnvelope
+from repro.signatures.store import SignatureEnvelope, SignatureStore
 from tests.conftest import make_packet
 
 # ---------------------------------------------------------------------------
@@ -849,3 +884,495 @@ class TestDecoderFuzz:
                 assert exc.reason == "schema"
             else:  # pragma: no cover - failure path
                 raise AssertionError(f"{key}=5 decoded")
+
+
+# ---------------------------------------------------------------------------
+# the service's request head reader and reply writer
+# ---------------------------------------------------------------------------
+
+
+class _Head(_ServiceHandler):
+    """A handler over in-memory streams, with no socket and no service."""
+
+    def __init__(self, raw: bytes) -> None:  # skips the socket set-up
+        self.rfile = io.BytesIO(raw)
+        self.wfile = io.BytesIO()
+        self.raw_requestline = self.rfile.readline(65537)
+
+
+class _StdlibHead(_Head):
+    """The oracle: the stdlib's own ``parse_request``, ``http.client.parse_headers`` and all."""
+
+    parse_request = BaseHTTPRequestHandler.parse_request
+
+
+_DATE_LINE = re.compile(rb"Date: [^\r\n]*\r\n")
+
+
+def head_outcome(cls, raw: bytes, names):
+    """Everything a parse leaves behind that the handler reads afterwards."""
+    handler = cls(raw)
+    accepted = handler.parse_request()
+    state = (
+        accepted,
+        handler.command,
+        getattr(handler, "path", None),
+        handler.request_version,
+        handler.close_connection,
+        handler.rfile.tell(),
+        _DATE_LINE.sub(b"Date: -\r\n", handler.wfile.getvalue()),
+    )
+    if not accepted:
+        return state, None, None
+    fields: dict[str, str] = {}
+    for name, value in handler.headers.items():
+        fields.setdefault(name.lower(), value)
+    return state, fields, {name: handler.headers.get(name) for name in names}
+
+
+def assert_same_head(raw: bytes) -> None:
+    """The reader and the stdlib agree on ``raw``: replies, state and every field."""
+    oracle = _StdlibHead(raw)
+    names = {"Content-Length", "connection", "EXPECT", "traceparent", "Host", "x-a"}
+    if oracle.parse_request():
+        names.update(oracle.headers.keys())
+        names.update(name.swapcase() for name in oracle.headers.keys())
+    new = head_outcome(_Head, raw, sorted(names))
+    old = head_outcome(_StdlibHead, raw, sorted(names))
+    assert new == old
+    reply = new[0][-1]
+    if not new[0][0] and reply.startswith(b"HTTP/"):  # refused, and not an HTTP/0.9 request
+        assert reply.split(b" ", 2)[1] in (b"400", b"431", b"505")
+
+
+_blanks = st.sampled_from(["", " ", "\t", "  ", " \t "])
+_field_names = st.sampled_from(
+    ["Content-Length", "content-length", "CONNECTION", "Connection", "Expect", "Host",
+     "traceparent", "X-A", "x-a", "From", "Bad Name", "", "Ünï"]
+)
+_field_values = st.one_of(
+    st.sampled_from(["256", "close", "keep-alive", "Keep-Alive", "100-continue", "x"]),
+    st.text(alphabet=st.characters(max_codepoint=255), max_size=10),
+)
+_head_request_lines = st.one_of(
+    st.builds(
+        lambda method, target, version: f"{method} {target}{version}",
+        st.sampled_from(["GET", "POST", "HEAD", "get"]),
+        st.sampled_from(["/", "/v1/signatures?since=3", "//evil/x", "/a b"]),
+        st.sampled_from(
+            [" HTTP/1.1", " HTTP/1.0", " HTTP/0.9", " HTTP/2.0", " HTTP/1.10", " HTTP/01.1",
+             " HTTP/1", " HTTP/1.1.1", " HTTP/a.b", " HTTP/\xb2.1", " HTTP/12345678901.1",
+             " FTP/1.1", "", " HTTP/1.1 extra"]
+        ),
+    ),
+    st.text(alphabet=st.characters(max_codepoint=255), max_size=12),
+)
+_head_lines = st.one_of(
+    st.builds(
+        lambda name, before, value, after: f"{name}:{before}{value}{after}",
+        _field_names, _blanks, _field_values, _blanks,
+    ),
+    st.builds(lambda blank, value: blank + value, st.sampled_from([" ", "\t"]), _field_values),
+    st.sampled_from(["From someone", "From x: y", ": empty name", "no colon", "A: 1\rB: 2",
+                     "A: 1\r", "A:\x0bB: 2", "A: \x85"]),
+)
+_line_ends = st.sampled_from(["\r\n", "\r\n", "\n"])
+
+
+_plain_lines = st.builds(
+    lambda name, before, value, after: f"{name}:{before}{value}{after}",
+    st.sampled_from(["Content-Length", "content-length", "Connection", "Host", "X-A", "x-a"]),
+    _blanks,
+    st.sampled_from(["256", "close", "keep-alive", "x y", "", ":", "\xe9"]),
+    _blanks,
+)
+
+
+_routable_request_lines = st.sampled_from(
+    ["GET / HTTP/1.1", "POST /v1/screen HTTP/1.1", "GET /healthz HTTP/1.0", "GET /"]
+)
+
+
+@st.composite
+def request_heads(draw, lines=_head_lines, request_lines=_routable_request_lines) -> bytes:
+    lines = [draw(request_lines), *draw(st.lists(lines, max_size=8))]
+    head = "".join(line + draw(_line_ends) for line in lines)
+    end = draw(st.sampled_from(["\r\n", "\n", ""]))  # "" ends the stream instead
+    return (head + end).encode("latin-1") + draw(st.binary(max_size=16))
+
+
+class TestRequestHeadOracle:
+    """``_ServiceHandler.parse_request`` against the stdlib's, which it replaced."""
+
+    @seed(2501)
+    @settings(max_examples=600, deadline=None)
+    @given(raw=request_heads())
+    def test_structured_heads(self, raw):
+        assert_same_head(raw)
+
+    @seed(2507)
+    @settings(max_examples=300, deadline=None)
+    @given(raw=request_heads(lines=_plain_lines))
+    def test_plain_field_heads(self, raw):
+        assert_same_head(raw)
+
+    @seed(2508)
+    @settings(max_examples=300, deadline=None)
+    @given(raw=request_heads(request_lines=_head_request_lines))
+    def test_request_lines(self, raw):
+        assert_same_head(raw)
+
+    @seed(2502)
+    @settings(max_examples=400, deadline=None)
+    @given(
+        line=_head_request_lines,
+        noise=st.binary(max_size=200),
+    )
+    def test_arbitrary_header_bytes(self, line, noise):
+        assert_same_head(line.encode("latin-1") + b"\r\n" + noise)
+
+    @seed(2503)
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, raw):
+        assert_same_head(raw)
+
+    def test_trailing_blanks_are_kept(self):
+        raw = b"POST /v1/screen HTTP/1.1\r\nContent-Length:  256 \r\n\r\n"
+        assert_same_head(raw)
+        handler = _Head(raw)
+        assert handler.parse_request()
+        assert handler.headers.get("content-length") == "256 "
+
+    def test_first_of_a_name_wins_in_any_case(self):
+        raw = b"GET / HTTP/1.1\r\ncontent-length: 1\r\nContent-Length: 2\r\n\r\n"
+        assert_same_head(raw)
+        handler = _Head(raw)
+        assert handler.parse_request()
+        assert handler.headers.get("CONTENT-LENGTH") == "1"
+
+    def test_limits_and_their_statuses(self):
+        too_long = b"GET / HTTP/1.1\r\nX: " + b"a" * MAX_HEAD_LINE_BYTES + b"\r\n\r\n"
+        at_limit = b"GET / HTTP/1.1\r\nX: " + b"a" * (MAX_HEAD_LINE_BYTES - 5) + b"\r\n\r\n"
+        fields = b"".join(b"X-%d: v\r\n" % i for i in range(MAX_HEAD_LINES))
+        too_many = b"GET / HTTP/1.1\r\n" + fields + b"\r\n"
+        most = b"GET / HTTP/1.1\r\n" + fields[: fields.index(b"X-99")] + b"\r\n"
+        for raw in (too_long, at_limit, too_many, most):
+            assert_same_head(raw)
+        assert b" 431 " in head_outcome(_Head, too_long, ())[0][-1]
+        assert b" 431 " in head_outcome(_Head, too_many, ())[0][-1]
+        assert head_outcome(_Head, at_limit, ())[0][0]
+        assert head_outcome(_Head, most, ())[0][0]
+        assert (MAX_HEAD_LINE_BYTES, MAX_HEAD_LINES) == (
+            http.client._MAXLINE,
+            http.client._MAXHEADERS,
+        )
+
+    def test_expect_100_continue(self):
+        for version in (b"HTTP/1.1", b"HTTP/1.0"):
+            assert_same_head(b"POST / " + version + b"\r\nExpect: 100-Continue\r\n\r\n")
+
+    @seed(2504)
+    @settings(max_examples=100, deadline=None)
+    @given(raw=st.one_of(request_heads(), st.binary(max_size=300)))
+    def test_random_bytes_never_a_500_or_a_hang(self, live_service, raw):
+        # Over a socket, the client closing its side after the bytes: every
+        # read on the server ends, so a reply that does not come in 10 s is
+        # a hang.
+        host, port = live_service.address
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        assert b"HTTP/1.1 500 " not in received
+        assert b"HTTP/1.0 500 " not in received
+        assert "service_unhandled_errors" not in live_service.service.metrics.counters
+
+
+@pytest.fixture(scope="module")
+def live_service():
+    server = ServiceServer(
+        SignatureService(
+            [ConjunctionSignature(tokens=("udid=abc",), scope_domain="admob.com")],
+            config=ServiceConfig(max_body_bytes=64),
+        )
+    )
+    server.start()
+    yield server
+    server.stop()
+
+
+class _Reply(_Head):
+    """A handler that records what it writes, with a metrics registry to count in."""
+
+    def __init__(self, request_version: str = "HTTP/1.1") -> None:
+        super().__init__(b"")
+        self.request_version = request_version
+        self.requestline = "GET / " + request_version
+        self.server = SimpleNamespace(service=SimpleNamespace(metrics=Metrics()))
+
+    def stdlib_respond(self, status, payload, content_type, **headers):
+        """The replaced writer: ``send_response``, ``send_header``, ``end_headers``, ``write``."""
+        self.send_response(status)
+        if content_type is not None:
+            self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        for name, value in headers.items():
+            self.send_header(name.replace("_", "-"), value)
+        self.end_headers()
+        if payload:
+            self.wfile.write(payload)
+
+
+class _CountingWriter(io.BytesIO):
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return super().write(data)
+
+
+class TestReplyWriter:
+    """``_respond`` writes the bytes the stdlib calls wrote, in one write."""
+
+    CASES = [
+        (200, b'{"ok": true}', "application/json", {}),
+        (200, b"doc", "application/json", {"X_Set_Version": "7"}),
+        (304, b"", None, {}),
+        (404, b'{"error": "no route /x"}', "application/json", {}),
+        (413, b'{"error": "body exceeds 64 byte limit"}', "application/json",
+         {"Connection": "close"}),
+        (200, b"# metrics\n", "text/plain; version=0.0.4", {}),
+    ]
+
+    @pytest.mark.parametrize("request_version", ["HTTP/1.1", "HTTP/1.0", "HTTP/0.9"])
+    def test_bytes_equal_the_stdlib_calls(self, request_version):
+        for status, payload, content_type, headers in self.CASES:
+            new, old = _Reply(request_version), _Reply(request_version)
+            new.wfile = _CountingWriter()
+            new._respond(status, payload, content_type, **headers)
+            old.stdlib_respond(status, payload, content_type, **headers)
+            written = new.wfile.getvalue()
+            assert _DATE_LINE.sub(b"", written) == _DATE_LINE.sub(b"", old.wfile.getvalue())
+            assert new.wfile.writes == (1 if written else 0)
+            assert new.last_status == status
+            assert (_DATE_LINE.search(written) is not None) == (request_version != "HTTP/0.9")
+
+    def test_304_goes_through_the_one_writer(self):
+        handler = _Reply()
+        handler.wfile = _CountingWriter()
+        handler._respond_json(304, {"ignored": True})
+        assert handler.wfile.writes == 1
+        head = _DATE_LINE.sub(b"", handler.wfile.getvalue())
+        assert head == (
+            b"HTTP/1.1 304 Not Modified\r\nServer: " + handler.version_string().encode()
+            + b"\r\nContent-Length: 0\r\n\r\n"
+        )
+
+    def test_date_is_formatted_once_a_second(self, monkeypatch):
+        formatted = []
+
+        def counting_formatdate(timeval, usegmt):
+            formatted.append(timeval)
+            return formatdate(timeval, usegmt=usegmt)
+
+        clock = iter([1000.2, 1000.7, 1000.9, 1001.0, 1001.5])
+        monkeypatch.setattr(server_module, "formatdate", counting_formatdate)
+        monkeypatch.setattr(server_module, "_date_line", (-1, b""))
+        monkeypatch.setattr(server_module, "time", SimpleNamespace(time=lambda: next(clock)))
+        lines = [date_header_line() for __ in range(5)]
+        assert formatted == [1000, 1001]
+        assert lines[0] == lines[2] == f"Date: {formatdate(1000, usegmt=True)}\r\n".encode()
+        assert lines[3] == lines[4] == f"Date: {formatdate(1001, usegmt=True)}\r\n".encode()
+
+
+# ---------------------------------------------------------------------------
+# signature repositories: a stored text is verified once
+# ---------------------------------------------------------------------------
+
+
+class ReferenceSignatures:
+    """The replaced read path: every read verifies the stored text again."""
+
+    def __init__(self) -> None:
+        self.documents: dict[int, object] = {}
+        self.corrupt = 0
+
+    def store(self, document: str) -> SignatureEnvelope:
+        envelope = SignatureStore.loads_envelope(document)
+        newest = max(self.documents, default=0)
+        if envelope.set_version <= newest:
+            raise ServiceError(
+                f"stale publish: set_version {envelope.set_version} <= stored {newest}"
+            )
+        self.documents[envelope.set_version] = document
+        return envelope
+
+    def get(self, set_version: int):
+        document = self.documents.get(set_version)
+        if document is None:
+            return None
+        try:
+            return document, SignatureStore.loads_envelope(document)
+        except SignatureStoreError:
+            self.corrupt += 1
+            return None
+
+    def latest(self):
+        for version in sorted(self.documents, reverse=True):
+            found = self.get(version)
+            if found is not None:
+                return found
+        return None
+
+    def corrupt_reads(self) -> int:
+        return self.corrupt
+
+
+_SIGNATURE_SETS = [
+    [ConjunctionSignature(tokens=(f"udid=abc{i}", "seq="), scope_domain="admob.com")
+     for i in range(n)]
+    for n in (1, 2, 3)
+]
+
+
+def _envelope(set_version: int, which: int) -> str:
+    return SignatureStore.dumps_envelope(_SIGNATURE_SETS[which], set_version)
+
+
+def _rewritten(kind: str, version: int, document: str, original: str, stored: dict) -> object:
+    """A stored row's text after at-rest damage (or repair) of ``kind``."""
+    if kind == "garbage":
+        return '{"garbage": true}'
+    if kind == "truncate":
+        return document[: len(document) // 2]
+    if kind == "tamper":  # valid JSON, same version, the checksum no longer matches
+        return document.replace("udid=abc0", "udid=evil0")
+    if kind == "rewrite":  # a valid envelope of the same version, other signatures
+        return _envelope(version, 2 if "udid=abc2" not in document else 0)
+    if kind == "other":  # the text of another stored version
+        return stored[min(stored)]
+    return original  # "restore"
+
+
+_repository_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("publish"), st.sampled_from([1, 1, 2, 0, -1]), st.integers(0, 2)),
+        st.tuples(st.just("publish_bad")),
+        st.tuples(
+            st.just("corrupt"),
+            st.integers(0, 5),
+            st.sampled_from(["garbage", "truncate", "tamper", "rewrite", "other", "restore"]),
+        ),
+        st.tuples(st.just("latest")),
+        st.tuples(st.just("get"), st.integers(0, 6)),
+    ),
+    max_size=24,
+)
+
+
+def _read_result(found):
+    if found is None:
+        return None
+    document, envelope = found
+    return document, envelope.set_version, envelope.checksum, envelope.signatures
+
+
+def run_repository_steps(repo, corrupt_at_rest, steps) -> None:
+    """Apply ``steps`` to ``repo`` and to the reference; compare after each one."""
+    reference = ReferenceSignatures()
+    published: dict[int, str] = {}
+    for step in steps:
+        kind = step[0]
+        if kind == "publish":
+            version = max(reference.documents, default=0) + step[1]
+            document = _envelope(max(version, 1), step[2])
+            new = outcome(repo.store, document)
+            old = outcome(reference.store, document)
+            assert new == old
+            if old[0] == "ok":
+                published[old[1].set_version] = document
+        elif kind == "publish_bad":
+            assert outcome(repo.store, "{") == outcome(reference.store, "{")
+        elif kind == "corrupt" and reference.documents:
+            versions = sorted(reference.documents)
+            version = versions[step[1] % len(versions)]
+            text = _rewritten(
+                step[2], version, reference.documents[version], published[version],
+                reference.documents,
+            )
+            corrupt_at_rest(version, text)
+            reference.documents[version] = text
+        elif kind == "latest":
+            assert _read_result(repo.latest()) == _read_result(reference.latest())
+        elif kind == "get":
+            assert _read_result(repo.get(step[1])) == _read_result(reference.get(step[1]))
+        assert repo.corrupt_reads() == reference.corrupt_reads()
+        assert repo.versions() == sorted(reference.documents)
+
+
+class TestRepositoryVerifiesOnce:
+    """Both repositories against a reference that verifies on every read."""
+
+    @seed(2505)
+    @settings(max_examples=200, deadline=None)
+    @given(steps=_repository_steps)
+    def test_in_memory(self, steps):
+        repo = InMemorySignatureRepository()
+        run_repository_steps(repo, repo.corrupt, steps)
+
+    @seed(2506)
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_repository_steps)
+    def test_sqlite(self, steps):
+        with tempfile.TemporaryDirectory() as directory:
+            store = SqliteStore(Path(directory) / "repo.sqlite3")
+
+            def corrupt_at_rest(version, text):
+                store.write(
+                    "UPDATE signature_envelopes SET document = ? WHERE set_version = ?",
+                    (text, version),
+                )
+
+            try:
+                run_repository_steps(SqliteSignatureRepository(store), corrupt_at_rest, steps)
+            finally:
+                store.close()
+
+    @pytest.mark.parametrize("kind", ["tamper", "rewrite"])
+    def test_same_version_rewritten_at_rest_is_read_again(self, kind, tmp_path):
+        store = SqliteStore(tmp_path / "repo.sqlite3")
+        repo = SqliteSignatureRepository(store)
+        document = _envelope(1, 1)
+        repo.store(document)
+        assert repo.latest()[0] == document
+        text = _rewritten(kind, 1, document, document, {1: document})
+        store.write("UPDATE signature_envelopes SET document = ? WHERE set_version = 1", (text,))
+        found = repo.latest()
+        if kind == "tamper":
+            assert found is None and repo.corrupt_reads() == 1
+            assert repo.latest() is None and repo.corrupt_reads() == 2
+        else:
+            assert found[0] == text and found[1] == SignatureStore.loads_envelope(text)
+        store.close()
+
+    def test_an_unchanged_text_is_verified_once(self, monkeypatch):
+        repo = InMemorySignatureRepository()
+        calls = []
+        loads = SignatureStore.loads_envelope
+
+        def counting(text):
+            calls.append(text)
+            return loads(text)
+
+        monkeypatch.setattr(SignatureStore, "loads_envelope", staticmethod(counting))
+        repo.store(_envelope(1, 0))
+        for __ in range(5):
+            assert repo.latest()[1].set_version == 1
+        assert len(calls) == 1  # the store's own verification
+        repo.corrupt(1, _envelope(1, 2))
+        for __ in range(5):
+            assert repo.latest()[1].signatures == tuple(_SIGNATURE_SETS[2])
+        assert len(calls) == 2

@@ -419,15 +419,76 @@ class TestOperationalEndpoints:
         finally:
             server.stop()
 
+    @pytest.mark.parametrize(
+        "method, path, first",
+        [
+            ("POST", "/v1/nope", b"404"),
+            ("GET", "/v1/nope", b"404"),
+            ("GET", "/v1/signatures", b"200"),
+            ("GET", "/v1/signatures?since=1", b"304"),
+            ("GET", "/healthz", b"200"),
+            ("GET", "/metrics", b"200"),
+        ],
+    )
+    def test_a_body_the_route_ignores_is_not_the_next_request(self, method, path, first):
+        service = SignatureService(boot_signatures())
+        server = ServiceServer(service)
+        host, port = server.start()
+        try:
+            embedded = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            head = f"{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {len(embedded)}"
+            replies = self.send_raw(
+                host, port, head.encode() + b"\r\n\r\n" + embedded, half_close=True
+            )
+            assert replies.startswith(b"HTTP/1.1 " + first + b" ")
+            assert replies.count(b"HTTP/1.1 ") == 1  # the embedded request is never answered
+            healthz = service.metrics.counters.get("service_requests_healthz", 0)
+            assert healthz == (1 if path == "/healthz" else 0)
+        finally:
+            server.stop()
+
+    def test_a_bad_or_oversized_body_on_a_get_is_refused_and_closed(self):
+        service = SignatureService(boot_signatures(), config=ServiceConfig(max_body_bytes=64))
+        server = ServiceServer(service)
+        host, port = server.start()
+        try:
+            for path in ("/v1/signatures", "/nope"):
+                for declared, status in ((b"abc", b"400"), (b"65", b"413")):
+                    replies = self.send_raw(
+                        host, port,
+                        b"GET " + path.encode() + b" HTTP/1.1\r\nHost: t\r\nContent-Length: "
+                        + declared + b"\r\n\r\nGET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+                    )
+                    assert replies.startswith(b"HTTP/1.1 " + status + b" ")
+                    assert b"Connection: close" in replies
+                    assert replies.count(b"HTTP/1.") == 1
+        finally:
+            server.stop()
+
     @staticmethod
-    def send_raw(host, port, payload: bytes) -> bytes:
-        """Everything the server sends back on one connection until it closes."""
+    def send_raw(host, port, payload: bytes, half_close: bool = False) -> bytes:
+        """Everything the server sends back on one connection until it closes.
+
+        ``half_close`` ends the client's side after the payload, so a
+        kept-alive connection closes once the server has read it all.
+        """
         with socket.create_connection((host, port), timeout=10.0) as sock:
             sock.sendall(payload)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
             received = b""
             while chunk := sock.recv(65536):
                 received += chunk
         return received
+
+
+class TestStop:
+    def test_stop_before_serving_returns(self):
+        # An interrupt between binding and serving (repro service, stopped
+        # right after its ready file appears) left stop() waiting forever
+        # for a serve loop that never ran.
+        server = ServiceServer(SignatureService(boot_signatures()))
+        assert call_with_timeout(server.stop, 10.0) is True
 
 
 class TestRecovery:

@@ -1,6 +1,5 @@
 """Seeded samplers."""
 
-import math
 from random import Random
 
 import pytest
