@@ -23,7 +23,6 @@ from repro.core.distribution import (
     ChannelHealth,
     FetchResult,
     FetchStatus,
-    SignatureChannel,
     SignatureFetcher,
 )
 from repro.core.flowcontrol import Decision, FlowControlApp, PolicyAction
@@ -90,7 +89,6 @@ __all__ = [
     "BlockingConfig",
     "BlockingMode",
     # distribution & reliability
-    "SignatureChannel",
     "SignatureFetcher",
     "FetchResult",
     "FetchStatus",

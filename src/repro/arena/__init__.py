@@ -7,7 +7,7 @@ to dodge the deployed signature set while (by construction) keeping the
 leak detectable by payload-check ground truth.  :mod:`repro.arena.defender`
 is the defense — screening misses feed a :class:`StreamingClusterer`,
 regenerated signatures merge with the base set and hot-republish through
-:class:`SignatureChannel` into the :class:`ScreeningGateway`.
+a :class:`SignatureRepository` into the :class:`ScreeningGateway`.
 :mod:`repro.arena.harness` drives attacker-vs-defender rounds per mutation
 family and scores recovery (``repro arena``, ``BENCH_arena.json``).
 """

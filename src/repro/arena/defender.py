@@ -13,7 +13,8 @@ One :class:`DefenderLoop` owns the regeneration side of the arena:
    residue-then-merge policy);
 3. candidates union-merge with the base set under subsumption dedup —
    the base set guarantees pre-attack coverage never regresses — and the
-   merged set republishes through :class:`SignatureChannel` **only when
+   merged set republishes through a
+   :class:`~repro.service.repository.SignatureRepository` **only when
    it actually changed**, so ``set_version`` advances monotonically and
    the gateway's never-regress reload contract holds for free.
 """
@@ -23,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.distribution import SignatureChannel
 from repro.core.streaming import StreamingClusterer, StreamingConfig
 from repro.distance.blocking import BlockingConfig
 from repro.distance.engine import DistanceEngine
 from repro.http.packet import HttpPacket
 from repro.obs import NULL_OBS, Observability
+from repro.service.repository import InMemorySignatureRepository, SignatureRepository
 from repro.signatures.conjunction import ConjunctionSignature
 from repro.signatures.generator import GeneratorConfig, SignatureGenerator, deduplicate
 from repro.signatures.store import SignatureEnvelope, SignatureStore
@@ -78,12 +79,12 @@ class DefenderLoop:
     """Self-healing signature maintenance fed by screening misses.
 
     :param base_signatures: the pre-attack set; published as version 1 on
-        construction so the serving side can boot from the channel.
+        construction so the serving side can boot from the repository.
     :param config: defender policy.
     :param metric: pair metric for miss clustering (defaults to the
         paper's packet distance).
-    :param channel: distribution channel to republish through; a fresh
-        perfect channel by default.
+    :param repository: where each changed set is published; a fresh
+        in-memory repository by default.
     :param obs: observability bundle (``arena_defend`` spans,
         ``arena_*`` counters).
     """
@@ -94,11 +95,11 @@ class DefenderLoop:
         config: DefenderConfig | None = None,
         *,
         metric=None,
-        channel: SignatureChannel | None = None,
+        repository: SignatureRepository | None = None,
         obs: Observability | None = None,
     ) -> None:
         self.config = config or DefenderConfig()
-        self.channel = channel or SignatureChannel()
+        self.repository = repository or InMemorySignatureRepository()
         self.obs = obs or NULL_OBS
         self.base = list(base_signatures)
         engine = DistanceEngine(metric, workers=self.config.workers)
@@ -120,12 +121,12 @@ class DefenderLoop:
         )
         self.signatures: list[ConjunctionSignature] = list(self.base)
         self._published_doc = SignatureStore.dumps(self.signatures)
-        self.channel.publish(self.signatures)
+        self.repository.publish(self.signatures)
 
     @property
     def latest_envelope(self) -> SignatureEnvelope:
         """The newest published envelope (what the gateway should load)."""
-        return self.channel.envelope(self.channel.latest_version)
+        return self.repository.latest()[1]
 
     def miss_clusters(self) -> list[list[HttpPacket]]:
         """Current miss clusters with enough mass to regenerate from."""
@@ -160,7 +161,7 @@ class DefenderLoop:
             if document != self._published_doc:
                 self.signatures = merged
                 self._published_doc = document
-                published_version = self.channel.publish(merged).set_version
+                published_version = self.repository.publish(merged).set_version
                 self.obs.inc("arena_republishes")
         self.obs.inc("arena_misses_ingested", len(misses))
         self.obs.inc("arena_signatures_regenerated", len(regenerated))

@@ -446,7 +446,7 @@ def _run_episode(
         detected = sum(1 for mutant in mutants if check.is_sensitive(mutant))
         intact = intact and detected == len(mutants)
         reloads = []
-        if defender.channel.latest_version > gateway.set_version:
+        if defender.repository.latest_version() > gateway.set_version:
             reloads.append(ReloadEvent(tick=0.0, envelope=defender.latest_envelope))
         with obs.span(
             "arena_round", track="arena", family=name, round=round_no

@@ -298,16 +298,21 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         # Byte-identity under device faults is this sweep's invariant;
         # CI keys off the exit status.
         return 0 if all(point.invariant_holds for point in points) else 1
+    from repro.errors import SimulationError
     from repro.eval.chaos import chaos_report, render_chaos, run_chaos_sweep
 
-    points = run_chaos_sweep(
-        corpus.trace,
-        corpus.payload_check(),
-        rates,
-        n_sample=args.sample,
-        n_devices=args.devices,
-        seed=args.seed,
-    )
+    try:
+        points = run_chaos_sweep(
+            corpus.trace,
+            corpus.payload_check(),
+            rates,
+            n_sample=args.sample,
+            n_devices=args.devices,
+            seed=args.seed,
+        )
+    except SimulationError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     emit_report(args, render_chaos(points), chaos_report(points))
     return 0
 
@@ -655,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chaos", help="sweep fault rates over a target subsystem")
     p.add_argument("--target", choices=("distribution", "pipeline", "federation"),
                    default="distribution",
-                   help="distribution = server->device channel faults; "
+                   help="distribution = server->device transport faults; "
                         "pipeline = supervised execution under worker + stage faults; "
                         "federation = crowdsourced ingest under device faults")
     p.add_argument("--apps", type=int, default=80)

@@ -1,21 +1,20 @@
-"""The server -> device signature distribution channel, made unreliable.
+"""The server -> device signature distribution path, made unreliable.
 
 The paper's Fig 3 draws an arrow from the signature-generation server to
 the on-device flow-control application and says nothing about what happens
 when that arrow fails.  At crowd scale it fails constantly, so this module
-models the arrow explicitly:
+models the device end of the arrow explicitly.  The server end is a
+:class:`~repro.service.repository.SignatureRepository`:
+:meth:`~repro.service.repository.SignatureRepository.publish` stores a
+signature set as the next versioned, checksummed envelope.
 
-- :class:`SignatureChannel` — the server side.  ``publish()`` wraps a
-  signature set in a versioned, checksummed envelope
-  (:meth:`repro.signatures.store.SignatureStore.dumps_envelope`);
-  ``transmit()`` pushes the latest envelope through an optional
-  :class:`~repro.reliability.faults.FaultPlan`, substituting an older
-  version for ``STALE`` faults.
-- :class:`SignatureFetcher` — the device side.  ``fetch()`` retries through
-  the faults under a :class:`~repro.reliability.retry.RetryPolicy` and an
-  optional :class:`~repro.reliability.retry.CircuitBreaker`, verifies the
-  envelope checksum and version, falls back to the last-known-good set on
-  an exhausted budget, and keeps :class:`ChannelHealth` counters.
+:class:`SignatureFetcher` reads the repository's newest envelope through
+an optional :class:`~repro.reliability.faults.FaultPlan` (serving the
+previous version for ``STALE`` faults), retries under a
+:class:`~repro.reliability.retry.RetryPolicy` and an optional
+:class:`~repro.reliability.retry.CircuitBreaker`, verifies the envelope
+checksum and version, falls back to the last-known-good set on an
+exhausted budget, and keeps :class:`ChannelHealth` counters.
 
 A fetch can therefore end three ways, in order of preference: ``FRESH``
 (a verified envelope arrived), ``CACHED`` (transfers failed; the device
@@ -31,8 +30,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.errors import DistributionError, SignatureStoreError
+from repro.errors import SignatureStoreError
 from repro.obs.metrics import Metrics
 from repro.reliability.faults import FaultKind, FaultPlan
 from repro.reliability.retry import BreakerState, CircuitBreaker, RetryPolicy
@@ -40,79 +40,8 @@ from repro.signatures.conjunction import ConjunctionSignature
 from repro.signatures.store import SignatureEnvelope, SignatureStore
 from repro.simulation.rng import derive_rng
 
-
-class SignatureChannel:
-    """Server-side publication point plus the (simulated) transport.
-
-    :param fault_plan: the channel's failure behaviour; ``None`` for a
-        perfect channel (the pre-reliability in-memory handoff).
-    :param metrics: optional shared registry; the channel then counts
-        publishes, transmissions, and per-fault-kind outcomes.
-    """
-
-    def __init__(
-        self, fault_plan: FaultPlan | None = None, metrics: Metrics | None = None
-    ) -> None:
-        self.fault_plan = fault_plan
-        self.metrics = metrics
-        self._envelopes: list[str] = []  # serialized; index + 1 == set_version
-
-    def _inc(self, name: str, by: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(name, by)
-
-    def publish(self, signatures: list[ConjunctionSignature]) -> SignatureEnvelope:
-        """Wrap and retain a new signature-set version for distribution."""
-        set_version = len(self._envelopes) + 1
-        document = SignatureStore.dumps_envelope(signatures, set_version)
-        self._envelopes.append(document)
-        self._inc("channel_publishes")
-        if self.metrics is not None:
-            self.metrics.set_gauge("channel_latest_version", set_version)
-        return SignatureStore.loads_envelope(document)
-
-    @property
-    def latest_version(self) -> int:
-        """The newest published ``set_version`` (0 when nothing published)."""
-        return len(self._envelopes)
-
-    def envelope(self, set_version: int) -> SignatureEnvelope:
-        """The parsed envelope of one published version.
-
-        Lets a serving gateway build hot-reload schedules from the
-        channel's publication history (and tests fetch a known-stale
-        version to assert never-regress behaviour).
-
-        :raises DistributionError: for an unpublished version.
-        """
-        if not 1 <= set_version <= len(self._envelopes):
-            raise DistributionError(
-                f"version {set_version} not published (have 1..{len(self._envelopes)})"
-            )
-        return SignatureStore.loads_envelope(self._envelopes[set_version - 1])
-
-    def transmit(self, *labels: str) -> tuple[bytes | None, FaultKind, float]:
-        """One delivery attempt of the latest envelope.
-
-        :param labels: fault-derivation labels (e.g. the fetching device's
-            id) keeping concurrent fetchers' fault streams independent.
-        :returns: ``(payload, fault_kind, delay_ticks)``; ``payload`` is
-            ``None`` for a drop.
-        :raises DistributionError: when nothing has been published.
-        """
-        if not self._envelopes:
-            raise DistributionError("nothing published on this channel yet")
-        self._inc("channel_transmits")
-        payload = self._envelopes[-1].encode("utf-8")
-        if self.fault_plan is None:
-            return payload, FaultKind.NONE, 0.0
-        outcome = self.fault_plan.apply(payload, *labels)
-        if outcome.kind is not FaultKind.NONE:
-            self._inc(f"channel_fault_{outcome.kind.value}")
-        if outcome.kind is FaultKind.STALE and len(self._envelopes) > 1:
-            # A misbehaving cache serves the previous version, intact.
-            return self._envelopes[-2].encode("utf-8"), outcome.kind, outcome.delay_ticks
-        return outcome.payload, outcome.kind, outcome.delay_ticks
+if TYPE_CHECKING:
+    from repro.service.repository import SignatureRepository
 
 
 class FetchStatus(enum.Enum):
@@ -125,7 +54,7 @@ class FetchStatus(enum.Enum):
 
 @dataclass(slots=True)
 class ChannelHealth:
-    """Cumulative device-side view of the channel, for ops dashboards.
+    """Cumulative device-side view of the distribution path, for ops dashboards.
 
     ``attempts`` counts individual transmissions; ``fetches`` counts
     sessions (one :meth:`SignatureFetcher.fetch` call each).
@@ -161,19 +90,18 @@ class FetchResult:
     set_version: int
     attempts: int
 
-    @property
-    def ok(self) -> bool:
-        """Whether the device holds *some* usable signature set."""
-        return self.status is not FetchStatus.DEGRADED
-
 
 class SignatureFetcher:
     """Device-side fetch loop with verification and graceful fallback.
 
-    :param channel: the distribution channel to pull from.
+    :param source: the repository whose newest envelope each attempt reads.
+    :param faults: the transport's failure behaviour; ``None`` for a
+        perfect transport.  Its outcomes are seeded by its own call
+        counter, so fetchers meant to share one fault stream share the
+        plan object.
     :param retry: per-session attempt budget and backoff shape.
     :param breaker: optional circuit breaker shared across sessions; when
-        open, sessions fail fast without consuming channel attempts.
+        open, sessions fail fast without reading the source.
     :param seed: determinism root for backoff jitter.
     :param device_id: label isolating this device's fault/jitter streams.
     :param metrics: optional shared registry mirroring
@@ -183,14 +111,16 @@ class SignatureFetcher:
 
     def __init__(
         self,
-        channel: SignatureChannel,
+        source: SignatureRepository,
+        faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         seed: int = 0,
         device_id: str = "device",
         metrics: Metrics | None = None,
     ) -> None:
-        self.channel = channel
+        self.source = source
+        self.faults = faults
         self.retry = retry or RetryPolicy()
         self.breaker = breaker
         self.seed = seed
@@ -207,7 +137,7 @@ class SignatureFetcher:
     def fetch(self) -> FetchResult:
         """Run one fetch session: retry, verify, fall back.
 
-        Never raises for channel trouble — every failure mode folds into
+        Never raises for transport trouble — every failure mode folds into
         the returned :class:`FetchResult` so the device keeps screening.
         """
         self.health.fetches += 1
@@ -281,14 +211,7 @@ class SignatureFetcher:
         """One transmission + verification; ``None`` on any failure."""
         self.health.attempts += 1
         self._inc("fetch_attempts")
-        try:
-            payload, kind, delay = self.channel.transmit(self.device_id, str(attempt_index))
-        except DistributionError:
-            self.health.drops += 1
-            self._inc("fetch_drops")
-            return None
-        self.clock += delay
-        self.health.delay_ticks += delay
+        payload = self._transmit(attempt_index)
         if payload is None:
             self.health.drops += 1
             self._inc("fetch_drops")
@@ -306,6 +229,29 @@ class SignatureFetcher:
             self._inc("fetch_stale_reads")
             return None
         return envelope
+
+    def _transmit(self, attempt_index: int) -> bytes | None:
+        """The source's newest envelope through the fault plan; ``None`` for a drop.
+
+        An empty source counts as a drop and consumes no fault draw.
+        """
+        found = self.source.latest()
+        if found is None:
+            return None
+        self._inc("channel_transmits")
+        document, envelope = found
+        payload = document.encode("utf-8")
+        if self.faults is None:
+            return payload
+        outcome = self.faults.apply(payload, self.device_id, str(attempt_index))
+        self.clock += outcome.delay_ticks
+        self.health.delay_ticks += outcome.delay_ticks
+        if outcome.kind is FaultKind.STALE:
+            # A misbehaving cache serves the previous version, intact.
+            previous = self.source.get(envelope.set_version - 1)
+            if previous is not None:
+                return previous[0].encode("utf-8")
+        return outcome.payload
 
     def _note_breaker_state(self) -> None:
         if self.breaker is not None:

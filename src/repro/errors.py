@@ -59,23 +59,6 @@ class SignatureStoreError(SignatureError):
     """
 
 
-class DistributionError(ReproError):
-    """The signature distribution channel failed.
-
-    Covers transport-level conditions between the signature server and a
-    device: nothing published yet, a simulated drop, or an exhausted
-    retry budget.
-    """
-
-
-class ChannelDropError(DistributionError):
-    """A transmission attempt was dropped by the (simulated) network."""
-
-
-class CircuitOpenError(DistributionError):
-    """The client-side circuit breaker refused the attempt."""
-
-
 class PermissionDenied(ReproError):
     """The simulated Binder refused a resource access.
 

@@ -1,7 +1,7 @@
-"""Chaos sweep: detection quality under an unreliable distribution channel.
+"""Chaos sweep: detection quality under an unreliable distribution path.
 
 The Fig-4 bench asks "how good are the signatures?"; this experiment asks
-"how much of that quality survives when the server -> device channel
+"how much of that quality survives when the server -> device path
 fails?".  For each swept fault rate a fleet of simulated devices fetches
 the published signature set through a :class:`~repro.reliability.faults.FaultPlan`
 (drops, truncation, bit corruption, delays, stale cache reads), then
@@ -34,12 +34,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.distribution import FetchStatus, SignatureChannel, SignatureFetcher
+from repro.core.distribution import FetchStatus, SignatureFetcher
 from repro.core.flowcontrol import FlowControlApp
 from repro.core.server import ServerConfig, SignatureServer
+from repro.errors import SimulationError
 from repro.reliability.faults import FaultPlan
 from repro.reliability.retry import CircuitBreaker, RetryPolicy
 from repro.sensitive.payload_check import PayloadCheck
+from repro.service.repository import InMemorySignatureRepository
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,7 +90,7 @@ def run_chaos_sweep(
     detector_mode: str = "conservative",
     workers: int = 1,
 ) -> list[ChaosPoint]:
-    """Sweep fault rates over the distribution channel.
+    """Sweep fault rates over the distribution path.
 
     The server ingests ``trace`` once and generates two signature-set
     versions (a half-sample v1, then the full-sample v2).  Per rate, each
@@ -104,7 +106,7 @@ def run_chaos_sweep(
     :param check: ground-truth labeler for the capture device.
     :param rates: total fault rates to sweep (each in ``[0, 1)``).
     :param n_sample: N for the v2 (current) signature generation.
-    :param n_devices: fleet size per rate.
+    :param n_devices: fleet size per rate (>= 1).
     :param seed: determinism root for sampling, faults, and jitter.
     :param retry: device retry policy (default: 3 attempts, fast backoff).
     :param detector_mode: keyword-baseline escalation used in degraded mode.
@@ -112,7 +114,10 @@ def run_chaos_sweep(
         (sweep output is bit-identical for any setting; the default stays
         serial because under a pool the engine's cache counters depend on
         which worker took which chunk).
+    :raises SimulationError: when ``n_devices < 1``.
     """
+    if n_devices < 1:
+        raise SimulationError(f"n_devices must be >= 1, got {n_devices}")
     retry = retry or RetryPolicy(max_attempts=3, base_delay=1.0, multiplier=2.0, jitter=0.25)
     server = SignatureServer(check, config=ServerConfig(workers=workers))
     server.ingest(trace)
@@ -126,11 +131,14 @@ def run_chaos_sweep(
         # Seed derived from the rate itself (not its sweep position) so a
         # point is reproducible regardless of which rates it is swept with.
         plan = FaultPlan.uniform(rate, seed=seed + 7919 * (1 + round(rate * 1000)))
-        channel = SignatureChannel(plan)
+        repository = InMemorySignatureRepository()
+        # One plan for the whole fleet: its call counter seeds each fault,
+        # so the devices' fetches interleave in one fault stream.
         devices = [
             (
                 SignatureFetcher(
-                    channel,
+                    repository,
+                    plan,
                     retry=retry,
                     breaker=CircuitBreaker(failure_threshold=retry.max_attempts, cooldown=8.0),
                     seed=seed,
@@ -140,10 +148,10 @@ def run_chaos_sweep(
             )
             for device_index in range(n_devices)
         ]
-        channel.publish(v1.signatures)
+        repository.publish(v1.signatures)
         for fetcher, app in devices:
             fetcher.fetch_into(app)
-        channel.publish(v2.signatures)
+        repository.publish(v2.signatures)
         statuses: Counter[FetchStatus] = Counter()
         tp_sum = fp_sum = attempts_sum = 0.0
         for fetcher, app in devices:

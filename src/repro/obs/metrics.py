@@ -1,7 +1,7 @@
 """The metrics registry: counters, gauges, fixed-bound histograms.
 
 One :class:`Metrics` instance is a process-local registry shared by every
-instrumented subsystem (pipeline, distance engine, distribution channel,
+instrumented subsystem (pipeline, distance engine, signature fetcher,
 serving gateway).  Three primitive families:
 
 - monotonic **counters** (:meth:`Metrics.inc`) — totals that only grow;

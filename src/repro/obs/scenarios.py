@@ -111,8 +111,9 @@ def run_traced_serving(
     """Run one instrumented serving round-trip and export its metrics.
 
     The scenario exercises every counter family sharing one registry:
-    the server generates two signature versions, a
-    :class:`~repro.core.distribution.SignatureChannel` publishes them, a
+    the server generates two signature versions, an
+    :class:`~repro.service.repository.InMemorySignatureRepository`
+    publishes them, a
     :class:`~repro.core.distribution.SignatureFetcher` installs the set
     into a :class:`~repro.core.flowcontrol.FlowControlApp` (screening a
     slice of the corpus), a
@@ -126,9 +127,10 @@ def run_traced_serving(
     synthetic latencies derived from the call index — no wall clock —
     so the artifact files stay byte-identical across runs.
     """
-    from repro.core.distribution import SignatureChannel, SignatureFetcher
+    from repro.core.distribution import SignatureFetcher
     from repro.core.flowcontrol import FlowControlApp
     from repro.core.server import ServerConfig, SignatureServer
+    from repro.service.repository import InMemorySignatureRepository
     from repro.serving.gateway import GatewayConfig, ReloadEvent, ScreeningGateway
     from repro.serving.loadgen import FleetLoadGenerator, LoadProfile
     from repro.serving.telemetry import ServingTelemetry
@@ -150,11 +152,12 @@ def run_traced_serving(
     v1 = server.generate(sample, seed=seed).signatures
     v2 = server.generate(sample, seed=seed + 1).signatures
 
-    channel = SignatureChannel(metrics=metrics)
-    env1 = channel.publish(v1)
-    env2 = channel.publish(v2)
+    repository = InMemorySignatureRepository()
+    env1, env2 = repository.publish(v1), repository.publish(v2)
+    metrics.inc("channel_publishes", 2)
+    metrics.set_gauge("channel_latest_version", env2.set_version)
 
-    fetcher = SignatureFetcher(channel, seed=seed, metrics=metrics)
+    fetcher = SignatureFetcher(repository, seed=seed, metrics=metrics)
     app = FlowControlApp.degraded(metrics=metrics)
     fetcher.fetch_into(app)
     for packet in corpus.trace.packets[: min(200, len(corpus.trace))]:

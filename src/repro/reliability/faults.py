@@ -16,7 +16,7 @@ actually sees:
 - ``STALE`` — an *older* version is served (misbehaving cache / CDN).
 
 ``STALE`` is signalled, not synthesized: the plan has no version history,
-so the consumer (e.g. :class:`repro.core.distribution.SignatureChannel`)
+so the consumer (e.g. :class:`repro.core.distribution.SignatureFetcher`)
 substitutes an earlier payload when it sees the outcome kind.
 """
 
@@ -25,14 +25,13 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from repro.errors import SimulationError
 from repro.simulation.rng import derive_rng
 
 
 class FaultKind(enum.Enum):
-    """What the channel did to one transmission."""
+    """What the transport did to one transmission."""
 
     NONE = "none"
     DROP = "drop"
@@ -54,11 +53,6 @@ class FaultOutcome:
     kind: FaultKind
     payload: bytes | None
     delay_ticks: float = 0.0
-
-    @property
-    def delivered(self) -> bool:
-        """Whether *any* bytes reached the receiver (possibly mangled)."""
-        return self.payload is not None
 
 
 class FaultPlan:
@@ -126,18 +120,8 @@ class FaultPlan:
             stale=0.10 * rate,
         )
 
-    @property
-    def total_rate(self) -> float:
-        """Combined probability that *some* fault fires per transmission."""
-        return sum(self.rates.values())
-
-    @property
-    def calls(self) -> int:
-        """How many payloads have been pushed through the plan."""
-        return self._calls
-
     def apply(self, payload: bytes, *labels: str) -> FaultOutcome:
-        """Push one payload through the channel.
+        """Push one payload through the transport.
 
         :param payload: the bytes being transmitted.
         :param labels: extra derivation labels (e.g. a device id) so two
@@ -173,15 +157,6 @@ class FaultPlan:
         # STALE: payload passed through untouched; the consumer substitutes
         # an older version when it sees the kind.
         return FaultOutcome(kind=chosen, payload=payload)
-
-    def apply_stream(self, payloads: Iterable[bytes], *labels: str) -> Iterator[FaultOutcome]:
-        """Apply the plan to each payload of a stream, in order.
-
-        Dropped payloads still yield an outcome (with ``payload=None``) so
-        the caller can count losses.
-        """
-        for index, payload in enumerate(payloads):
-            yield self.apply(payload, *labels, str(index))
 
     @staticmethod
     def _corrupt(payload: bytes, rng) -> bytes:

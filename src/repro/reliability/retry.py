@@ -59,11 +59,6 @@ class RetryPolicy:
             raw *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return max(0.0, raw)
 
-    def schedule(self, rng: Random) -> list[float]:
-        """The full delay sequence for one exhausted retry session
-        (``max_attempts - 1`` entries)."""
-        return [self.backoff(k, rng) for k in range(self.max_attempts - 1)]
-
 
 class BreakerState(enum.Enum):
     """Classic three-state circuit breaker."""

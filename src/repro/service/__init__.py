@@ -24,7 +24,9 @@ Persistence sits behind :class:`SignatureRepository` /
 implementations; a read verifies any stored envelope text other than the
 last one that verified, and a corrupt row degrades to the last known good
 version, mirroring
-:class:`~repro.core.distribution.SignatureFetcher`.
+:class:`~repro.core.distribution.SignatureFetcher`.  A
+:class:`SignatureRepository` is also the source an in-process
+:class:`~repro.core.distribution.SignatureFetcher` reads.
 """
 
 from repro.service.repository import (

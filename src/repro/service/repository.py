@@ -2,17 +2,20 @@
 
 The service's durable state is deliberately tiny — published signature
 envelopes and accepted fleet reports — but it must survive restarts and
-tolerate the same corruption the distribution channel tolerates.  Both
-stores hide behind small repository interfaces so the HTTP layer (and the
+tolerate the same corruption a device's transport does.  Both stores
+hide behind small repository interfaces so the HTTP layer (and the
 tests) never touch a backend directly:
 
 - :class:`SignatureRepository` — append-only version history of published
-  :class:`~repro.signatures.store.SignatureEnvelope` documents.  Writes
-  verify the envelope (checksum, monotonic ``set_version``) before
-  anything is persisted.  Reads compare the stored text with the last
-  text that verified: the same text returns its envelope, any other text
-  is **verified again**, and a row that fails degrades the read to the
-  newest still-valid version — the same last-known-good posture as
+  :class:`~repro.signatures.store.SignatureEnvelope` documents, and the
+  one source a :class:`~repro.core.distribution.SignatureFetcher` reads.
+  :meth:`~SignatureRepository.publish` stores a signature list as the
+  next version.  Writes verify the envelope (checksum, monotonic
+  ``set_version``) before anything is persisted, in one
+  :meth:`~SignatureRepository.store` both backends share.  Reads compare
+  the stored text with the last text that verified: the same text
+  returns its envelope, any other text is **verified again**, and a row
+  that fails degrades the read to the newest still-valid version — the same last-known-good posture as
   :class:`~repro.core.distribution.SignatureFetcher`, applied to disk
   instead of the network.  A failing text is never kept, so it fails,
   and counts, on every read.  The stored document text round-trips
@@ -39,9 +42,10 @@ import threading
 from abc import ABC, abstractmethod
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import ServiceError, SignatureStoreError
+from repro.signatures.conjunction import ConjunctionSignature
 from repro.signatures.store import SignatureEnvelope, SignatureStore
 
 #: Schema migrations, applied in order; the index + 1 is the schema
@@ -76,9 +80,17 @@ MIGRATIONS: tuple[tuple[str, ...], ...] = (
 
 
 class SignatureRepository(ABC):
-    """Durable, versioned storage of published signature envelopes."""
+    """Durable, versioned storage of published signature envelopes.
 
-    @abstractmethod
+    The version rule, verify-before-write and read-time verification
+    live here, once; a backend supplies the insert and the stored texts.
+    """
+
+    def __init__(self) -> None:
+        # Re-entrant: publish holds it across its latest_version read and store.
+        self._lock = threading.RLock()
+        self._verified = _VerifiedEnvelopes()
+
     def store(self, document: str) -> SignatureEnvelope:
         """Verify and persist one envelope document.
 
@@ -89,12 +101,39 @@ class SignatureRepository(ABC):
         :raises ServiceError: when ``set_version`` does not advance the
             stored history (publishes must be monotonic).
         """
+        envelope = SignatureStore.loads_envelope(document)
+        with self._lock:
+            newest = self.latest_version()
+            if envelope.set_version <= newest:
+                raise ServiceError(
+                    f"stale publish: set_version {envelope.set_version} <= stored {newest}"
+                )
+            self._insert(envelope, document)
+            self._verified.keep(document, envelope)
+        return envelope
+
+    def publish(self, signatures: Sequence[ConjunctionSignature]) -> SignatureEnvelope:
+        """Store ``signatures`` as the version after the newest stored one."""
+        with self._lock:
+            return self.store(
+                SignatureStore.dumps_envelope(list(signatures), self.latest_version() + 1)
+            )
+
+    @abstractmethod
+    def _insert(self, envelope: SignatureEnvelope, document: str) -> None:
+        """Persist a verified document whose version is newer than any stored.
+
+        :raises ServiceError: when another writer stored that version first.
+        """
+
+    @abstractmethod
+    def _newest_first(self) -> Iterable[str]:
+        """Every stored document text, newest version first."""
 
     @abstractmethod
     def latest_version(self) -> int:
         """Newest *stored* ``set_version`` (0 when empty); no verification."""
 
-    @abstractmethod
     def latest(self) -> tuple[str, SignatureEnvelope] | None:
         """The newest envelope that still verifies, with its document text.
 
@@ -103,18 +142,28 @@ class SignatureRepository(ABC):
         serving poison, counting the skips in :meth:`corrupt_reads`.
         ``None`` when nothing valid is stored.
         """
+        for document in self._newest_first():
+            found = self._read(document)
+            if found is not None:
+                return found
+        return None
 
     @abstractmethod
     def get(self, set_version: int) -> tuple[str, SignatureEnvelope] | None:
         """One stored version, verified on read; ``None`` if absent/corrupt."""
 
+    def _read(self, document: str) -> tuple[str, SignatureEnvelope] | None:
+        """A stored document with its envelope; ``None`` (counted) if it fails."""
+        envelope = self._verified.read(document)
+        return None if envelope is None else (document, envelope)
+
     @abstractmethod
     def versions(self) -> list[int]:
         """All stored versions, ascending (corrupt rows included)."""
 
-    @abstractmethod
     def corrupt_reads(self) -> int:
         """How many stored rows have failed read-time verification so far."""
+        return self._verified.corrupt_reads()
 
 
 class ReportRepository(ABC):
@@ -196,52 +245,28 @@ class InMemorySignatureRepository(SignatureRepository):
     """Dict-backed history for ephemeral servers and tests."""
 
     def __init__(self) -> None:
+        super().__init__()
         self._documents: dict[int, str] = {}
-        self._verified = _VerifiedEnvelopes()
-        self._lock = threading.Lock()
 
-    def store(self, document: str) -> SignatureEnvelope:
-        envelope = SignatureStore.loads_envelope(document)
-        with self._lock:
-            newest = max(self._documents, default=0)
-            if envelope.set_version <= newest:
-                raise ServiceError(
-                    f"stale publish: set_version {envelope.set_version} "
-                    f"<= stored {newest}"
-                )
-            self._documents[envelope.set_version] = document
-            self._verified.keep(document, envelope)
-        return envelope
+    def _insert(self, envelope: SignatureEnvelope, document: str) -> None:
+        self._documents[envelope.set_version] = document
 
     def latest_version(self) -> int:
         with self._lock:
             return max(self._documents, default=0)
 
-    def _verify(self, version: int) -> tuple[str, SignatureEnvelope] | None:
-        document = self._documents.get(version)
-        if document is None:
-            return None
-        envelope = self._verified.read(document)
-        return None if envelope is None else (document, envelope)
-
-    def latest(self) -> tuple[str, SignatureEnvelope] | None:
+    def _newest_first(self) -> list[str]:
         with self._lock:
-            for version in sorted(self._documents, reverse=True):
-                found = self._verify(version)
-                if found is not None:
-                    return found
-            return None
+            return [self._documents[v] for v in sorted(self._documents, reverse=True)]
 
     def get(self, set_version: int) -> tuple[str, SignatureEnvelope] | None:
         with self._lock:
-            return self._verify(set_version)
+            document = self._documents.get(set_version)
+        return None if document is None else self._read(document)
 
     def versions(self) -> list[int]:
         with self._lock:
             return sorted(self._documents)
-
-    def corrupt_reads(self) -> int:
-        return self._verified.corrupt_reads()
 
     # test hook: simulate at-rest corruption of one stored version
     def corrupt(self, set_version: int, text: str) -> None:
@@ -385,16 +410,10 @@ class SqliteSignatureRepository(SignatureRepository):
     """Envelope history in ``signature_envelopes``, read through :class:`_VerifiedEnvelopes`."""
 
     def __init__(self, store: SqliteStore) -> None:
+        super().__init__()
         self.store_backend = store
-        self._verified = _VerifiedEnvelopes()
 
-    def store(self, document: str) -> SignatureEnvelope:
-        envelope = SignatureStore.loads_envelope(document)
-        newest = self.latest_version()
-        if envelope.set_version <= newest:
-            raise ServiceError(
-                f"stale publish: set_version {envelope.set_version} <= stored {newest}"
-            )
+    def _insert(self, envelope: SignatureEnvelope, document: str) -> None:
         try:
             self.store_backend.write(
                 "INSERT INTO signature_envelopes (set_version, checksum, document) "
@@ -405,8 +424,6 @@ class SqliteSignatureRepository(SignatureRepository):
             raise ServiceError(
                 f"set_version {envelope.set_version} already stored"
             ) from exc
-        self._verified.keep(document, envelope)
-        return envelope
 
     def latest_version(self) -> int:
         row = self.store_backend.connection().execute(
@@ -414,36 +431,24 @@ class SqliteSignatureRepository(SignatureRepository):
         ).fetchone()
         return row[0] or 0
 
-    def latest(self) -> tuple[str, SignatureEnvelope] | None:
+    def _newest_first(self) -> Iterator[str]:
         rows = self.store_backend.connection().execute(
             "SELECT document FROM signature_envelopes ORDER BY set_version DESC"
         )
-        for (document,) in rows:
-            envelope = self._verified.read(document)
-            if envelope is not None:
-                return document, envelope
-        return None
+        return (document for (document,) in rows)
 
     def get(self, set_version: int) -> tuple[str, SignatureEnvelope] | None:
         row = self.store_backend.connection().execute(
             "SELECT document FROM signature_envelopes WHERE set_version = ?",
             (set_version,),
         ).fetchone()
-        if row is None:
-            return None
-        envelope = self._verified.read(row[0])
-        if envelope is None:
-            return None
-        return row[0], envelope
+        return None if row is None else self._read(row[0])
 
     def versions(self) -> list[int]:
         rows = self.store_backend.connection().execute(
             "SELECT set_version FROM signature_envelopes ORDER BY set_version"
         )
         return [row[0] for row in rows]
-
-    def corrupt_reads(self) -> int:
-        return self._verified.corrupt_reads()
 
 
 class SqliteReportRepository(ReportRepository):

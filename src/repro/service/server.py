@@ -78,7 +78,6 @@ from repro.service.wire import (  # noqa: F401
     extract_traceparent,
 )
 from repro.signatures.conjunction import ConjunctionSignature
-from repro.signatures.store import SignatureStore
 
 #: Wall-clock request latency bucket edges, in milliseconds.
 REQUEST_MS_BOUNDS: tuple[float, ...] = (
@@ -268,9 +267,7 @@ class SignatureService:
             boot_set = boot_signatures
             boot_version = 1
             if boot_signatures:
-                self.signatures.store(
-                    SignatureStore.dumps_envelope(list(boot_signatures), 1)
-                )
+                boot_version = self.signatures.publish(boot_signatures).set_version
         self.gateway = ScreeningGateway(
             list(boot_set),
             config=self.config.gateway,

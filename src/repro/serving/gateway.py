@@ -161,7 +161,7 @@ class ScreeningGateway:
     :param config: data-plane tuning.
     :param telemetry: measurement sink (a fresh one is created if omitted).
     :param set_version: version label of the boot set (as published by
-        :class:`~repro.core.distribution.SignatureChannel`).
+        a :class:`~repro.service.repository.SignatureRepository`).
     :param run_id: observability run id surfaced by
         :meth:`health_snapshot`; a fleet probe pairs it with
         ``uptime_ticks`` to tell a silent restart (ticks reset to zero)

@@ -38,7 +38,7 @@ def evading_misses(check, split_packets):
 class TestPublication:
     def test_base_set_published_as_version_one(self, boot):
         defender = DefenderLoop(boot)
-        assert defender.channel.latest_version == 1
+        assert defender.repository.latest_version() == 1
         envelope = defender.latest_envelope
         assert envelope.set_version == 1
         assert len(envelope.signatures) == len(boot)
@@ -48,7 +48,7 @@ class TestPublication:
         outcome = defender.observe_misses([], round_no=1)
         assert outcome.published_version is None
         assert outcome.misses_ingested == 0
-        assert defender.channel.latest_version == 1
+        assert defender.repository.latest_version() == 1
 
     def test_misses_regenerate_and_republish(self, boot, evading_misses):
         defender = DefenderLoop(boot)
@@ -57,16 +57,16 @@ class TestPublication:
         assert outcome.miss_clusters >= 1
         assert outcome.regenerated >= 1
         assert outcome.published_version == 2
-        assert defender.channel.latest_version == 2
+        assert defender.repository.latest_version() == 2
 
     def test_unchanged_set_is_not_republished_again(self, boot, evading_misses):
         defender = DefenderLoop(boot)
         defender.observe_misses(evading_misses, round_no=1)
-        version = defender.channel.latest_version
+        version = defender.repository.latest_version()
         # Same cumulative miss population => same merged set => no publish.
         again = defender.observe_misses([], round_no=2)
         assert again.published_version is None
-        assert defender.channel.latest_version == version
+        assert defender.repository.latest_version() == version
 
     def test_versions_advance_monotonically(self, boot, check, split_packets):
         __, held_out = split_packets
@@ -83,7 +83,7 @@ class TestPublication:
                 versions.append(outcome.published_version)
         assert versions == sorted(versions)
         assert len(set(versions)) == len(versions)
-        assert defender.channel.latest_version == versions[-1]
+        assert defender.repository.latest_version() == versions[-1]
 
 
 class TestNeverRegress:

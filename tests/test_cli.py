@@ -343,6 +343,19 @@ class TestChaos:
         assert main(["chaos", "--rates", "zero,half"]) == 2
         assert "comma-separated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("devices", ["0", "-2"])
+    def test_rejects_an_empty_fleet(self, capsys, devices):
+        code = main(
+            [
+                "chaos", "--apps", "30", "--sample", "20",
+                "--rates", "0,0.1", "--devices", devices,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"n_devices must be >= 1, got {devices}\n"
+
     def test_pipeline_target_renders_and_exits_zero(self, capsys):
         code = main(
             [

@@ -1,16 +1,16 @@
-"""The resilient server -> device signature distribution channel."""
+"""The resilient server -> device signature distribution path."""
 
 import pytest
 
-from repro.core.distribution import (
-    FetchStatus,
-    SignatureChannel,
-    SignatureFetcher,
-)
+from repro.core.distribution import FetchStatus, SignatureFetcher
 from repro.core.flowcontrol import FlowControlApp
-from repro.errors import DistributionError
 from repro.reliability.faults import FaultKind, FaultPlan
 from repro.reliability.retry import BreakerState, CircuitBreaker, RetryPolicy
+from repro.service.repository import (
+    InMemorySignatureRepository,
+    SqliteSignatureRepository,
+    SqliteStore,
+)
 from repro.signatures.conjunction import ConjunctionSignature
 
 
@@ -18,58 +18,98 @@ def sigs(marker="imei=12345"):
     return [ConjunctionSignature(tokens=(marker,), scope_domain="adnet.com")]
 
 
+def published(*markers, repository=None):
+    """A repository holding one published version per marker, in order."""
+    repository = repository or InMemorySignatureRepository()
+    for marker in markers:
+        repository.publish(sigs(marker))
+    return repository
+
+
 class TestChannel:
     def test_publish_assigns_monotonic_versions(self):
-        channel = SignatureChannel()
-        assert channel.publish(sigs()).set_version == 1
-        assert channel.publish(sigs()).set_version == 2
-        assert channel.latest_version == 2
+        repository = InMemorySignatureRepository()
+        assert repository.publish(sigs()).set_version == 1
+        assert repository.publish(sigs()).set_version == 2
+        assert repository.latest_version() == 2
 
-    def test_transmit_without_publication_raises(self):
-        with pytest.raises(DistributionError):
-            SignatureChannel().transmit()
+    def test_empty_source_is_a_drop(self):
+        plan = FaultPlan(seed=1, corrupt=1.0)
+        fetcher = SignatureFetcher(
+            InMemorySignatureRepository(), plan, retry=RetryPolicy(max_attempts=3)
+        )
+        result = fetcher.fetch()
+        assert result.status is FetchStatus.DEGRADED
+        assert fetcher.health.drops == result.attempts == 3
+        assert sum(plan.counts.values()) == 0  # no fault draw consumed
 
     def test_perfect_channel_delivers_latest(self):
-        channel = SignatureChannel()
-        channel.publish(sigs("a=1"))
-        channel.publish(sigs("b=2"))
-        payload, kind, delay = channel.transmit()
-        assert kind is FaultKind.NONE and delay == 0.0
-        assert b"b=2" in payload
+        fetcher = SignatureFetcher(published("a=1", "b=2"))
+        result = fetcher.fetch()
+        assert result.status is FetchStatus.FRESH and result.set_version == 2
+        assert list(result.signatures) == sigs("b=2")
+        assert fetcher.health.delay_ticks == 0.0 and fetcher.clock == 1.0
 
     def test_stale_fault_serves_previous_version(self):
-        channel = SignatureChannel(FaultPlan(seed=1, stale=1.0))
-        channel.publish(sigs("a=1"))
-        channel.publish(sigs("b=2"))
-        payload, kind, __ = channel.transmit()
-        assert kind is FaultKind.STALE
-        assert b"a=1" in payload and b"b=2" not in payload
+        plan = FaultPlan(seed=1, stale=1.0)
+        result = SignatureFetcher(published("a=1", "b=2"), plan).fetch()
+        assert plan.counts[FaultKind.STALE] == 1
+        assert result.status is FetchStatus.FRESH and result.set_version == 1
+        assert list(result.signatures) == sigs("a=1")
 
     def test_stale_with_single_version_serves_it(self):
-        channel = SignatureChannel(FaultPlan(seed=1, stale=1.0))
-        channel.publish(sigs("a=1"))
-        payload, __, __ = channel.transmit()
-        assert b"a=1" in payload
+        plan = FaultPlan(seed=1, stale=1.0)
+        result = SignatureFetcher(published("a=1"), plan).fetch()
+        assert plan.counts[FaultKind.STALE] == 1
+        assert result.status is FetchStatus.FRESH and result.set_version == 1
+        assert list(result.signatures) == sigs("a=1")
+
+    def test_corrupt_newest_row_serves_previous_version(self):
+        repository = published("a=1", "b=2")
+        repository.corrupt(2, "{not an envelope")
+        result = SignatureFetcher(repository).fetch()
+        assert result.status is FetchStatus.FRESH and result.set_version == 1
+        assert list(result.signatures) == sigs("a=1")
+        assert repository.corrupt_reads() == 1
+
+    def test_sqlite_source_fetches_like_in_memory(self, tmp_path):
+        def run(repository):
+            fetcher = SignatureFetcher(
+                published("a=1", "b=2", repository=repository),
+                FaultPlan(seed=11, drop=0.2, truncate=0.1, corrupt=0.1, delay=0.2, stale=0.3),
+                retry=RetryPolicy(max_attempts=3),
+                seed=11,
+            )
+            results = [fetcher.fetch() for __ in range(6)]
+            repository.publish(sigs("c=3"))
+            results += [fetcher.fetch() for __ in range(6)]
+            return results, fetcher.health
+
+        in_memory = run(InMemorySignatureRepository())
+        on_disk = run(SqliteSignatureRepository(SqliteStore(tmp_path / "signatures.db")))
+        assert in_memory == on_disk
+        statuses = {result.status for result in in_memory[0]}
+        assert FetchStatus.FRESH in statuses and in_memory[1].stale_reads > 0
 
 
 class TestFetcher:
     def test_happy_path_is_fresh(self):
-        channel = SignatureChannel()
-        channel.publish(sigs())
-        result = SignatureFetcher(channel).fetch()
+        result = SignatureFetcher(published("imei=12345")).fetch()
         assert result.status is FetchStatus.FRESH
         assert result.set_version == 1
         assert result.attempts == 1
         assert list(result.signatures) == sigs()
-        assert result.ok
 
     def test_retries_through_transient_drops(self):
         # Deterministically: find a seed where attempt 1 drops, a later
         # attempt succeeds within the budget.
         for seed in range(50):
-            channel = SignatureChannel(FaultPlan(seed=seed, drop=0.5))
-            channel.publish(sigs())
-            fetcher = SignatureFetcher(channel, retry=RetryPolicy(max_attempts=6), seed=seed)
+            fetcher = SignatureFetcher(
+                published("imei=12345"),
+                FaultPlan(seed=seed, drop=0.5),
+                retry=RetryPolicy(max_attempts=6),
+                seed=seed,
+            )
             result = fetcher.fetch()
             if result.status is FetchStatus.FRESH and result.attempts > 1:
                 assert fetcher.health.drops == result.attempts - 1
@@ -77,31 +117,35 @@ class TestFetcher:
         pytest.fail("no seed produced drop-then-success within budget")
 
     def test_corrupt_envelope_fails_integrity_then_falls_back(self):
-        channel = SignatureChannel(FaultPlan(seed=2, corrupt=1.0))
-        channel.publish(sigs())
-        fetcher = SignatureFetcher(channel, retry=RetryPolicy(max_attempts=3))
+        fetcher = SignatureFetcher(
+            published("imei=12345"),
+            FaultPlan(seed=2, corrupt=1.0),
+            retry=RetryPolicy(max_attempts=3),
+        )
         result = fetcher.fetch()
         assert result.status is FetchStatus.DEGRADED
         assert fetcher.health.integrity_failures == 3
         assert result.signatures == ()
 
     def test_truncated_envelope_detected(self):
-        channel = SignatureChannel(FaultPlan(seed=2, truncate=1.0))
-        channel.publish(sigs())
-        fetcher = SignatureFetcher(channel, retry=RetryPolicy(max_attempts=2))
+        fetcher = SignatureFetcher(
+            published("imei=12345"),
+            FaultPlan(seed=2, truncate=1.0),
+            retry=RetryPolicy(max_attempts=2),
+        )
         result = fetcher.fetch()
         assert result.status is FetchStatus.DEGRADED
         assert fetcher.health.integrity_failures == 2
 
     def test_exhausted_retries_fall_back_to_last_known_good(self):
-        plan = FaultPlan(seed=0)  # clean first
-        channel = SignatureChannel(plan)
-        channel.publish(sigs("v1=x"))
-        fetcher = SignatureFetcher(channel, retry=RetryPolicy(max_attempts=2))
+        repository = published("v1=x")
+        fetcher = SignatureFetcher(
+            repository, FaultPlan(seed=0), retry=RetryPolicy(max_attempts=2)
+        )
         assert fetcher.fetch().status is FetchStatus.FRESH
-        # Channel turns hostile: everything drops from now on.
-        channel.fault_plan = FaultPlan(seed=1, drop=1.0)
-        channel.publish(sigs("v2=y"))
+        # The transport turns hostile: everything drops from now on.
+        fetcher.faults = FaultPlan(seed=1, drop=1.0)
+        repository.publish(sigs("v2=y"))
         result = fetcher.fetch()
         assert result.status is FetchStatus.CACHED
         assert result.set_version == 1
@@ -109,32 +153,33 @@ class TestFetcher:
         assert fetcher.health.fallbacks == 1
 
     def test_degraded_when_nothing_ever_fetched(self):
-        channel = SignatureChannel(FaultPlan(seed=3, drop=1.0))
-        channel.publish(sigs())
-        fetcher = SignatureFetcher(channel, retry=RetryPolicy(max_attempts=4))
+        fetcher = SignatureFetcher(
+            published("imei=12345"),
+            FaultPlan(seed=3, drop=1.0),
+            retry=RetryPolicy(max_attempts=4),
+        )
         result = fetcher.fetch()
         assert result.status is FetchStatus.DEGRADED
-        assert not result.ok
+        assert result.signatures == () and result.set_version == 0
         assert fetcher.health.degraded_sessions == 1
 
     def test_stale_read_never_regresses_installed_version(self):
-        channel = SignatureChannel()
-        channel.publish(sigs("v1=x"))
-        channel.publish(sigs("v2=y"))
-        fetcher = SignatureFetcher(channel, retry=RetryPolicy(max_attempts=2))
+        fetcher = SignatureFetcher(
+            published("v1=x", "v2=y"), retry=RetryPolicy(max_attempts=2)
+        )
         assert fetcher.fetch().set_version == 2
         # Now every read is stale (serves v1); fetcher must reject and fall
         # back to the cached v2 rather than downgrade.
-        channel.fault_plan = FaultPlan(seed=4, stale=1.0)
+        fetcher.faults = FaultPlan(seed=4, stale=1.0)
         result = fetcher.fetch()
         assert result.status is FetchStatus.CACHED
         assert result.set_version == 2
         assert fetcher.health.stale_reads == 2
 
     def test_delay_advances_logical_clock(self):
-        channel = SignatureChannel(FaultPlan(seed=5, delay=1.0, max_delay_ticks=4.0))
-        channel.publish(sigs())
-        fetcher = SignatureFetcher(channel)
+        fetcher = SignatureFetcher(
+            published("imei=12345"), FaultPlan(seed=5, delay=1.0, max_delay_ticks=4.0)
+        )
         result = fetcher.fetch()
         assert result.status is FetchStatus.FRESH
         assert fetcher.health.delay_ticks > 0.0
@@ -142,9 +187,12 @@ class TestFetcher:
 
     def test_fetch_is_deterministic(self):
         def run():
-            channel = SignatureChannel(FaultPlan(seed=6, drop=0.4, corrupt=0.2))
-            channel.publish(sigs())
-            fetcher = SignatureFetcher(channel, retry=RetryPolicy(max_attempts=5), seed=6)
+            fetcher = SignatureFetcher(
+                published("imei=12345"),
+                FaultPlan(seed=6, drop=0.4, corrupt=0.2),
+                retry=RetryPolicy(max_attempts=5),
+                seed=6,
+            )
             results = [fetcher.fetch() for __ in range(5)]
             return [(r.status, r.set_version, r.attempts) for r in results], fetcher.clock
 
@@ -153,10 +201,13 @@ class TestFetcher:
 
 class TestCircuitBreaking:
     def test_open_breaker_fails_fast_without_channel_attempts(self):
-        channel = SignatureChannel(FaultPlan(seed=7, drop=1.0))
-        channel.publish(sigs())
         breaker = CircuitBreaker(failure_threshold=3, cooldown=1000.0)
-        fetcher = SignatureFetcher(channel, retry=RetryPolicy(max_attempts=3), breaker=breaker)
+        fetcher = SignatureFetcher(
+            published("imei=12345"),
+            FaultPlan(seed=7, drop=1.0),
+            retry=RetryPolicy(max_attempts=3),
+            breaker=breaker,
+        )
         first = fetcher.fetch()  # three drops -> breaker opens
         assert first.attempts == 3
         assert breaker.state(fetcher.clock) is BreakerState.OPEN
@@ -166,16 +217,15 @@ class TestCircuitBreaking:
         assert fetcher.health.breaker_state == BreakerState.OPEN.value
 
     def test_breaker_recovers_after_cooldown(self):
-        channel = SignatureChannel(FaultPlan(seed=8, drop=1.0))
-        channel.publish(sigs())
         breaker = CircuitBreaker(failure_threshold=2, cooldown=3.0)
         fetcher = SignatureFetcher(
-            channel,
+            published("imei=12345"),
+            FaultPlan(seed=8, drop=1.0),
             retry=RetryPolicy(max_attempts=2, base_delay=2.0, jitter=0.0),
             breaker=breaker,
         )
         fetcher.fetch()  # opens the breaker
-        channel.fault_plan = None  # network heals
+        fetcher.faults = None  # network heals
         # Clock keeps advancing across sessions; eventually a probe passes.
         for __ in range(10):
             result = fetcher.fetch()
@@ -187,32 +237,31 @@ class TestCircuitBreaking:
 
 class TestFetchInto:
     def test_fresh_fetch_installs_signatures(self):
-        channel = SignatureChannel()
-        channel.publish(sigs())
         app = FlowControlApp.degraded()
-        result = SignatureFetcher(channel).fetch_into(app)
+        result = SignatureFetcher(published("imei=12345")).fetch_into(app)
         assert result.status is FetchStatus.FRESH
         assert not app.is_degraded
         assert app.signature_version == 1
 
     def test_degraded_fetch_leaves_app_in_keyword_mode(self):
-        channel = SignatureChannel(FaultPlan(seed=9, drop=1.0))
-        channel.publish(sigs())
         app = FlowControlApp.degraded()
-        result = SignatureFetcher(channel, retry=RetryPolicy(max_attempts=2)).fetch_into(app)
+        fetcher = SignatureFetcher(
+            published("imei=12345"),
+            FaultPlan(seed=9, drop=1.0),
+            retry=RetryPolicy(max_attempts=2),
+        )
+        result = fetcher.fetch_into(app)
         assert result.status is FetchStatus.DEGRADED
         assert app.is_degraded
 
     def test_degraded_fetch_does_not_clobber_last_good_install(self):
-        channel = SignatureChannel()
-        channel.publish(sigs())
         app = FlowControlApp.degraded()
-        fetcher = SignatureFetcher(channel, retry=RetryPolicy(max_attempts=1))
+        fetcher = SignatureFetcher(published("imei=12345"), retry=RetryPolicy(max_attempts=1))
         assert fetcher.fetch_into(app).status is FetchStatus.FRESH
-        # New device, no cache, dead channel: its degraded result must not
+        # New device, no cache, dead transport: its degraded result must not
         # wipe another app's set — but also the same fetcher's CACHED
         # result reinstalls the old version on the same app.
-        channel.fault_plan = FaultPlan(seed=10, drop=1.0)
+        fetcher.faults = FaultPlan(seed=10, drop=1.0)
         result = fetcher.fetch_into(app)
         assert result.status is FetchStatus.CACHED
         assert app.signature_version == 1

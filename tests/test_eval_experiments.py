@@ -1,7 +1,9 @@
-"""Fig 4 sweep runner and the scaled-sweep helper."""
+"""Fig 4 sweep runner, the scaled-sweep helper and the distribution chaos sweep."""
 
 import pytest
 
+from repro.errors import SimulationError
+from repro.eval.chaos import run_chaos_sweep
 from repro.eval.experiments import PAPER_SWEEP, run_fig4_sweep, scaled_sweep
 
 
@@ -47,3 +49,12 @@ class TestFig4Sweep:
 
     def test_signatures_generated(self, points):
         assert all(point.n_signatures > 0 for point in points)
+
+
+class TestChaosSweep:
+    @pytest.mark.parametrize("n_devices", [0, -2])
+    def test_rejects_an_empty_fleet(self, small_corpus, n_devices):
+        with pytest.raises(SimulationError, match="n_devices must be >= 1"):
+            run_chaos_sweep(
+                small_corpus.trace, small_corpus.payload_check(), [0.0], n_devices=n_devices
+            )

@@ -15,11 +15,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.distribution import SignatureChannel
 from repro.core.pipeline import DetectionPipeline, PipelineConfig
 from repro.distance.engine import DistanceEngine
 from repro.distance.packet import PacketDistance
 from repro.obs import Observability
+from repro.service.repository import InMemorySignatureRepository
 from repro.serving.gateway import GatewayConfig, ReloadEvent, ScreeningGateway
 from repro.serving.loadgen import FleetLoadGenerator, LoadProfile
 from repro.serving.telemetry import DEPTH_BOUNDS, LATENCY_BOUNDS, Histogram, ServingTelemetry
@@ -118,13 +118,12 @@ class TestEngineUnchanged:
 
 class TestServingTelemetryShim:
     def _run_gateway(self, corpus, telemetry):
-        channel = SignatureChannel()
-        channel.publish(corpus_signatures(corpus))
-        channel.publish(list(reversed(corpus_signatures(corpus, limit=18))))
+        repository = InMemorySignatureRepository()
+        boot = repository.publish(corpus_signatures(corpus))
+        reload = repository.publish(list(reversed(corpus_signatures(corpus, limit=18))))
         stream = FleetLoadGenerator(
             corpus, LoadProfile(mean_interarrival_ticks=0.5), seed=3
         ).events(250)
-        boot = channel.envelope(1)
         gateway = ScreeningGateway(
             list(boot.signatures),
             config=GatewayConfig(batch_size=4, n_shards=2),
@@ -133,7 +132,7 @@ class TestServingTelemetryShim:
         )
         gateway.run(
             stream,
-            reloads=[ReloadEvent(tick=stream[125].tick, envelope=channel.envelope(2))],
+            reloads=[ReloadEvent(tick=stream[125].tick, envelope=reload)],
         )
         return telemetry
 

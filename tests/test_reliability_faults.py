@@ -49,7 +49,6 @@ class TestTaxonomy:
         outcome = plan.apply(PAYLOAD)
         assert outcome.kind is FaultKind.DROP
         assert outcome.payload is None
-        assert not outcome.delivered
 
     def test_truncate_yields_strict_prefix(self):
         plan = FaultPlan(seed=2, truncate=1.0)
@@ -91,14 +90,15 @@ class TestStream:
     def test_stream_applies_per_packet(self):
         plan = FaultPlan(seed=9, drop=0.5)
         payloads = [b"packet-%d" % i for i in range(40)]
-        results = list(plan.apply_stream(payloads))
+        results = [plan.apply(payload, str(i)) for i, payload in enumerate(payloads)]
         assert len(results) == 40
         kinds = {o.kind for o in results}
         assert FaultKind.DROP in kinds and FaultKind.NONE in kinds
 
     def test_uniform_splits_rate(self):
         plan = FaultPlan.uniform(0.4, seed=1)
-        assert plan.total_rate == pytest.approx(0.4)
+        assert sum(plan.rates.values()) == pytest.approx(0.4)
+        assert plan.rates[FaultKind.DROP] == pytest.approx(0.16)
 
 
 class TestValidation:

@@ -9,19 +9,24 @@ from repro.reliability.quarantine import Quarantine
 from repro.reliability.retry import BreakerState, CircuitBreaker, RetryPolicy
 
 
+def delays(policy, rng):
+    """The backoffs of one exhausted session, drawn as the fetcher draws them."""
+    return [policy.backoff(k, rng) for k in range(policy.max_attempts - 1)]
+
+
 class TestRetryPolicy:
     def test_schedule_is_deterministic(self):
         policy = RetryPolicy(max_attempts=5, jitter=0.3)
-        assert policy.schedule(Random(7)) == policy.schedule(Random(7))
+        assert delays(policy, Random(7)) == delays(policy, Random(7))
 
     def test_delays_grow_geometrically_without_jitter(self):
         policy = RetryPolicy(max_attempts=4, base_delay=1.0, multiplier=2.0, jitter=0.0)
-        assert policy.schedule(Random(0)) == [1.0, 2.0, 4.0]
+        assert delays(policy, Random(0)) == [1.0, 2.0, 4.0]
 
     def test_max_delay_caps_growth(self):
         policy = RetryPolicy(max_attempts=8, base_delay=1.0, multiplier=3.0,
                              max_delay=5.0, jitter=0.0)
-        assert max(policy.schedule(Random(0))) == 5.0
+        assert max(delays(policy, Random(0))) == 5.0
 
     def test_jitter_stays_within_band(self):
         policy = RetryPolicy(max_attempts=2, base_delay=10.0, jitter=0.25)
@@ -48,7 +53,7 @@ class TestRetryPolicy:
     @pytest.mark.parametrize("jitter", [0.0, 0.1, 0.25, 0.5, 0.99])
     def test_same_seed_same_schedule(self, seed, jitter):
         policy = RetryPolicy(max_attempts=6, base_delay=0.5, multiplier=3.0, jitter=jitter)
-        assert policy.schedule(Random(seed)) == policy.schedule(Random(seed))
+        assert delays(policy, Random(seed)) == delays(policy, Random(seed))
 
     @pytest.mark.parametrize("jitter", [0.0, 0.1, 0.25, 0.5, 0.99])
     def test_delay_always_within_hard_bounds(self, jitter):

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from repro.core.distribution import SignatureChannel
 from repro.errors import SimulationError
+from repro.service.repository import InMemorySignatureRepository
 from repro.serving.gateway import (
     GatewayConfig,
     ReloadEvent,
@@ -25,25 +25,27 @@ def reload_signatures(corpus):
 
 
 @pytest.fixture(scope="module")
-def channel(small_corpus):
-    """A channel with versions 1 and 2 published."""
-    channel = SignatureChannel()
-    channel.publish(corpus_signatures(small_corpus))
-    channel.publish(reload_signatures(small_corpus))
-    return channel
+def envelopes(small_corpus):
+    """Versions 1 and 2 as a repository publishes them, by version."""
+    repository = InMemorySignatureRepository()
+    published = [
+        repository.publish(corpus_signatures(small_corpus)),
+        repository.publish(reload_signatures(small_corpus)),
+    ]
+    return {envelope.set_version: envelope for envelope in published}
 
 
-def run_gateway(corpus, channel, *, batch_size, n_shards, seed=0, n_events=300,
+def run_gateway(corpus, envelopes, *, batch_size, n_shards, seed=0, n_events=300,
                 mean_interarrival=0.5, queue_capacity=64, policy=ShedPolicy.DEGRADE,
                 reload_fraction=0.5, with_reload=True):
     """One gateway run with a mid-stream reload; returns (gateway, results, stream)."""
     profile = LoadProfile(mean_interarrival_ticks=mean_interarrival)
     stream = FleetLoadGenerator(corpus, profile, seed=seed).events(n_events)
-    boot = channel.envelope(1)
+    boot = envelopes[1]
     reloads = []
     if with_reload:
         reloads = [ReloadEvent(tick=stream[int(len(stream) * reload_fraction)].tick,
-                               envelope=channel.envelope(2))]
+                               envelope=envelopes[2])]
     gateway = ScreeningGateway(
         list(boot.signatures),
         config=GatewayConfig(
@@ -63,13 +65,13 @@ class TestBitIdenticalDecisions:
 
     @pytest.mark.parametrize("n_shards", [1, 3])
     @pytest.mark.parametrize("batch_size", [1, 4, 8])
-    def test_matches_sequential_matcher(self, small_corpus, channel, n_shards, batch_size):
+    def test_matches_sequential_matcher(self, small_corpus, envelopes, n_shards, batch_size):
         reference = {
-            version: SignatureMatcher(list(channel.envelope(version).signatures))
+            version: SignatureMatcher(list(envelopes[version].signatures))
             for version in (1, 2)
         }
         gateway, results, stream = run_gateway(
-            small_corpus, channel, batch_size=batch_size, n_shards=n_shards
+            small_corpus, envelopes, batch_size=batch_size, n_shards=n_shards
         )
         assert len(results) == len(stream)
         assert [r.event.seq for r in results] == [e.seq for e in stream]
@@ -80,13 +82,13 @@ class TestBitIdenticalDecisions:
             assert expected == result.match
         assert {r.set_version for r in screened} == {1, 2}  # reload really happened
 
-    def test_shard_count_never_changes_anything(self, small_corpus, channel):
+    def test_shard_count_never_changes_anything(self, small_corpus, envelopes):
         # Sharding is pure partitioning: with batching and the reload held
         # fixed, even generations and latencies are identical across counts.
         baseline = None
         for n_shards in (1, 2, 5):
             __, results, __stream = run_gateway(
-                small_corpus, channel, batch_size=4, n_shards=n_shards
+                small_corpus, envelopes, batch_size=4, n_shards=n_shards
             )
             verdicts = [(r.event.seq, r.outcome, r.match, r.generation, r.completed_tick)
                         for r in results]
@@ -95,14 +97,14 @@ class TestBitIdenticalDecisions:
             else:
                 assert verdicts == baseline
 
-    def test_batch_size_never_changes_verdicts(self, small_corpus, channel):
+    def test_batch_size_never_changes_verdicts(self, small_corpus, envelopes):
         # Batching changes *when* packets are screened (and hence how a
         # reload lands), so compare pure verdicts on a fixed signature set.
         # arrivals slower than batch_size=1's worst-case cost, so nothing sheds
         baseline = None
         for batch_size in (1, 4, 8):
             __, results, __stream = run_gateway(
-                small_corpus, channel, batch_size=batch_size, n_shards=2,
+                small_corpus, envelopes, batch_size=batch_size, n_shards=2,
                 with_reload=False, mean_interarrival=2.0,
             )
             assert all(r.screened for r in results)
@@ -114,48 +116,48 @@ class TestBitIdenticalDecisions:
 
 
 class TestSheddingAndBackpressure:
-    def overload(self, corpus, channel, policy):
+    def overload(self, corpus, envelopes, policy):
         return run_gateway(
-            corpus, channel,
+            corpus, envelopes,
             batch_size=4, n_shards=2, queue_capacity=4,
             mean_interarrival=0.05, n_events=400, policy=policy,
         )
 
-    def test_overload_sheds(self, small_corpus, channel):
-        gateway, results, __ = self.overload(small_corpus, channel, ShedPolicy.DEGRADE)
+    def test_overload_sheds(self, small_corpus, envelopes):
+        gateway, results, __ = self.overload(small_corpus, envelopes, ShedPolicy.DEGRADE)
         shed = [r for r in results if not r.screened]
         assert shed
         assert gateway.telemetry.counters["shed"] == len(shed)
         assert gateway.telemetry.counters["admitted"] == len(results) - len(shed)
 
-    def test_degrade_policy_uses_keyword_fallback(self, small_corpus, channel):
-        __, results, __stream = self.overload(small_corpus, channel, ShedPolicy.DEGRADE)
+    def test_degrade_policy_uses_keyword_fallback(self, small_corpus, envelopes):
+        __, results, __stream = self.overload(small_corpus, envelopes, ShedPolicy.DEGRADE)
         shed_outcomes = {r.outcome for r in results if not r.screened}
         assert shed_outcomes <= {
             ServeOutcome.SHED_DEGRADED_CLEAN, ServeOutcome.SHED_DEGRADED_FLAGGED
         }
         assert ServeOutcome.SHED_DEGRADED_FLAGGED in shed_outcomes  # corpus leaks identifiers
 
-    def test_drop_policy_marks_unscreened(self, small_corpus, channel):
-        __, results, __stream = self.overload(small_corpus, channel, ShedPolicy.DROP)
+    def test_drop_policy_marks_unscreened(self, small_corpus, envelopes):
+        __, results, __stream = self.overload(small_corpus, envelopes, ShedPolicy.DROP)
         shed = [r for r in results if not r.screened]
         assert shed and all(r.outcome is ServeOutcome.SHED_DROPPED for r in shed)
         assert all(r.batch_id == -1 and r.latency_ticks == 0.0 for r in shed)
 
-    def test_batches_respect_size_bound(self, small_corpus, channel):
-        gateway, __, __stream = self.overload(small_corpus, channel, ShedPolicy.DEGRADE)
+    def test_batches_respect_size_bound(self, small_corpus, envelopes):
+        gateway, __, __stream = self.overload(small_corpus, envelopes, ShedPolicy.DEGRADE)
         sizes = [span["size"] for span in gateway.telemetry.spans_of("batch")]
         assert sizes and max(sizes) <= 4
         # under sustained overload the queue keeps batches full
         assert sizes.count(4) > len(sizes) // 2
 
-    def test_latency_grows_under_load(self, small_corpus, channel):
+    def test_latency_grows_under_load(self, small_corpus, envelopes):
         __, calm, __a = run_gateway(
-            small_corpus, channel, batch_size=4, n_shards=2, mean_interarrival=2.0
+            small_corpus, envelopes, batch_size=4, n_shards=2, mean_interarrival=2.0
         )
         # same arrivals, 10x the rate, deep queue: waiting dominates
         __, hot, __b = run_gateway(
-            small_corpus, channel, batch_size=4, n_shards=2,
+            small_corpus, envelopes, batch_size=4, n_shards=2,
             mean_interarrival=0.2, queue_capacity=256,
         )
         mean = lambda rs: sum(r.latency_ticks for r in rs) / len(rs)  # noqa: E731
@@ -165,41 +167,41 @@ class TestSheddingAndBackpressure:
 
 
 class TestHotReload:
-    def test_generation_swap_mid_stream(self, small_corpus, channel):
+    def test_generation_swap_mid_stream(self, small_corpus, envelopes):
         gateway, results, __ = run_gateway(
-            small_corpus, channel, batch_size=8, n_shards=2
+            small_corpus, envelopes, batch_size=8, n_shards=2
         )
         assert gateway.generation == 2 and gateway.set_version == 2
         generations = {r.generation for r in results}
         assert generations == {1, 2}
 
-    def test_stale_reload_rejected(self, small_corpus, channel):
-        boot = channel.envelope(2)
+    def test_stale_reload_rejected(self, small_corpus, envelopes):
+        boot = envelopes[2]
         gateway = ScreeningGateway(list(boot.signatures), set_version=boot.set_version)
         stream = FleetLoadGenerator(small_corpus, seed=1).events(40)
-        stale = [ReloadEvent(tick=stream[10].tick, envelope=channel.envelope(1))]
+        stale = [ReloadEvent(tick=stream[10].tick, envelope=envelopes[1])]
         gateway.run(stream, reloads=stale)
         assert gateway.set_version == 2 and gateway.generation == 1
         assert gateway.telemetry.counters["reloads_rejected"] == 1
         assert gateway.telemetry.counters.get("reloads_applied", 0) == 0
 
-    def test_reload_after_last_batch_still_applies(self, small_corpus, channel):
-        boot = channel.envelope(1)
+    def test_reload_after_last_batch_still_applies(self, small_corpus, envelopes):
+        boot = envelopes[1]
         gateway = ScreeningGateway(list(boot.signatures), set_version=1)
         stream = FleetLoadGenerator(small_corpus, seed=2).events(20)
-        late = [ReloadEvent(tick=stream[-1].tick + 1000.0, envelope=channel.envelope(2))]
+        late = [ReloadEvent(tick=stream[-1].tick + 1000.0, envelope=envelopes[2])]
         results = gateway.run(stream, reloads=late)
         assert all(r.generation == 1 for r in results)
         assert gateway.set_version == 2  # ready for the next run()
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6])
     def test_property_no_batch_mixes_generations_and_no_regression(
-        self, small_corpus, channel, seed
+        self, small_corpus, envelopes, seed
     ):
         """Satellite: mid-stream update_signatures never mixes generations
         within one batch and never regresses to an older version."""
         gateway, results, stream = run_gateway(
-            small_corpus, channel,
+            small_corpus, envelopes,
             batch_size=5, n_shards=3, seed=seed,
             mean_interarrival=0.2, queue_capacity=16,
             reload_fraction=0.25 + 0.1 * (seed % 5),
@@ -231,15 +233,15 @@ class TestHotReload:
 
 
 class TestValidationAndTelemetry:
-    def test_rejects_unordered_stream(self, small_corpus, channel):
+    def test_rejects_unordered_stream(self, small_corpus, envelopes):
         stream = FleetLoadGenerator(small_corpus, seed=0).events(10)
         shuffled = [stream[1], stream[0], *stream[2:]]
-        gateway = ScreeningGateway(list(channel.envelope(1).signatures))
+        gateway = ScreeningGateway(list(envelopes[1].signatures))
         with pytest.raises(SimulationError):
             gateway.run(shuffled)
 
     @pytest.mark.parametrize("tick", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_tick_before_serving(self, channel, tick):
+    def test_rejects_non_finite_tick_before_serving(self, envelopes, tick):
         # A NaN tick once spun the event loop forever: it never compares
         # below a dispatch time, and no dispatch time compares below it.
         packet = make_packet(target="/p?x=1")
@@ -247,7 +249,7 @@ class TestValidationAndTelemetry:
             ScreeningEvent(seq=0, tick=0.0, device_id="d", packet=packet),
             ScreeningEvent(seq=1, tick=tick, device_id="d", packet=packet),
         ]
-        gateway = ScreeningGateway(list(channel.envelope(1).signatures))
+        gateway = ScreeningGateway(list(envelopes[1].signatures))
         with pytest.raises(SimulationError, match="arrival tick must be finite"):
             call_with_timeout(lambda: gateway.run(events), 10.0)
         assert gateway.telemetry.counters.get("admitted", 0) == 0
@@ -261,9 +263,9 @@ class TestValidationAndTelemetry:
         with pytest.raises(SimulationError):
             GatewayConfig(per_packet_ticks=-1.0)
 
-    def test_decision_counters_sum_to_events(self, small_corpus, channel):
+    def test_decision_counters_sum_to_events(self, small_corpus, envelopes):
         gateway, results, stream = run_gateway(
-            small_corpus, channel, batch_size=4, n_shards=2,
+            small_corpus, envelopes, batch_size=4, n_shards=2,
             mean_interarrival=0.1, queue_capacity=8,
         )
         counters = gateway.telemetry.counters
@@ -271,27 +273,27 @@ class TestValidationAndTelemetry:
         assert decisions == len(stream) == len(results)
         assert counters["admitted"] + counters["shed"] == len(stream)
 
-    def test_single_packet_stream(self, channel):
+    def test_single_packet_stream(self, envelopes):
         packet = make_packet(target="/p?x=1")
         event = ScreeningEvent(seq=0, tick=0.0, device_id="d", packet=packet)
-        gateway = ScreeningGateway(list(channel.envelope(1).signatures))
+        gateway = ScreeningGateway(list(envelopes[1].signatures))
         results = gateway.run([event])
         assert len(results) == 1 and results[0].screened
 
 
 class TestHealthSnapshot:
-    def test_fresh_gateway_snapshot(self, channel):
-        gateway = ScreeningGateway(list(channel.envelope(1).signatures))
+    def test_fresh_gateway_snapshot(self, envelopes):
+        gateway = ScreeningGateway(list(envelopes[1].signatures))
         snapshot = gateway.health_snapshot()
         assert snapshot["generation"] == 1
         assert snapshot["set_version"] == 1
-        assert snapshot["n_signatures"] == len(channel.envelope(1).signatures)
+        assert snapshot["n_signatures"] == len(envelopes[1].signatures)
         assert snapshot["admitted"] == 0 and snapshot["shed"] == 0
         assert snapshot["degraded"] is False
 
-    def test_snapshot_consistent_with_counters_under_load(self, small_corpus, channel):
+    def test_snapshot_consistent_with_counters_under_load(self, small_corpus, envelopes):
         gateway, results, stream = run_gateway(
-            small_corpus, channel, batch_size=4, n_shards=2,
+            small_corpus, envelopes, batch_size=4, n_shards=2,
             mean_interarrival=0.1, queue_capacity=8,
         )
         snapshot = gateway.health_snapshot()
@@ -305,9 +307,9 @@ class TestHealthSnapshot:
         assert snapshot["queue_depth_max"] <= 8
         assert snapshot["queue_depth_p50"] <= snapshot["queue_depth_max"]
 
-    def test_degraded_flag_tracks_shed_policy(self, small_corpus, channel):
+    def test_degraded_flag_tracks_shed_policy(self, small_corpus, envelopes):
         gateway, results, __ = run_gateway(
-            small_corpus, channel, batch_size=4, n_shards=2,
+            small_corpus, envelopes, batch_size=4, n_shards=2,
             mean_interarrival=0.05, queue_capacity=4,
             policy=ShedPolicy.DEGRADE, with_reload=False,
         )
@@ -317,9 +319,9 @@ class TestHealthSnapshot:
         assert snapshot["shed_degraded"] == snapshot["shed"]
         assert snapshot["shed_dropped"] == 0
 
-    def test_dropped_not_flagged_degraded(self, small_corpus, channel):
+    def test_dropped_not_flagged_degraded(self, small_corpus, envelopes):
         gateway, results, __ = run_gateway(
-            small_corpus, channel, batch_size=4, n_shards=2,
+            small_corpus, envelopes, batch_size=4, n_shards=2,
             mean_interarrival=0.05, queue_capacity=4,
             policy=ShedPolicy.DROP, with_reload=False,
         )
@@ -328,11 +330,11 @@ class TestHealthSnapshot:
         assert snapshot["shed_dropped"] == snapshot["shed"]
         assert snapshot["degraded"] is False
 
-    def test_snapshot_is_stable_and_json_safe(self, small_corpus, channel):
+    def test_snapshot_is_stable_and_json_safe(self, small_corpus, envelopes):
         import json as json_module
 
         gateway, __, __s = run_gateway(
-            small_corpus, channel, batch_size=4, n_shards=2,
+            small_corpus, envelopes, batch_size=4, n_shards=2,
             mean_interarrival=0.1, queue_capacity=8,
         )
         first = gateway.health_snapshot()
