@@ -492,7 +492,7 @@ def _run_episode(
         ),
         "final_set_version": gateway.set_version,
         "final_set_size": ledger[-1]["set_size"] if ledger else len(boot),
-        "reloads_applied": gateway.telemetry.counters.get("reloads_applied", 0),
+        "reloads_applied": gateway.metrics.counters.get("reloads_applied", 0),
         "ground_truth_intact": intact,
         "pair_cache": {
             "bound": defender_config.max_cached_pairs,

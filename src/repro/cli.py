@@ -249,6 +249,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if not rates or any(not 0.0 <= rate < 1.0 for rate in rates):
         print(f"--rates must be one or more values in [0, 1), got {args.rates!r}", file=sys.stderr)
         return 2
+    if args.target == "federation":
+        # Checked here rather than by catching FederationError, which also
+        # reports real delivery faults.
+        for flag, value in (("--devices", args.devices), ("--reports", args.reports)):
+            if value < 1:
+                print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
+                return 2
     corpus = build_corpus(n_apps=args.apps, seed=args.seed)
     if args.target == "pipeline":
         from repro.eval.chaos import (

@@ -7,10 +7,10 @@ serving gateway).  Three primitive families:
 - monotonic **counters** (:meth:`Metrics.inc`) — totals that only grow;
 - **gauges** (:meth:`Metrics.set_gauge`) — last-write-wins levels
   (quarantine depth, live signature version);
-- **histograms** (:meth:`Metrics.observe`) — fixed bucket bounds with the
-  deterministic max-clamped percentile estimator proven in the serving
-  telemetry: the reported quantile is the upper edge of the bucket the
-  quantile falls in, clamped to the exact observed maximum.
+- **histograms** (:meth:`Metrics.observe`) — fixed bucket bounds with a
+  deterministic max-clamped percentile estimator: the reported quantile
+  is the upper edge of the bucket the quantile falls in, clamped to the
+  exact observed maximum.
 
 Everything snapshots with **sorted keys** and defined empty-case values,
 so two same-seed runs export byte-identical artifacts and exports diff
@@ -70,10 +70,6 @@ class Histogram:
         index = bisect_left(self.bounds, value) if value == value else len(self.bounds)
         self.counts[index] += 1
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def percentile(self, p: float) -> float:
         """Deterministic upper-bound estimate of the ``p`` quantile.
 
@@ -97,22 +93,6 @@ class Histogram:
                     return self.max_value
                 return min(float(self.bounds[index]), self.max_value)
         return self.max_value
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON form.  Empty histograms report all-zero moments, never NaN."""
-        return {
-            "count": self.count,
-            "mean": round(self.mean, 4),
-            "min": self.min_value,
-            "max": self.max_value,
-            "p50": self.percentile(0.50),
-            "p95": self.percentile(0.95),
-            "p99": self.percentile(0.99),
-            "buckets": {
-                **{str(bound): n for bound, n in zip(self.bounds, self.counts)},
-                "+inf": self.counts[-1],
-            },
-        }
 
 
 class Metrics:
@@ -160,11 +140,29 @@ class Metrics:
     # -- readers ------------------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """A JSON-serializable, key-sorted summary of the whole registry."""
+        """A JSON-serializable, key-sorted summary of the whole registry.
+
+        Empty histograms report all-zero moments, never NaN.
+        """
+        histograms = {}
+        for name, h in sorted(self.histograms.items()):
+            histograms[name] = {
+                "count": h.count,
+                "mean": round(h.total / h.count, 4) if h.count else 0.0,
+                "min": h.min_value,
+                "max": h.max_value,
+                "p50": h.percentile(0.50),
+                "p95": h.percentile(0.95),
+                "p99": h.percentile(0.99),
+                "buckets": {
+                    **{str(bound): n for bound, n in zip(h.bounds, h.counts)},
+                    "+inf": h.counts[-1],
+                },
+            }
         return {
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
-            "histograms": {name: h.to_dict() for name, h in sorted(self.histograms.items())},
+            "histograms": histograms,
         }
 
     def to_prometheus(self, prefix: str = "repro") -> str:

@@ -125,7 +125,8 @@ def run_traced_serving(
     in the same export.  The service episode feeds
     :meth:`~repro.service.server.SignatureService.observe_request` with
     synthetic latencies derived from the call index — no wall clock —
-    so the artifact files stay byte-identical across runs.
+    so the artifact files stay byte-identical across runs.  It writes
+    two files into ``out_dir``: ``metrics.prom`` and ``spans.jsonl``.
     """
     from repro.core.distribution import SignatureFetcher
     from repro.core.flowcontrol import FlowControlApp
@@ -133,7 +134,6 @@ def run_traced_serving(
     from repro.service.repository import InMemorySignatureRepository
     from repro.serving.gateway import GatewayConfig, ReloadEvent, ScreeningGateway
     from repro.serving.loadgen import FleetLoadGenerator, LoadProfile
-    from repro.serving.telemetry import ServingTelemetry
     from repro.simulation.corpus import build_corpus
 
     config = {
@@ -164,11 +164,10 @@ def run_traced_serving(
         app.screen(packet)
 
     gateway_config = GatewayConfig()
-    telemetry = ServingTelemetry(metrics=metrics)
     gateway = ScreeningGateway(
         list(env1.signatures),
         config=gateway_config,
-        telemetry=telemetry,
+        metrics=metrics,
         set_version=env1.set_version,
     )
     generator = FleetLoadGenerator(corpus, LoadProfile(), seed=seed)
@@ -184,7 +183,6 @@ def run_traced_serving(
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "metrics": export_metrics_text(metrics, out_dir / "metrics.prom"),
-        "serving_spans": telemetry.export_jsonl(out_dir / "serving_spans.jsonl"),
         "spans": export_spans_jsonl(obs.tracer, out_dir / "spans.jsonl"),
     }
     summary = {

@@ -67,7 +67,6 @@ from repro.obs.export import export_chrome_trace, export_spans_jsonl
 from repro.obs.metrics import Metrics
 from repro.obs.tracer import Tracer, deterministic_run_id
 from repro.serving.gateway import GatewayConfig, ScreeningGateway
-from repro.serving.telemetry import ServingTelemetry
 from repro.service.repository import open_repositories
 # ``encode_results`` is not called here; it stays importable from this
 # module because ``bench/trace.py`` wraps ``wire.encode`` by this name.
@@ -271,7 +270,7 @@ class SignatureService:
         self.gateway = ScreeningGateway(
             list(boot_set),
             config=self.config.gateway,
-            telemetry=ServingTelemetry(metrics=self.metrics),
+            metrics=self.metrics,
             set_version=boot_version,
             run_id=self.run_id,
         )
@@ -351,7 +350,7 @@ class SignatureService:
                     envelope = self.signatures.store(document)
                     if span is not None:
                         span.attrs["set_version"] = envelope.set_version
-                applied = self.gateway.apply_reload(envelope, tick=self._tick)
+                applied = self.gateway.apply_reload(envelope)
         except SignatureStoreError as exc:
             return 400, {"error": f"invalid envelope: {exc}"}
         except ServiceError as exc:

@@ -4,8 +4,8 @@ Turns the device-side screening function into a servable system: a seeded
 fleet load generator (:mod:`repro.serving.loadgen`), batched sharded
 matching bit-identical to the scalar matcher (:mod:`repro.serving.shards`),
 a gateway with bounded admission, load shedding and hot signature reload
-(:mod:`repro.serving.gateway`), and deterministic serving telemetry
-(:mod:`repro.serving.telemetry`).
+(:mod:`repro.serving.gateway`) that counts into the shared
+:class:`~repro.obs.metrics.Metrics` registry.
 """
 
 from repro.serving.gateway import (
@@ -18,12 +18,10 @@ from repro.serving.gateway import (
 )
 from repro.serving.loadgen import FleetLoadGenerator, LoadProfile, ScreeningEvent
 from repro.serving.shards import MatcherShard, ShardedMatcher
-from repro.serving.telemetry import Histogram, ServingTelemetry
 
 __all__ = [
     "FleetLoadGenerator",
     "GatewayConfig",
-    "Histogram",
     "LoadProfile",
     "MatcherShard",
     "ReloadEvent",
@@ -31,7 +29,6 @@ __all__ = [
     "ScreeningGateway",
     "ServeOutcome",
     "ServeResult",
-    "ServingTelemetry",
     "ShardedMatcher",
     "ShedPolicy",
 ]

@@ -27,8 +27,9 @@ the same logical-tick clock as the rest of the repo (DESIGN.md §6):
   :class:`~repro.core.distribution.SignatureFetcher`.
 
 Every decision is a :class:`ServeResult` carrying the generation that
-screened it; :class:`~repro.serving.telemetry.ServingTelemetry` records
-counters, latency/queue-depth histograms, and per-batch/per-reload spans.
+screened it and the batch that did; the gateway counts into a shared
+:class:`~repro.obs.metrics.Metrics` registry: outcome counters and
+latency, queue-depth and batch-size histograms.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from typing import Iterable, Sequence
 
 from repro.baselines.keyword import KeywordDetector
 from repro.errors import SimulationError
+from repro.obs.metrics import Metrics
 from repro.serving.loadgen import ScreeningEvent
 from repro.serving.shards import ShardedMatcher
-from repro.serving.telemetry import ServingTelemetry
 from repro.signatures.conjunction import ConjunctionSignature
 from repro.signatures.matcher import MatchResult
 from repro.signatures.store import SignatureEnvelope
@@ -64,8 +65,16 @@ class ServeOutcome(enum.Enum):
     SHED_DEGRADED_FLAGGED = "shed_degraded_flagged"  # keyword fallback, flagged
 
 
-#: The telemetry counter each outcome is tallied under.
+#: The counter each outcome is tallied under.
 _DECISION_COUNTERS = {outcome: f"decisions_{outcome.value}" for outcome in ServeOutcome}
+
+#: Latency bucket upper edges, in logical ticks (last is +inf).
+LATENCY_BOUNDS: tuple[float, ...] = (
+    0.5, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512,
+)
+
+#: Queue-depth and batch-size bucket upper edges (last is +inf).
+DEPTH_BOUNDS: tuple[float, ...] = (0, 1, 2, 4, 8, 16, 32, 64, 128)
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,7 +168,9 @@ class ScreeningGateway:
 
     :param signatures: the generation-1 signature set.
     :param config: data-plane tuning.
-    :param telemetry: measurement sink (a fresh one is created if omitted).
+    :param metrics: the registry the gateway counts into (a private one
+        if omitted).  Its four histograms are registered here, so an
+        export lists them before the first event.
     :param set_version: version label of the boot set (as published by
         a :class:`~repro.service.repository.SignatureRepository`).
     :param run_id: observability run id surfaced by
@@ -172,12 +183,16 @@ class ScreeningGateway:
         self,
         signatures: Sequence[ConjunctionSignature],
         config: GatewayConfig | None = None,
-        telemetry: ServingTelemetry | None = None,
+        metrics: Metrics | None = None,
         set_version: int = 1,
         run_id: str = "gateway",
     ) -> None:
         self.config = config or GatewayConfig()
-        self.telemetry = telemetry or ServingTelemetry()
+        self.metrics = metrics or Metrics()
+        for name in ("latency_ticks", "shed_latency_ticks"):
+            self.metrics.histogram(name, LATENCY_BOUNDS)
+        for name in ("queue_depth", "batch_size"):
+            self.metrics.histogram(name, DEPTH_BOUNDS)
         self.run_id = run_id
         self.generation = 1
         self.set_version = set_version
@@ -186,31 +201,18 @@ class ScreeningGateway:
 
     # -- reload -------------------------------------------------------------------
 
-    def apply_reload(self, envelope: SignatureEnvelope, tick: float) -> bool:
+    def apply_reload(self, envelope: SignatureEnvelope) -> bool:
         """Atomically swap the live set; reject non-monotonic versions.
 
         :returns: whether the swap was applied.
         """
         if envelope.set_version <= self.set_version:
-            self.telemetry.increment("reloads_rejected")
-            self.telemetry.span(
-                "reload_rejected",
-                tick=tick,
-                set_version=envelope.set_version,
-                live_version=self.set_version,
-            )
+            self.metrics.inc("reloads_rejected")
             return False
         self.generation += 1
         self.set_version = envelope.set_version
         self.matcher = ShardedMatcher(list(envelope.signatures), self.config.n_shards)
-        self.telemetry.increment("reloads_applied")
-        self.telemetry.span(
-            "reload",
-            tick=tick,
-            generation=self.generation,
-            set_version=self.set_version,
-            n_signatures=len(self.matcher),
-        )
+        self.metrics.inc("reloads_applied")
         return True
 
     # -- health -------------------------------------------------------------------
@@ -224,10 +226,10 @@ class ScreeningGateway:
         degraded (keyword-fallback) decision has been produced.  Keys are
         stable and the snapshot is a pure function of the measurement
         state — calling it never mutates the gateway, so repeated calls
-        under load always agree with the telemetry counters.
+        under load always agree with the registry's counters.
         """
-        counters = self.telemetry.counters
-        depth = self.telemetry.histograms.get("queue_depth")
+        counters = self.metrics.counters
+        depth = self.metrics.histograms["queue_depth"]
         degraded_decisions = counters.get(
             "decisions_shed_degraded_clean", 0
         ) + counters.get("decisions_shed_degraded_flagged", 0)
@@ -241,8 +243,8 @@ class ScreeningGateway:
             "n_signatures": len(self.matcher),
             "shed_policy": self.config.shed_policy.value,
             "queue_capacity": self.config.queue_capacity,
-            "queue_depth_p50": depth.percentile(0.50) if depth is not None else 0.0,
-            "queue_depth_max": depth.max_value if depth is not None else 0.0,
+            "queue_depth_p50": depth.percentile(0.50),
+            "queue_depth_max": depth.max_value,
             "admitted": counters.get("admitted", 0),
             "shed": counters.get("shed", 0),
             "shed_dropped": counters.get("decisions_shed_dropped", 0),
@@ -282,9 +284,11 @@ class ScreeningGateway:
         if any(a.tick > b.tick for a, b in zip(arrivals, arrivals[1:])):
             raise SimulationError("arrival stream must be tick-ordered")
         config = self.config
-        telemetry = self.telemetry
-        observe_depth = telemetry.histograms["queue_depth"].observe
-        observe_latency = telemetry.histograms["latency_ticks"].observe
+        inc = self.metrics.inc
+        histograms = self.metrics.histograms
+        observe_depth = histograms["queue_depth"].observe
+        observe_latency = histograms["latency_ticks"].observe
+        observe_batch_size = histograms["batch_size"].observe
         queue: list[ScreeningEvent] = []
         results: list[ServeResult] = []
         pool_free_at = 0.0
@@ -319,8 +323,7 @@ class ScreeningGateway:
             # Dispatch one micro-batch.
             clock = max(clock, dispatch_at)
             while pending_reloads and pending_reloads[0].tick <= clock:
-                reload = pending_reloads.pop(0)
-                self.apply_reload(reload.envelope, tick=clock)
+                self.apply_reload(pending_reloads.pop(0).envelope)
             batch = queue[: config.batch_size]
             del queue[: config.batch_size]
             started = clock
@@ -346,22 +349,13 @@ class ScreeningGateway:
                 results.append(result)
                 observe_latency(result.latency_ticks)
             # Every admitted arrival is dispatched in exactly one batch.
-            telemetry.increment("admitted", len(batch))
+            inc("admitted", len(batch))
             if flagged:
-                telemetry.increment(_DECISION_COUNTERS[ServeOutcome.FLAGGED], flagged)
+                inc(_DECISION_COUNTERS[ServeOutcome.FLAGGED], flagged)
             if flagged < len(batch):
-                telemetry.increment(_DECISION_COUNTERS[ServeOutcome.CLEAN], len(batch) - flagged)
-            telemetry.increment("batches")
-            telemetry.observe("batch_size", len(batch))
-            telemetry.span(
-                "batch",
-                batch_id=batch_id,
-                started=started,
-                finished=finished,
-                size=len(batch),
-                generation=self.generation,
-                set_version=self.set_version,
-            )
+                inc(_DECISION_COUNTERS[ServeOutcome.CLEAN], len(batch) - flagged)
+            inc("batches")
+            observe_batch_size(len(batch))
             batch_id += 1
             pool_free_at = finished
             clock = max(clock, started)
@@ -369,7 +363,7 @@ class ScreeningGateway:
         # Any reloads scheduled after the last batch still apply (so a
         # subsequent run() continues from the newest published set).
         for reload in pending_reloads:
-            self.apply_reload(reload.envelope, tick=max(clock, reload.tick))
+            self.apply_reload(reload.envelope)
 
         results.sort(key=lambda result: result.event.seq)
         return results
@@ -384,9 +378,9 @@ class ScreeningGateway:
             outcome = ServeOutcome.SHED_DEGRADED_FLAGGED
         else:
             outcome = ServeOutcome.SHED_DEGRADED_CLEAN
-        self.telemetry.increment("shed")
-        self.telemetry.increment(_DECISION_COUNTERS[outcome])
-        self.telemetry.observe("shed_latency_ticks", 0.0)
+        self.metrics.inc("shed")
+        self.metrics.inc(_DECISION_COUNTERS[outcome])
+        self.metrics.histograms["shed_latency_ticks"].observe(0.0)
         return ServeResult(
             event=event,
             outcome=outcome,

@@ -356,6 +356,20 @@ class TestChaos:
         assert captured.out == ""
         assert captured.err == f"n_devices must be >= 1, got {devices}\n"
 
+    @pytest.mark.parametrize("flag", ["--devices", "--reports"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_federation_target_rejects_an_empty_fleet(self, capsys, flag, value):
+        code = main(
+            [
+                "chaos", "--target", "federation", "--apps", "30", "--sample", "20",
+                "--rates", "0,0.1", flag, value,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{flag} must be >= 1, got {value}\n"
+
     def test_pipeline_target_renders_and_exits_zero(self, capsys):
         code = main(
             [
@@ -499,8 +513,7 @@ class TestMetrics:
         assert "flow_decisions" in text
         prom = (out / "metrics.prom").read_text()
         assert "repro_channel_publishes 2" in prom
-        assert (out / "spans.jsonl").exists()
-        assert (out / "serving_spans.jsonl").exists()
+        assert sorted(path.name for path in out.iterdir()) == ["metrics.prom", "spans.jsonl"]
 
     def test_metrics_json_output(self, tmp_path, capsys):
         out = tmp_path / "metrics_out"

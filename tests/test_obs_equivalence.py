@@ -2,16 +2,8 @@
 
 Instrumentation must be *free*: an observed run produces bit-identical
 results to an unobserved one (pipeline metrics, signatures, distance
-matrices, screening decisions), and the migrated ``ServingTelemetry``
-shim must export byte-for-byte what the pre-``repro.obs`` implementation
-did.  The legacy implementation is embedded below as the frozen
-reference oracle.
+matrices).
 """
-
-import json
-from collections import defaultdict
-from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -19,57 +11,6 @@ from repro.core.pipeline import DetectionPipeline, PipelineConfig
 from repro.distance.engine import DistanceEngine
 from repro.distance.packet import PacketDistance
 from repro.obs import Observability
-from repro.service.repository import InMemorySignatureRepository
-from repro.serving.gateway import GatewayConfig, ReloadEvent, ScreeningGateway
-from repro.serving.loadgen import FleetLoadGenerator, LoadProfile
-from repro.serving.telemetry import DEPTH_BOUNDS, LATENCY_BOUNDS, Histogram, ServingTelemetry
-from tests.test_serving_shards import corpus_signatures
-
-
-class LegacyServingTelemetry:
-    """The pre-``repro.obs`` implementation, frozen as a regression oracle.
-
-    Byte-for-byte equivalent output from the shim proves the migration
-    changed the plumbing, not the format.
-    """
-
-    def __init__(self) -> None:
-        self.counters: dict[str, int] = defaultdict(int)
-        self.histograms: dict[str, Histogram] = {
-            "latency_ticks": Histogram(LATENCY_BOUNDS),
-            "shed_latency_ticks": Histogram(LATENCY_BOUNDS),
-            "queue_depth": Histogram(DEPTH_BOUNDS),
-            "batch_size": Histogram(DEPTH_BOUNDS),
-        }
-        self.spans: list[dict[str, Any]] = []
-
-    def increment(self, name: str, by: int = 1) -> None:
-        if by < 0:
-            raise ValueError(f"counters are monotonic; cannot add {by}")
-        self.counters[name] += by
-
-    def observe(self, name: str, value: float) -> None:
-        self.histograms[name].observe(value)
-
-    def span(self, kind: str, **fields: Any) -> None:
-        self.spans.append({"kind": kind, **fields})
-
-    def spans_of(self, kind: str) -> list[dict[str, Any]]:
-        return [span for span in self.spans if span["kind"] == kind]
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "histograms": {name: h.to_dict() for name, h in sorted(self.histograms.items())},
-            "spans": len(self.spans),
-        }
-
-    def export_jsonl(self, path: str | Path) -> Path:
-        path = Path(path)
-        lines = [json.dumps(span, sort_keys=True) for span in self.spans]
-        lines.append(json.dumps({"kind": "summary", **self.snapshot()}, sort_keys=True))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return path
 
 
 class TestPipelineUnchanged:
@@ -114,32 +55,3 @@ class TestEngineUnchanged:
         assert plain_engine.stats.workers_used == engine.stats.workers_used == 2
         assert np.array_equal(plain.values, observed.values)
         assert len(obs.tracer.spans_named("engine_chunk")) == 5
-
-
-class TestServingTelemetryShim:
-    def _run_gateway(self, corpus, telemetry):
-        repository = InMemorySignatureRepository()
-        boot = repository.publish(corpus_signatures(corpus))
-        reload = repository.publish(list(reversed(corpus_signatures(corpus, limit=18))))
-        stream = FleetLoadGenerator(
-            corpus, LoadProfile(mean_interarrival_ticks=0.5), seed=3
-        ).events(250)
-        gateway = ScreeningGateway(
-            list(boot.signatures),
-            config=GatewayConfig(batch_size=4, n_shards=2),
-            telemetry=telemetry,
-            set_version=boot.set_version,
-        )
-        gateway.run(
-            stream,
-            reloads=[ReloadEvent(tick=stream[125].tick, envelope=reload)],
-        )
-        return telemetry
-
-    def test_shim_export_byte_identical_to_legacy(self, small_corpus, tmp_path):
-        shim = self._run_gateway(small_corpus, ServingTelemetry())
-        legacy = self._run_gateway(small_corpus, LegacyServingTelemetry())
-        assert shim.snapshot() == legacy.snapshot()
-        shim_path = shim.export_jsonl(tmp_path / "shim.jsonl")
-        legacy_path = legacy.export_jsonl(tmp_path / "legacy.jsonl")
-        assert shim_path.read_bytes() == legacy_path.read_bytes()

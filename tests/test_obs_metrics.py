@@ -63,6 +63,34 @@ class TestSnapshot:
         snapshot = Metrics().snapshot()
         assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
 
+    def test_empty_histogram_fully_defined(self):
+        # Regression: every moment/percentile of an empty histogram is a
+        # defined zero (never NaN/None), so exports stay diffable.
+        m = Metrics()
+        m.histogram("h", (1.0, 2.0))
+        d = m.snapshot()["histograms"]["h"]
+        assert d == {
+            "count": 0,
+            "mean": 0.0,
+            "min": 0.0,
+            "max": 0.0,
+            "p50": 0.0,
+            "p95": 0.0,
+            "p99": 0.0,
+            "buckets": {"1.0": 0, "2.0": 0, "+inf": 0},
+        }
+        assert json.dumps(d)  # JSON-clean, no NaN
+
+    def test_histogram_shape(self):
+        m = Metrics()
+        for value in (0.5, 1.5, 3.0, 8.0):
+            m.observe("h", value, bounds=(1.0, 2.0, 4.0))
+        m.observe("one", 0.5, bounds=(1.0, 2.0))
+        histograms = m.snapshot()["histograms"]
+        assert histograms["h"]["mean"] == pytest.approx(3.25)
+        assert histograms["one"]["buckets"] == {"1.0": 1, "2.0": 0, "+inf": 0}
+        assert histograms["one"]["p50"] == 0.5  # bucket edge clamped to observed max
+
     def test_insertion_order_does_not_change_snapshot(self):
         a, b = Metrics(), Metrics()
         a.inc("x")
@@ -121,15 +149,44 @@ class TestPrometheus:
 
 
 class TestHistogramPrimitive:
-    """The shared Histogram (also re-exported via repro.serving.telemetry)."""
+    def test_bucketing_and_moments(self):
+        h = Histogram(bounds=(1.0, 2.0, 4.0))
+        for value in (0.5, 1.5, 3.0, 8.0):
+            h.observe(value)
+        assert h.count == 4
+        assert h.counts == [1, 1, 1, 1]
+        assert h.min_value == 0.5 and h.max_value == 8.0
+        assert h.total == pytest.approx(13.0)
+
+    def test_percentiles_are_bucket_upper_edges(self):
+        h = Histogram(bounds=(1.0, 2.0, 4.0, 8.0))
+        for value in [0.5] * 50 + [1.5] * 40 + [3.0] * 9 + [5.0]:
+            h.observe(value)
+        assert h.percentile(0.50) == 1.0
+        assert h.percentile(0.90) == 2.0
+        assert h.percentile(0.99) == 4.0
+        assert h.percentile(1.00) == 5.0  # clamped to observed max
+
+    def test_overflow_bucket_reports_observed_max(self):
+        h = Histogram(bounds=(1.0,))
+        h.observe(123.0)
+        assert h.percentile(0.99) == 123.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            Histogram(bounds=())
+        with pytest.raises(ValueError):
+            Histogram(bounds=(2.0, 1.0))
+        h = Histogram(bounds=(1.0,))
+        with pytest.raises(ValueError):
+            h.percentile(1.5)
 
     def test_empty_percentiles_and_moments_are_zero(self):
         h = Histogram(bounds=(1.0, 2.0))
         assert h.percentile(0.5) == 0.0
         assert h.percentile(1.0) == 0.0
-        assert h.mean == 0.0
-        d = h.to_dict()
-        assert d["count"] == 0 and d["p99"] == 0.0
+        assert h.count == 0 and h.total == 0.0
+        assert h.min_value == h.max_value == 0.0
 
     def test_percentile_clamped_to_observed_max(self):
         h = Histogram(bounds=(10.0,))

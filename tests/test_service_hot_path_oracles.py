@@ -84,6 +84,8 @@ from repro.service.wire import (
     encode_screen_reply,
 )
 from repro.serving.gateway import (
+    DEPTH_BOUNDS,
+    LATENCY_BOUNDS,
     GatewayConfig,
     ReloadEvent,
     ScreeningGateway,
@@ -92,7 +94,6 @@ from repro.serving.gateway import (
     ShedPolicy,
 )
 from repro.serving.loadgen import ScreeningEvent
-from repro.serving.telemetry import DEPTH_BOUNDS, LATENCY_BOUNDS
 from repro.signatures.conjunction import ConjunctionSignature
 from repro.signatures.matcher import MatchResult
 from repro.signatures.store import SignatureEnvelope, SignatureStore
@@ -424,7 +425,8 @@ class TestHostOracle:
 def _state(histogram: Histogram) -> str:
     return json.dumps(
         [histogram.counts, histogram.count, histogram.total,
-         histogram.min_value, histogram.max_value, histogram.to_dict()],
+         histogram.min_value, histogram.max_value,
+         [histogram.percentile(p) for p in (0.5, 0.95, 0.99, 1.0)]],
     )
 
 

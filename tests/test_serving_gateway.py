@@ -1,12 +1,17 @@
 """The screening gateway: equivalence, shedding, backpressure, hot reload."""
 
 import math
+from collections import Counter
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.metrics import Metrics
 from repro.service.repository import InMemorySignatureRepository
+from repro.service.server import SignatureService
 from repro.serving.gateway import (
+    DEPTH_BOUNDS,
+    LATENCY_BOUNDS,
     GatewayConfig,
     ReloadEvent,
     ScreeningGateway,
@@ -127,8 +132,8 @@ class TestSheddingAndBackpressure:
         gateway, results, __ = self.overload(small_corpus, envelopes, ShedPolicy.DEGRADE)
         shed = [r for r in results if not r.screened]
         assert shed
-        assert gateway.telemetry.counters["shed"] == len(shed)
-        assert gateway.telemetry.counters["admitted"] == len(results) - len(shed)
+        assert gateway.metrics.counters["shed"] == len(shed)
+        assert gateway.metrics.counters["admitted"] == len(results) - len(shed)
 
     def test_degrade_policy_uses_keyword_fallback(self, small_corpus, envelopes):
         __, results, __stream = self.overload(small_corpus, envelopes, ShedPolicy.DEGRADE)
@@ -145,8 +150,9 @@ class TestSheddingAndBackpressure:
         assert all(r.batch_id == -1 and r.latency_ticks == 0.0 for r in shed)
 
     def test_batches_respect_size_bound(self, small_corpus, envelopes):
-        gateway, __, __stream = self.overload(small_corpus, envelopes, ShedPolicy.DEGRADE)
-        sizes = [span["size"] for span in gateway.telemetry.spans_of("batch")]
+        gateway, results, __stream = self.overload(small_corpus, envelopes, ShedPolicy.DEGRADE)
+        sizes = list(Counter(r.batch_id for r in results if r.batch_id >= 0).values())
+        assert len(sizes) == gateway.metrics.counters["batches"]
         assert sizes and max(sizes) <= 4
         # under sustained overload the queue keeps batches full
         assert sizes.count(4) > len(sizes) // 2
@@ -182,8 +188,8 @@ class TestHotReload:
         stale = [ReloadEvent(tick=stream[10].tick, envelope=envelopes[1])]
         gateway.run(stream, reloads=stale)
         assert gateway.set_version == 2 and gateway.generation == 1
-        assert gateway.telemetry.counters["reloads_rejected"] == 1
-        assert gateway.telemetry.counters.get("reloads_applied", 0) == 0
+        assert gateway.metrics.counters["reloads_rejected"] == 1
+        assert gateway.metrics.counters.get("reloads_applied", 0) == 0
 
     def test_reload_after_last_batch_still_applies(self, small_corpus, envelopes):
         boot = envelopes[1]
@@ -198,38 +204,46 @@ class TestHotReload:
     def test_property_no_batch_mixes_generations_and_no_regression(
         self, small_corpus, envelopes, seed
     ):
-        """Satellite: mid-stream update_signatures never mixes generations
-        within one batch and never regresses to an older version."""
+        """A mid-stream reload never mixes generations within one batch
+        and never regresses to an older version."""
+        fraction = 0.25 + 0.1 * (seed % 5)
         gateway, results, stream = run_gateway(
             small_corpus, envelopes,
             batch_size=5, n_shards=3, seed=seed,
             mean_interarrival=0.2, queue_capacity=16,
-            reload_fraction=0.25 + 0.1 * (seed % 5),
+            reload_fraction=fraction,
         )
-        # every batch carries exactly one generation, for spans and results
-        by_batch = {}
+        reload_tick = stream[int(len(stream) * fraction)].tick  # as run_gateway schedules it
+        assert gateway.metrics.counters["reloads_applied"] == 1
+        batches = {}
         for result in results:
             if result.batch_id >= 0:
-                by_batch.setdefault(result.batch_id, set()).add(
-                    (result.generation, result.set_version)
-                )
-        assert by_batch and all(len(gens) == 1 for gens in by_batch.values())
-        spans = gateway.telemetry.spans_of("batch")
-        assert all(len({s["generation"] for s in spans if s["batch_id"] == b}) == 1
-                   for b in by_batch)
+                batches.setdefault(result.batch_id, []).append(result)
+        # every batch carries exactly one generation and set version
+        assert batches and all(
+            len({(r.generation, r.set_version) for r in batch}) == 1
+            for batch in batches.values()
+        )
         # generations never decrease in dispatch order, and versions track them
-        ordered = sorted(spans, key=lambda s: s["started"])
-        generations = [s["generation"] for s in ordered]
-        versions = [s["set_version"] for s in ordered]
+        ordered = [batches[batch_id] for batch_id in sorted(batches)]
+        generations = [batch[0].generation for batch in ordered]
+        versions = [batch[0].set_version for batch in ordered]
         assert generations == sorted(generations)
         assert versions == sorted(versions)
-        # batches dispatched before an applied reload keep the old generation
-        for reload_span in gateway.telemetry.spans_of("reload"):
-            for span in ordered:
-                if span["started"] < reload_span["tick"]:
-                    assert span["generation"] < reload_span["generation"]
-                else:
-                    assert span["generation"] >= reload_span["generation"]
+        assert set(generations) == {1, 2}
+        # batches dispatched before the reload tick keep the old generation.
+        # A batch completes at its dispatch tick plus its service cost; summed
+        # in the gateway's order, a batch dispatched at the reload tick itself
+        # completes exactly at ``at_reload``.
+        config = gateway.config
+        for batch in ordered:
+            at_reload = (
+                reload_tick + config.batch_overhead_ticks + config.per_packet_ticks * len(batch)
+            )
+            if batch[0].generation == 1:
+                assert batch[0].completed_tick < at_reload
+            else:
+                assert batch[0].completed_tick >= at_reload
 
 
 class TestValidationAndTelemetry:
@@ -252,7 +266,7 @@ class TestValidationAndTelemetry:
         gateway = ScreeningGateway(list(envelopes[1].signatures))
         with pytest.raises(SimulationError, match="arrival tick must be finite"):
             call_with_timeout(lambda: gateway.run(events), 10.0)
-        assert gateway.telemetry.counters.get("admitted", 0) == 0
+        assert gateway.metrics.counters.get("admitted", 0) == 0
         assert gateway.run(events[:1])[0].screened  # still serving
 
     def test_rejects_bad_config(self):
@@ -268,10 +282,34 @@ class TestValidationAndTelemetry:
             small_corpus, envelopes, batch_size=4, n_shards=2,
             mean_interarrival=0.1, queue_capacity=8,
         )
-        counters = gateway.telemetry.counters
+        counters = gateway.metrics.counters
         decisions = sum(v for k, v in counters.items() if k.startswith("decisions_"))
         assert decisions == len(stream) == len(results)
         assert counters["admitted"] + counters["shed"] == len(stream)
+
+    def test_shared_registry_lists_histograms_at_boot(self, envelopes):
+        metrics = Metrics()
+        metrics.inc("channel_publishes")
+        gateway = ScreeningGateway(list(envelopes[1].signatures), metrics=metrics)
+        assert gateway.metrics is metrics
+        bounds = {name: h.bounds for name, h in metrics.histograms.items()}
+        assert bounds == {
+            "latency_ticks": LATENCY_BOUNDS,
+            "shed_latency_ticks": LATENCY_BOUNDS,
+            "queue_depth": DEPTH_BOUNDS,
+            "batch_size": DEPTH_BOUNDS,
+        }
+        assert all(h.count == 0 for h in metrics.histograms.values())
+        packet = make_packet(target="/p?x=1")
+        gateway.run([ScreeningEvent(seq=0, tick=0.0, device_id="d", packet=packet)])
+        assert metrics.counters["channel_publishes"] == 1
+        assert metrics.counters["admitted"] == metrics.counters["batches"] == 1
+        assert metrics.histograms["batch_size"].count == 1
+        assert "repro_batches 1" in metrics.to_prometheus()
+        # a booted service lists all four before its first screen
+        text = SignatureService(list(envelopes[1].signatures)).metrics_text()
+        for name in bounds:
+            assert f"# TYPE repro_{name} histogram" in text
 
     def test_single_packet_stream(self, envelopes):
         packet = make_packet(target="/p?x=1")
@@ -297,7 +335,7 @@ class TestHealthSnapshot:
             mean_interarrival=0.1, queue_capacity=8,
         )
         snapshot = gateway.health_snapshot()
-        counters = gateway.telemetry.counters
+        counters = gateway.metrics.counters
         assert snapshot["admitted"] == counters["admitted"]
         assert snapshot["shed"] == counters["shed"]
         assert snapshot["admitted"] + snapshot["shed"] == len(stream)
