@@ -28,9 +28,13 @@ Every submitted envelope runs the same gauntlet, in order:
 
 Shard assignment hashes the device id, so one device's reports always
 land on one shard and the per-device ledger never needs cross-shard
-coordination.  All decisions are pure functions of the submitted stream
-and the logical clock — no wall time, no global RNG — which is what lets
-the federation chaos sweep demand bit-identical outcomes under faults.
+coordination.  A device gets its ledger with its first accepted report;
+until then only its violation streak is kept, in an LRU of
+:data:`PENDING_BREAKERS` entries, so a flood of bad reports from fresh
+device ids holds a bounded amount of memory.  All decisions are pure
+functions of the submitted stream and the logical clock — no wall time,
+no global RNG — which is what lets the federation chaos sweep demand
+bit-identical outcomes under faults.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -47,6 +52,10 @@ from repro.obs import NULL_OBS, Observability
 from repro.reliability.quarantine import Quarantine
 from repro.reliability.retry import BreakerState, CircuitBreaker
 from repro.serving.gateway import ShedPolicy
+
+#: Violation streaks kept for devices with no accepted report; the least
+#: recently punished is forgotten first (``fed_ingest_ledgers_evicted``).
+PENDING_BREAKERS = 4096
 
 
 class ReportStatus(enum.Enum):
@@ -162,7 +171,8 @@ class FleetIngest:
 
     :param config: ingest tuning.
     :param obs: optional observability bundle; counters are emitted under
-        the ``fed_ingest_*`` prefix and a gauge tracks quarantined devices.
+        the ``fed_ingest_*`` prefix, one gauge tracks quarantined devices
+        and ``fed_ingest_ledgers`` the ledgers and pending streaks held.
     """
 
     def __init__(self, config: IngestConfig | None = None, obs: Observability | None = None) -> None:
@@ -172,6 +182,7 @@ class FleetIngest:
             release_after_ticks=self.config.quarantine_release_ticks
         )
         self._ledgers: dict[str, _DeviceLedger] = {}
+        self._pending: OrderedDict[str, CircuitBreaker] = OrderedDict()
         self._shard_busy_until: list[float] = [0.0] * self.config.n_shards
         self.counts: dict[str, int] = {status.value: 0 for status in ReportStatus}
         self.counts["shed_degraded"] = 0
@@ -181,12 +192,29 @@ class FleetIngest:
 
     # -- internals ----------------------------------------------------------------
 
-    def _ledger(self, device_id: str) -> _DeviceLedger:
+    def _new_breaker(self) -> CircuitBreaker:
+        return CircuitBreaker(
+            failure_threshold=self.config.breaker_threshold,
+            cooldown=self.config.quarantine_release_ticks,
+        )
+
+    def _breaker(self, device_id: str) -> CircuitBreaker:
+        """The device's violation streak, made on its first violation."""
         ledger = self._ledgers.get(device_id)
-        if ledger is None:
-            ledger = _DeviceLedger()
-            self._ledgers[device_id] = ledger
-        return ledger
+        if ledger is None:  # no accepted report yet: an LRU entry
+            breaker = self._pending.pop(device_id, None) or self._new_breaker()
+            self._pending[device_id] = breaker
+            if len(self._pending) > PENDING_BREAKERS:
+                self._pending.popitem(last=False)
+                self.obs.inc("fed_ingest_ledgers_evicted")
+            self._gauge_ledgers()
+            return breaker
+        if ledger.breaker is None:
+            ledger.breaker = self._new_breaker()
+        return ledger.breaker
+
+    def _gauge_ledgers(self) -> None:
+        self.obs.set_gauge("fed_ingest_ledgers", len(self._ledgers) + len(self._pending))
 
     def _shard_backlog(self, shard: int, tick: float) -> int:
         """Reports queued on ``shard`` but not yet served at ``tick``."""
@@ -202,14 +230,9 @@ class FleetIngest:
 
         :returns: whether this violation tripped the device into a ban.
         """
-        ledger = self._ledger(device_id)
-        if ledger.breaker is None:
-            ledger.breaker = CircuitBreaker(
-                failure_threshold=self.config.breaker_threshold,
-                cooldown=self.config.quarantine_release_ticks,
-            )
-        ledger.breaker.record_failure(tick)
-        if ledger.breaker.state(tick) is not BreakerState.OPEN:
+        breaker = self._breaker(device_id)
+        breaker.record_failure(tick)
+        if breaker.state(tick) is not BreakerState.OPEN:
             return False
         self.quarantine.ban(
             device_id,
@@ -217,13 +240,10 @@ class FleetIngest:
             error=error or ReportValidationError(f"violation streak: {reason}", reason=reason),
             reason=reason,
         )
-        # The ban owns the cooldown clock from here; a fresh breaker
-        # means re-admission starts with a clean streak (and re-trips
-        # after another `breaker_threshold` violations, not one).
-        ledger.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_threshold,
-            cooldown=self.config.quarantine_release_ticks,
-        )
+        # The ban owns the cooldown clock from here; a reset breaker means
+        # re-admission starts with a clean streak (and re-trips after
+        # another `breaker_threshold` violations, not one).
+        breaker.record_success()
         self.obs.inc("fed_ingest_quarantine_bans")
         return True
 
@@ -287,8 +307,8 @@ class FleetIngest:
             )
 
         # 4. Replay defense: monotonic sequence + bounded dedup window.
-        ledger = self._ledger(report.device_id)
-        if report.seq <= ledger.high_watermark:
+        ledger = self._ledgers.get(report.device_id)
+        if ledger is not None and report.seq <= ledger.high_watermark:
             if report.seq in ledger.window_set:
                 status = ReportStatus.REJECTED_DUPLICATE
                 reason = "duplicate"
@@ -301,7 +321,12 @@ class FleetIngest:
                 status=status, degraded=degraded, reason=reason, shard=shard, banned=banned
             )
 
-        # Accepted: advance the ledger and charge the service cost.
+        # Accepted: advance the ledger and charge the service cost.  A first
+        # acceptance drops the pending streak, as `record_success` would reset it.
+        if ledger is None:
+            ledger = self._ledgers[report.device_id] = _DeviceLedger()
+            self._pending.pop(report.device_id, None)
+            self._gauge_ledgers()
         ledger.high_watermark = report.seq
         ledger.remember(report.seq, self.config.dedup_window)
         if ledger.breaker is not None:
@@ -322,7 +347,7 @@ class FleetIngest:
 
     def devices_seen(self) -> int:
         """Devices with at least one accepted report."""
-        return sum(1 for ledger in self._ledgers.values() if ledger.high_watermark > 0)
+        return len(self._ledgers)
 
     def stats(self) -> dict[str, Any]:
         """Counter snapshot for reports and tests (stable key order)."""

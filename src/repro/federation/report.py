@@ -75,10 +75,14 @@ class DeviceReport:
     packet: HttpPacket
 
 
+#: The canonical text the checksum covers, with one encoder for every report.
+_encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode
+
+
 def _payload_checksum(record: dict[str, Any]) -> str:
     """SHA-256 over the canonical serialization of the non-checksum fields."""
     material = {key: value for key, value in record.items() if key != "checksum"}
-    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"), default=str)
+    canonical = _encode_canonical(material)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -23,7 +23,7 @@ tests) never touch a backend directly:
   to what was published.
 - :class:`ReportRepository` — accepted fleet reports (post-ingest, so
   everything stored already passed validation and replay defense), keyed
-  ``(device_id, seq)`` with per-token support counts for aggregation.
+  ``(device_id, seq)``; a re-delivered key is refused, not stored twice.
 
 Two implementations each: in-memory (tests, ephemeral servers) and sqlite
 (:class:`SqliteSignatureRepository` / :class:`SqliteReportRepository`)
@@ -71,7 +71,12 @@ MIGRATIONS: tuple[tuple[str, ...], ...] = (
         """,
     ),
     ("CREATE INDEX idx_device_reports_token ON device_reports (token)",),
+    # Nothing reads by token; the index only cost every report insert.
+    ("DROP INDEX idx_device_reports_token",),
 )
+
+#: The stored ``record`` text, with one encoder for every row.
+_encode_record = json.JSONEncoder(sort_keys=True).encode
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +195,6 @@ class ReportRepository(ABC):
     def count(self) -> int:
         """Total stored reports."""
 
-    @abstractmethod
-    def token_support(self) -> dict[str, int]:
-        """Distinct-device support per token (the k-anonymity numerator)."""
-
 
 class _VerifiedEnvelopes:
     """Read-time verification shared by both signature repositories.
@@ -292,13 +293,6 @@ class InMemoryReportRepository(ReportRepository):
     def count(self) -> int:
         with self._lock:
             return len(self._records)
-
-    def token_support(self) -> dict[str, int]:
-        with self._lock:
-            devices_by_token: dict[str, set[str]] = {}
-            for (device_id, __), (token, __record) in self._records.items():
-                devices_by_token.setdefault(token, set()).add(device_id)
-            return {token: len(devices) for token, devices in sorted(devices_by_token.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +459,7 @@ class SqliteReportRepository(ReportRepository):
             self.store_backend.write(
                 "INSERT INTO device_reports (device_id, seq, token, record) "
                 "VALUES (?, ?, ?, ?)",
-                (device_id, seq, token, json.dumps(record, sort_keys=True)),
+                (device_id, seq, token, _encode_record(record)),
             )
         except sqlite3.IntegrityError:
             return False
@@ -476,13 +470,6 @@ class SqliteReportRepository(ReportRepository):
             "SELECT COUNT(*) FROM device_reports"
         ).fetchone()
         return row[0]
-
-    def token_support(self) -> dict[str, int]:
-        rows = self.store_backend.connection().execute(
-            "SELECT token, COUNT(DISTINCT device_id) FROM device_reports "
-            "GROUP BY token ORDER BY token"
-        )
-        return {token: support for token, support in rows}
 
 
 def open_repositories(

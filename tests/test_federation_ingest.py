@@ -1,15 +1,26 @@
 """FleetIngest: the quarantine -> admission -> validation -> dedup gauntlet."""
 
-import pytest
+import tracemalloc
+from dataclasses import dataclass, field
+from typing import Any
 
-from repro.errors import FederationError
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from repro.errors import FederationError, ReportValidationError
 from repro.federation.ingest import (
+    PENDING_BREAKERS,
     FleetIngest,
     IngestConfig,
     ReportStatus,
+    SubmitResult,
     shard_for,
 )
-from repro.federation.report import DeviceReport, encode_report, token_for
+from repro.federation.report import DeviceReport, decode_report, encode_report, token_for
+from repro.obs import Observability
+from repro.obs.metrics import Metrics
+from repro.reliability.retry import BreakerState, CircuitBreaker
 from repro.serving.gateway import ShedPolicy
 from tests.conftest import make_packet
 
@@ -227,3 +238,215 @@ class TestStats:
         assert stats["counts"]["rejected_malformed"] == 1
         assert stats["rejection_reasons"] == {"schema": 1}
         assert stats["quarantine"]["bans"] == 0
+
+
+# ---------------------------------------------------------------------------
+# oracle: the ledger table before devices without an accepted report were
+# bounded, verbatim apart from its names
+# ---------------------------------------------------------------------------
+
+
+@dataclass(slots=True)
+class _OracleLedger:
+    high_watermark: int = 0
+    window: list[int] = field(default_factory=list)
+    window_set: set[int] = field(default_factory=set)
+    breaker: CircuitBreaker | None = None
+
+    def remember(self, seq: int, capacity: int) -> None:
+        self.window.append(seq)
+        self.window_set.add(seq)
+        if len(self.window) > capacity:
+            self.window_set.discard(self.window.pop(0))
+
+
+class _OracleIngest(FleetIngest):
+    """One ledger per device id ever seen, made on its first violation too."""
+
+    def __init__(self, config: IngestConfig) -> None:
+        super().__init__(config)
+        self._oracle_ledgers: dict[str, _OracleLedger] = {}
+
+    def _ledger(self, device_id: str) -> _OracleLedger:
+        ledger = self._oracle_ledgers.get(device_id)
+        if ledger is None:
+            ledger = _OracleLedger()
+            self._oracle_ledgers[device_id] = ledger
+        return ledger
+
+    def _punish(self, device_id, error, tick, reason) -> bool:
+        ledger = self._ledger(device_id)
+        if ledger.breaker is None:
+            ledger.breaker = CircuitBreaker(
+                failure_threshold=self.config.breaker_threshold,
+                cooldown=self.config.quarantine_release_ticks,
+            )
+        ledger.breaker.record_failure(tick)
+        if ledger.breaker.state(tick) is not BreakerState.OPEN:
+            return False
+        self.quarantine.ban(
+            device_id,
+            tick,
+            error=error or ReportValidationError(f"violation streak: {reason}", reason=reason),
+            reason=reason,
+        )
+        ledger.breaker = CircuitBreaker(
+            failure_threshold=self.config.breaker_threshold,
+            cooldown=self.config.quarantine_release_ticks,
+        )
+        self.obs.inc("fed_ingest_quarantine_bans")
+        return True
+
+    def submit(self, record: Any, tick: float) -> SubmitResult:
+        self.submitted_total += 1
+        claimed_device = record.get("device_id") if isinstance(record, dict) else None
+        device_id = claimed_device if isinstance(claimed_device, str) and claimed_device else ""
+        shard = shard_for(device_id, self.config.n_shards)
+        if device_id and self.quarantine.is_banned(device_id, tick):
+            self._count(ReportStatus.REJECTED_QUARANTINED, degraded=False)
+            return SubmitResult(status=ReportStatus.REJECTED_QUARANTINED, shard=shard)
+        self.obs.set_gauge(
+            "fed_ingest_quarantined_devices", len(self.quarantine.banned_members(tick))
+        )
+        degraded = False
+        backlog = self._shard_backlog(shard, tick)
+        self.obs.observe("fed_ingest_backlog", backlog)
+        if backlog >= self.config.queue_capacity:
+            if self.config.shed_policy is ShedPolicy.DROP:
+                self._count(ReportStatus.SHED_DROPPED, degraded=False)
+                return SubmitResult(status=ReportStatus.SHED_DROPPED, shard=shard)
+            degraded = True
+        try:
+            report = decode_report(record)
+        except ReportValidationError as exc:
+            self.rejection_reasons[exc.reason] = self.rejection_reasons.get(exc.reason, 0) + 1
+            banned = False
+            if device_id:
+                banned = self._punish(device_id, exc, tick, exc.reason)
+            self._count(ReportStatus.REJECTED_MALFORMED, degraded=degraded)
+            return SubmitResult(
+                status=ReportStatus.REJECTED_MALFORMED,
+                degraded=degraded,
+                reason=exc.reason,
+                shard=shard,
+                banned=banned,
+            )
+        ledger = self._ledger(report.device_id)
+        if report.seq <= ledger.high_watermark:
+            if report.seq in ledger.window_set:
+                status = ReportStatus.REJECTED_DUPLICATE
+                reason = "duplicate"
+            else:
+                status = ReportStatus.REJECTED_REPLAY
+                reason = "replay"
+            banned = self._punish(report.device_id, None, tick, reason)
+            self._count(status, degraded=degraded)
+            return SubmitResult(
+                status=status, degraded=degraded, reason=reason, shard=shard, banned=banned
+            )
+        ledger.high_watermark = report.seq
+        ledger.remember(report.seq, self.config.dedup_window)
+        if ledger.breaker is not None:
+            ledger.breaker.record_success()
+        if degraded:
+            cost = self.config.degraded_report_ticks
+        else:
+            cost = self.config.per_report_ticks
+            self._shard_busy_until[shard] = max(self._shard_busy_until[shard], tick) + cost
+        self.accepted_total += 1
+        self._count(ReportStatus.ACCEPTED, degraded=degraded)
+        self.obs.advance(1)
+        return SubmitResult(
+            status=ReportStatus.ACCEPTED, report=report, degraded=degraded, shard=shard
+        )
+
+    def devices_seen(self) -> int:
+        return sum(1 for ledger in self._oracle_ledgers.values() if ledger.high_watermark > 0)
+
+
+def _corrupted(record: dict, kind: str) -> Any:
+    if kind == "checksum":
+        return {**record, "checksum": "0" * 64}
+    if kind == "version":
+        return {**record, "format_version": 999}
+    if kind == "schema":
+        return {key: value for key, value in record.items() if key != "packet"}
+    if kind == "anonymous":
+        return {**record, "device_id": ""}
+    return [record]  # not a mapping at all
+
+
+_stream_steps = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=40),  # device
+        st.integers(min_value=1, max_value=12),  # seq
+        st.sampled_from(["valid"] * 5 + ["checksum", "version", "schema", "anonymous", "list"]),
+        st.sampled_from([0.0, 0.0, 0.5, 3.0, 40.0]),  # tick step
+    ),
+    min_size=1,
+    max_size=120,
+)
+_stream_configs = st.builds(
+    IngestConfig,
+    n_shards=st.integers(min_value=1, max_value=4),
+    queue_capacity=st.integers(min_value=1, max_value=8),
+    shed_policy=st.sampled_from([ShedPolicy.DROP, ShedPolicy.DEGRADE]),
+    dedup_window=st.integers(min_value=1, max_value=4),
+    breaker_threshold=st.integers(min_value=1, max_value=4),
+    quarantine_release_ticks=st.sampled_from([2.0, 10.0, 64.0]),
+)
+_ENVELOPES: dict[tuple[int, int], dict] = {}
+
+
+def _stream_envelope(device: int, seq: int) -> dict:
+    key = (device, seq)
+    if key not in _ENVELOPES:
+        _ENVELOPES[key] = envelope(seq, device_id=f"device-{device:05d}")
+    return _ENVELOPES[key]
+
+
+class TestLedgerBound:
+    @seed(2803)
+    @settings(max_examples=150, deadline=None)
+    @given(config=_stream_configs, steps=_stream_steps)
+    def test_verdicts_and_stats_match_the_unbounded_table(self, config, steps):
+        ingest, oracle = FleetIngest(config), _OracleIngest(config)
+        tick = 0.0
+        for device, seq, kind, step in steps:
+            tick += step
+            record = _stream_envelope(device, seq)
+            if kind != "valid":
+                record = _corrupted(record, kind)
+            assert ingest.submit(record, tick) == oracle.submit(record, tick)
+            assert ingest.stats() == oracle.stats()
+
+    def test_fresh_id_flood_keeps_a_bounded_table(self):
+        n_devices = 20_000
+        metrics = Metrics()
+        ingest = FleetIngest(obs=Observability(metrics=metrics))
+        template = _corrupted(envelope(1), "version")
+        ingest.submit({**template, "device_id": "warm-up"}, tick=0.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(n_devices):
+                ingest.submit({**template, "device_id": f"flood-{i:05d}"}, tick=float(i))
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert ingest.counts["rejected_malformed"] == n_devices + 1
+        assert metrics.gauges["fed_ingest_ledgers"] == PENDING_BREAKERS
+        assert metrics.counters["fed_ingest_ledgers_evicted"] == n_devices + 1 - PENDING_BREAKERS
+        # One ledger per fresh id held about 10.8 MB at this flood.
+        assert growth < 3 * 1024 * 1024, growth
+
+    def test_first_acceptance_starts_a_clean_streak(self):
+        metrics = Metrics()
+        ingest = FleetIngest(IngestConfig(breaker_threshold=2), obs=Observability(metrics=metrics))
+        bad = _corrupted(envelope(1), "checksum")
+        assert not ingest.submit(bad, tick=0.0).banned
+        assert ingest.submit(envelope(1), tick=1.0).accepted
+        assert metrics.gauges["fed_ingest_ledgers"] == 1
+        # The streak before acceptance is gone: one more violation is not a ban.
+        assert not ingest.submit(bad, tick=2.0).banned
+        assert ingest.submit(bad, tick=3.0).banned

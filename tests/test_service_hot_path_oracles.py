@@ -20,10 +20,15 @@ Its reply writer runs against ``send_response``/``send_header``/
 ``end_headers``: the same bytes, ``Date`` aside, in one write.  And both
 signature repositories, which keep the last envelope text that verified,
 run against a reference that verifies on every read, over seeded
-sequences of publishes, at-rest corruption and reads.
+sequences of publishes, at-rest corruption and reads.  A report's two
+JSON texts, the stored ``record`` and the text its checksum covers, are
+checked against the ``json.dumps`` calls that built them before.
 """
 
 import ast
+import decimal
+import fractions
+import hashlib
 import http.client
 import io
 import json
@@ -64,8 +69,10 @@ from repro.obs.metrics import Histogram, Metrics
 from repro.service import server as server_module
 from repro.service.repository import (
     InMemorySignatureRepository,
+    SqliteReportRepository,
     SqliteSignatureRepository,
     SqliteStore,
+    iter_rows,
 )
 from repro.service.server import (
     MAX_HEAD_LINE_BYTES,
@@ -1378,3 +1385,93 @@ class TestRepositoryVerifiesOnce:
         for __ in range(5):
             assert repo.latest()[1].signatures == tuple(_SIGNATURE_SETS[2])
         assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# report texts: the stored record and the checksummed canonical text
+# ---------------------------------------------------------------------------
+
+
+def _oracle_stored_record(record):
+    return json.dumps(record, sort_keys=True)
+
+
+def _oracle_payload_checksum(record):
+    material = {key: value for key, value in record.items() if key != "checksum"}
+    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# Non-ASCII and control characters (escaped on output), every float the
+# encoder has a spelling for, and nesting.
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=12),
+    st.sampled_from(["", '"', "\\", "\n\t\r\x00\x1f", "é日本\u2028", "\U0001f600"]),
+)
+_json_keys = st.one_of(st.text(max_size=8), st.sampled_from(["checksum", "packet", "ÿ"]))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(_json_keys, inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+_json_records = st.dictionaries(_json_keys, _json_values, max_size=6)
+# Values only ``default=str`` can write, beside JSON ones.
+_str_values = st.one_of(
+    st.binary(max_size=8),
+    st.complex_numbers(allow_nan=False),
+    st.decimals(allow_nan=False),
+    st.fractions(),
+    st.builds(Path, st.text(min_size=1, max_size=8)),
+)
+_checksum_records = st.dictionaries(
+    _json_keys, st.one_of(_json_values, _str_values, st.lists(_str_values, max_size=3)),
+    max_size=6,
+)
+
+
+class TestReportTextsOracle:
+    """The encoders made once write the bytes ``json.dumps`` wrote."""
+
+    @seed(2801)
+    @settings(max_examples=150, deadline=None)
+    @given(records=st.lists(_json_records, min_size=1, max_size=4))
+    def test_stored_record_text(self, records):
+        with tempfile.TemporaryDirectory() as directory:
+            store = SqliteStore(Path(directory) / "reports.sqlite3")
+            try:
+                repo = SqliteReportRepository(store)
+                for seq, record in enumerate(records, start=1):
+                    assert repo.add("dev", seq, "tok", record) is True
+                stored = [row[3] for row in iter_rows(store, "device_reports")]
+            finally:
+                store.close()
+        assert stored == [_oracle_stored_record(record) for record in records]
+
+    @seed(2802)
+    @settings(max_examples=500, deadline=None)
+    @given(record=_checksum_records)
+    def test_payload_checksum(self, record):
+        assert _payload_checksum(record) == _oracle_payload_checksum(record)
+
+    def test_unusual_values_take_the_default_path(self):
+        record = {
+            "b": b"\xff", "d": decimal.Decimal("1.10"), "f": fractions.Fraction(1, 3),
+            "p": Path("é"), "nan": math.nan, "inf": -math.inf, "nested": {"z": [1.5e300, ()]},
+        }
+        assert _payload_checksum(record) == _oracle_payload_checksum(record)
+        assert _payload_checksum({**record, "checksum": "x"}) == _payload_checksum(record)
+
+    def test_reports_checksum_as_before(self):
+        packet = make_packet(target="/t?udid=é&x=%22")
+        report = DeviceReport(device_id="dév", seq=3, token=token_for(packet), packet=packet)
+        record = encode_report(report)
+        assert record["checksum"] == _oracle_payload_checksum(record)
+        assert decode_report(record) == report

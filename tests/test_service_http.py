@@ -324,7 +324,7 @@ class TestOperationalEndpoints:
         assert health["ok"] is True
         assert health["gateway"]["set_version"] == 1
         assert health["signatures"]["latest_version"] == 1
-        assert health["storage"] == {"backend": "sqlite", "schema_version": 2}
+        assert health["storage"] == {"backend": "sqlite", "schema_version": 3}
 
     def test_metrics_prometheus_text(self, live, small_corpus):
         __, request, __db = live

@@ -38,6 +38,11 @@ def envelope_doc(set_version: int, n: int = 2) -> str:
     return SignatureStore.dumps_envelope(sigs(n), set_version)
 
 
+def _index_names(store: SqliteStore) -> set[str]:
+    rows = store.connection().execute("SELECT name FROM sqlite_master WHERE type = 'index'")
+    return {name for (name,) in rows}
+
+
 @pytest.fixture(params=["memory", "sqlite"])
 def sig_repo(request, tmp_path):
     if request.param == "memory":
@@ -240,13 +245,6 @@ class TestReportRepository:
         assert report_repo.add("dev-a", 1, "tok-1", {"v": 1}) is False
         assert report_repo.count() == 1
 
-    def test_token_support_counts_distinct_devices(self, report_repo):
-        report_repo.add("dev-a", 1, "tok-1", {})
-        report_repo.add("dev-a", 2, "tok-1", {})  # same device twice
-        report_repo.add("dev-b", 1, "tok-1", {})
-        report_repo.add("dev-b", 2, "tok-2", {})
-        assert report_repo.token_support() == {"tok-1": 2, "tok-2": 1}
-
 
 class TestSqliteStore:
     def test_memory_path_rejected(self):
@@ -260,6 +258,42 @@ class TestSqliteStore:
         assert first.schema_version() == len(MIGRATIONS)
         first.close()
         again = SqliteStore(path)  # re-open: nothing left to apply
+        assert again.migrations_applied == 0
+        assert again.schema_version() == len(MIGRATIONS)
+        again.close()
+
+    def test_fresh_database_has_no_token_index(self, tmp_path):
+        store = SqliteStore(tmp_path / "svc.sqlite3")
+        assert store.schema_version() == len(MIGRATIONS)
+        assert "idx_device_reports_token" not in _index_names(store)
+        store.close()
+
+    def test_schema_2_database_upgrades_in_place(self, tmp_path):
+        path = tmp_path / "svc.sqlite3"
+        rows = [
+            (f"dev-{i % 3}", i, f"tok-{i % 2}", json.dumps({"seq": i}, sort_keys=True))
+            for i in range(1, 8)
+        ]
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute("CREATE TABLE schema_migrations (version INTEGER PRIMARY KEY)")
+            for version, statements in enumerate(MIGRATIONS[:2], start=1):
+                for statement in statements:
+                    connection.execute(statement)
+                connection.execute("INSERT INTO schema_migrations (version) VALUES (?)", (version,))
+            connection.executemany("INSERT INTO device_reports VALUES (?, ?, ?, ?)", rows)
+        connection.close()
+
+        store = SqliteStore(path)
+        assert store.migrations_applied == len(MIGRATIONS) - 2
+        assert store.schema_version() == len(MIGRATIONS)
+        assert "idx_device_reports_token" not in _index_names(store)
+        assert sorted(iter_rows(store, "device_reports")) == sorted(rows)
+        repo = SqliteReportRepository(store)
+        assert repo.add("dev-1", 1, "tok-1", {"seq": 1}) is False
+        assert repo.count() == len(rows)
+        store.close()
+        again = SqliteStore(path)
         assert again.migrations_applied == 0
         assert again.schema_version() == len(MIGRATIONS)
         again.close()
