@@ -81,7 +81,7 @@ def test_bench_matcher_screening(benchmark, ablation_corpus):
     result = run_variant(ablation_corpus.trace, check, "paper", 60, seed=8)
     matcher = SignatureMatcher(result.signatures)
     packets = ablation_corpus.trace.packets[:5000]
-    benchmark.pedantic(lambda: matcher.screen(packets), rounds=2, iterations=1)
+    benchmark.pedantic(lambda: [matcher.match(p) for p in packets], rounds=2, iterations=1)
 
 
 def test_bench_payload_check_single(benchmark, ablation_corpus):

@@ -9,16 +9,21 @@ A function counts as reached when one of these entry points calls it:
 - the 24 paper-figure benchmark files (``benchmarks/``);
 - ``python3 -m bench.run --quick --verify`` (all four workloads);
 - every offline ``repro`` verb, at small sizes;
-- ``repro service`` driven by ``examples/service_trace_sample.py``;
+- ``repro service`` twice, on sqlite (``--db``) and on its default
+  in-memory backend, each driven by ``examples/service_trace_sample.py``;
 - the other scripts in ``examples/``.
 
 Unit tests are not entry points: code that only its own tests call is
 what this check finds.  A function that stays unreached on purpose (a
 reference oracle a differential test calls, a name ``bench/trace.py``
 patches by string, safety code) is named in ``scripts/reach_allowlist.txt``
-with a one-line reason.  The check fails, naming each function, when a
-function is neither reached nor allowlisted, or when an allowlist entry
-names no function.
+with a one-line reason, which must start with one of :data:`KEPT_KINDS`
+and a colon.  The check fails, naming each function, when a function is
+neither reached nor allowlisted, or when an allowlist entry names no
+function; a reason of any other kind stops it before it starts.
+
+``tests/test_reach_allowlist.py`` runs the static half (the allowlist
+against the functions defined under ``src/repro``) in the unit tests.
 
 Every Python process of a run (``bench.run`` and the service start their
 own, and the distance engine forks pool workers) loads a
@@ -54,6 +59,17 @@ HITS = ROOT / ".reach" / "hits"
 ALLOWLIST = Path(__file__).resolve().parent / "reach_allowlist.txt"
 HOOK = SRC / "sitecustomize.py"
 ENV_KEY = "REPRO_REACH_DIR"
+
+#: What an allowlist reason may start with: why the function stays unreached.
+KEPT_KINDS = (
+    "oracle",
+    "safety",
+    "bad input",
+    "overload",
+    "failure path",
+    "harness",
+    "protocol method",
+)
 
 PAPER_FIGURES = [
     "test_table1_permissions.py",
@@ -170,15 +186,15 @@ def _run(name: str, argv: list[str], cwd: Path, env: dict[str, str]) -> None:
         raise SystemExit(f"entry point {name!r} failed")
 
 
-def _run_service(work: Path, env: dict[str, str]) -> None:
-    """``repro service`` over the committed request script, then ``repro slo`` on its log."""
+def _run_service(name: str, options: list[str], work: Path, env: dict[str, str]) -> None:
+    """``repro service`` with ``options``, driven by the committed request script."""
     started = time.perf_counter()
-    ready, trace_dir = work / "service.addr", work / "service_trace"
-    with (work / "service.log").open("wb") as log:
+    slug = name.replace(" ", "_")
+    ready, log_path = work / f"{slug}.addr", work / f"{slug}.log"
+    with log_path.open("wb") as log:
         server = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "service", "--apps", "40", "--sample", "30",
-             "--db", str(work / "service.sqlite3"), "--trace-dir", str(trace_dir),
-             "--ready-file", str(ready)],
+             *options, "--ready-file", str(ready)],
             cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=log,
         )
     try:
@@ -198,12 +214,10 @@ def _run_service(work: Path, env: dict[str, str]) -> None:
         except subprocess.TimeoutExpired:
             server.kill()
             code = server.wait()
-    print(f"  {'service':<36} exit {code}  {time.perf_counter() - started:6.1f} s", flush=True)
+    print(f"  {name:<36} exit {code}  {time.perf_counter() - started:6.1f} s", flush=True)
     if code != 0:
-        sys.stderr.write((work / "service.log").read_text(errors="replace")[-4000:])
-        raise SystemExit("repro service did not stop cleanly")
-    _run("slo", [sys.executable, "-m", "repro.cli", "slo", "--access-log",
-                 str(trace_dir / "access_log.jsonl")], work, env)
+        sys.stderr.write(log_path.read_text(errors="replace")[-4000:])
+        raise SystemExit(f"{name} did not stop cleanly")
 
 
 def record() -> None:
@@ -221,7 +235,12 @@ def record() -> None:
             work = Path(tmp)
             for name, argv, cwd in _entry_points(work):
                 _run(name, argv, cwd, env)
-            _run_service(work, env)
+            trace_dir = work / "service_trace"
+            _run_service("service --db", ["--db", str(work / "service.sqlite3"),
+                                          "--trace-dir", str(trace_dir)], work, env)
+            _run("slo", [sys.executable, "-m", "repro.cli", "slo", "--access-log",
+                         str(trace_dir / "access_log.jsonl")], work, env)
+            _run_service("service in memory", [], work, env)
     finally:
         HOOK.unlink()
 
@@ -269,6 +288,7 @@ def allowlist() -> dict[tuple[str, str], str]:
     """``(path, qualified name) -> reason`` from :data:`ALLOWLIST`.
 
     One entry a line, ``path::qualname | reason``; ``#`` starts a comment.
+    Every reason starts with one of :data:`KEPT_KINDS` and a colon.
     """
     entries: dict[tuple[str, str], str] = {}
     for number, raw in enumerate(ALLOWLIST.read_text(encoding="utf-8").splitlines(), 1):
@@ -279,16 +299,29 @@ def allowlist() -> dict[tuple[str, str], str]:
         path, __, qualname = target.strip().partition("::")
         if not (path and qualname and reason.strip()):
             raise SystemExit(f"{ALLOWLIST.name}:{number}: want 'path::qualname | reason', got {raw!r}")
+        kind, colon, __ = reason.strip().partition(":")
+        if not colon or kind not in KEPT_KINDS:
+            raise SystemExit(
+                f"{ALLOWLIST.name}:{number}: a reason starts with one of "
+                f"{', '.join(KEPT_KINDS)} and a colon, got {reason.strip()!r}"
+            )
         entries[path, qualname] = reason.strip()
     return entries
+
+
+def stale_entries(
+    functions: dict[tuple[str, int], tuple[str, int]], allowed: dict[tuple[str, str], str]
+) -> list[tuple[str, str]]:
+    """Allowlist entries that name no function under src/repro."""
+    names = {(path, qualname) for (path, __), (qualname, __) in functions.items()}
+    return sorted(set(allowed) - names)
 
 
 def check() -> int:
     functions = defined()
     hits = reached()
     allowed = allowlist()
-    names = {(path, qualname) for (path, __), (qualname, __) in functions.items()}
-    stale = sorted(set(allowed) - names)
+    stale = stale_entries(functions, allowed)
     unreached = [
         (path, first, qualname, lines)
         for (path, first), (qualname, lines) in sorted(functions.items())

@@ -50,7 +50,7 @@ from repro.signatures.conjunction import ConjunctionSignature
 from repro.signatures.matcher import ProbabilisticMatcher, SignatureMatcher
 from repro.signatures.store import SignatureStore
 from repro.service.server import ServiceServer, SignatureService
-from repro.simulation.corpus import Corpus, build_corpus, mini_corpus, paper_corpus
+from repro.simulation.corpus import Corpus, build_corpus, mini_corpus
 from repro.supervision import CheckpointStore, CrashPlan, Supervisor
 
 __version__ = "1.0.0"
@@ -109,6 +109,5 @@ __all__ = [
     # corpus
     "Corpus",
     "build_corpus",
-    "paper_corpus",
     "mini_corpus",
 ]

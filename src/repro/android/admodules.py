@@ -20,7 +20,7 @@ as in Table III.
 
 from __future__ import annotations
 
-from repro.android.services import Param, RequestTemplate, Service, ServiceSpec
+from repro.android.services import Param, RequestTemplate, ServiceSpec
 from repro.sensitive.identifiers import IdentifierKind as IK
 from repro.sensitive.transforms import Transform as TF
 
@@ -582,8 +582,3 @@ AD_SERVICES: tuple[ServiceSpec, ...] = (
     ZQAPK,
     MBGA_CORE,
 )
-
-
-def build_ad_services() -> list[Service]:
-    """Instantiate the full ad/analytics catalog."""
-    return [Service(spec) for spec in AD_SERVICES]

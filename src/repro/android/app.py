@@ -43,17 +43,6 @@ class Application:
         """The embedded advertisement modules."""
         return [s for s in self.services if s.category == "ad"]
 
-    def all_services(self) -> list[Service]:
-        """Every service the app can contact during a session."""
-        return [*self.services, *self.own_services, *self.browser_services]
-
-    def destination_hosts(self) -> set[str]:
-        """All FQDNs the app can possibly contact (upper bound of Fig 2)."""
-        hosts: set[str] = set()
-        for service in self.all_services():
-            hosts.update(service.hosts)
-        return hosts
-
     def session_duration(self, rng: Random) -> float:
         """Seconds of one manual run: the paper used 5 to 15 minutes."""
         return rng.uniform(5 * 60.0, 15 * 60.0)

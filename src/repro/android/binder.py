@@ -84,7 +84,3 @@ class Binder:
         if not self.check(manifest, resource):
             required = RESOURCE_PERMISSIONS[resource]
             raise PermissionDenied(manifest.package, str(required))
-
-    def denials(self) -> list[AccessRecord]:
-        """Audited accesses that were refused."""
-        return [record for record in self.log if not record.granted]

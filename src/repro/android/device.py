@@ -92,17 +92,6 @@ class Device:
         }[kind]
         return getter(manifest)
 
-    def can_read(self, manifest: Manifest, kind: IdentifierKind) -> bool:
-        """Permission check without raising (for module capability probes)."""
-        resource = {
-            IdentifierKind.IMEI: "imei",
-            IdentifierKind.IMSI: "imsi",
-            IdentifierKind.SIM_SERIAL: "sim_serial",
-            IdentifierKind.CARRIER: "carrier",
-            IdentifierKind.ANDROID_ID: "android_id",
-        }[kind]
-        return self.binder.check(manifest, resource)
-
     @property
     def user_agent(self) -> str:
         """The Android WebView/HttpClient User-Agent of the era."""

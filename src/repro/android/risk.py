@@ -72,11 +72,6 @@ class RiskAssessment:
     level: RiskLevel
     reasons: tuple[str, ...]
 
-    @property
-    def is_dangerous(self) -> bool:
-        """The paper's 61% class: can both read and transmit."""
-        return self.level >= RiskLevel.MODERATE
-
 
 def assess(app: Application) -> RiskAssessment:
     """Assess one application with human-readable reasons."""

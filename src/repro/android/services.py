@@ -23,7 +23,6 @@ from random import Random
 from typing import TYPE_CHECKING
 
 from repro.errors import PermissionDenied, SimulationError
-from repro.http.cookies import format_cookies
 from repro.http.message import HttpRequest
 from repro.http.packet import Destination, HttpPacket
 from repro.http.url import percent_encode
@@ -204,10 +203,6 @@ class Service:
     def category(self) -> str:
         return self.spec.category
 
-    @property
-    def hosts(self) -> tuple[str, ...]:
-        return self.spec.hosts
-
     def ip_for(self, host: str) -> IPv4Address:
         """The stable IPv4 address serving ``host``."""
         return self._host_ips[host]
@@ -274,7 +269,7 @@ class Service:
             ("Connection", "keep-alive"),
         ]
         if cookie_pairs:
-            headers.append(("Cookie", format_cookies(cookie_pairs)))
+            headers.append(("Cookie", "; ".join(f"{k}={v}" for k, v in cookie_pairs)))
         body = b""
         method = template.method
         if body_pairs:

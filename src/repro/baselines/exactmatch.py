@@ -9,7 +9,7 @@ the paper clusters and extracts *invariant* tokens instead.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.http.packet import HttpPacket
 
@@ -23,14 +23,8 @@ class ExactMatchDetector:
     def __init__(self, training: Sequence[HttpPacket]) -> None:
         self._known: set[str] = {packet.canonical_text() for packet in training}
 
-    def __len__(self) -> int:
-        return len(self._known)
-
     def is_sensitive(self, packet: HttpPacket) -> bool:
         return packet.canonical_text() in self._known
-
-    def screen(self, packets: Iterable[HttpPacket]) -> list[bool]:
-        return [self.is_sensitive(packet) for packet in packets]
 
     def evaluate(
         self, suspicious: Sequence[HttpPacket], normal: Sequence[HttpPacket], n_sample: int

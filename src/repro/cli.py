@@ -102,6 +102,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 def cmd_label(args: argparse.Namespace) -> int:
     trace = Trace.load_jsonl(args.trace)
+    if not trace:
+        print("the trace holds no packets; nothing to label", file=sys.stderr)
+        return 1
     check = PayloadCheck(_load_identity(args.identity))
     suspicious, normal = check.split(trace)
     print(f"packets   : {len(trace)}")
@@ -143,6 +146,12 @@ def cmd_screen(args: argparse.Namespace) -> int:
     if args.identity:
         check = PayloadCheck(_load_identity(args.identity))
         suspicious, normal = check.split(trace)
+        if not suspicious:
+            print(
+                "no sensitive packets in the trace; ground-truth metrics need one",
+                file=sys.stderr,
+            )
+            return 1
         n_sample = min(args.sample, len(suspicious) - 1)
         metrics = compute_metrics(matcher, suspicious, normal, n_sample=max(0, n_sample))
         print(

@@ -119,10 +119,3 @@ class Dendrogram:
         internal = list(range(self.n_leaves, self.n_nodes))
         internal.sort(key=lambda node: (self.height(node), node), reverse=True)
         return internal
-
-    def to_linkage_array(self) -> list[list[float]]:
-        """Scipy-compatible ``(n-1) x 4`` linkage matrix (as nested lists)."""
-        return [
-            [float(m.left), float(m.right), float(m.height), float(m.size)]
-            for m in self.merges
-        ]

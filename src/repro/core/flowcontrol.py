@@ -72,9 +72,6 @@ class PolicyStore:
     def set_rule(self, app_id: str, action: PolicyAction, domain: str = "") -> None:
         self.rules[(app_id, domain)] = action
 
-    def lookup(self, app_id: str, domain: str) -> PolicyAction:
-        return self.lookup_rule(app_id, domain)[0]
-
     def lookup_rule(
         self, app_id: str, domain: str
     ) -> tuple[PolicyAction, tuple[str, str] | None]:

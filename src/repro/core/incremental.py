@@ -86,16 +86,6 @@ class IncrementalSignatureSet:
     def __len__(self) -> int:
         return len(self.signatures)
 
-    @property
-    def pending(self) -> int:
-        """Suspicious packets waiting for enough mass to cluster."""
-        return len(self._carryover)
-
-    @property
-    def consolidation_material(self) -> int:
-        """Packets retained for consolidation."""
-        return len(self._material)
-
     def matcher(self) -> SignatureMatcher:
         """A matcher over the current set."""
         return SignatureMatcher(self.signatures)
@@ -180,7 +170,3 @@ class IncrementalSignatureSet:
             for signature in retired:
                 self._match_counts.pop(signature, None)
         return retired
-
-    def match_counts(self) -> dict[ConjunctionSignature, int]:
-        """How often each signature fired during updates (copy)."""
-        return dict(self._match_counts)

@@ -67,9 +67,9 @@ def config_fingerprint(config: PipelineConfig, n_sample: int) -> dict:
     """A stable, JSON-ready identity of one run's policy.
 
     Built from semantic fields only — object reprs that embed memory
-    addresses would break cross-process resume, and ``workers`` is
-    excluded because worker count never changes outputs (the engine's
-    bit-identity contract).
+    addresses would differ between two pipeline objects sharing a store,
+    and ``workers`` is excluded because worker count never changes
+    outputs (the engine's bit-identity contract).
     """
     distance: PacketDistance = config.distance
     return {
@@ -248,10 +248,6 @@ class DetectionPipeline:
             stages_executed=executed,
             stages_replayed=replayed,
         )
-
-    def sweep(self, sample_sizes: list[int], seed: int = 0) -> list[PipelineResult]:
-        """The Fig 4 sweep: one run per N, same corpus, fresh samples."""
-        return [self.run(n, seed=seed + i) for i, n in enumerate(sample_sizes)]
 
     # -- ingest stages, run by each call only with a store --------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.clustering.dendrogram import Dendrogram
 from repro.clustering.linkage import Linkage, agglomerate
@@ -19,7 +19,7 @@ from repro.dataset.trace import Trace
 from repro.distance.engine import DEFAULT_CHUNK_PAIRS, DistanceEngine
 from repro.distance.matrix import CondensedMatrix
 from repro.distance.packet import PacketDistance
-from repro.errors import ReproError, SignatureError
+from repro.errors import SignatureError
 from repro.http.packet import HttpPacket
 from repro.obs import NULL_OBS, Observability
 from repro.reliability.quarantine import Quarantine
@@ -122,24 +122,6 @@ class SignatureServer:
         self.obs.inc("server_ingested_normal", len(normal))
         self.obs.set_gauge("server_quarantine_depth", len(self.quarantine))
         return len(suspicious), len(normal)
-
-    def ingest_raw(self, records: Iterable[dict[str, Any]]) -> tuple[int, int]:
-        """Ingest serialized packet records as uploaded by devices.
-
-        This is the crowd-collection entry point: each record is parsed
-        with :meth:`HttpPacket.from_dict`; malformed records — truncated
-        uploads, bit-flipped bytes, schema drift — are quarantined with
-        counters rather than failing the whole batch.
-
-        :returns: ``(n_suspicious, n_normal)`` added by this call.
-        """
-        packets: list[HttpPacket] = []
-        for record in records:
-            try:
-                packets.append(HttpPacket.from_dict(record))
-            except (ReproError, KeyError, TypeError, ValueError, AttributeError) as exc:
-                self.quarantine.add(exc, payload=record)
-        return self.ingest(Trace(packets))
 
     @property
     def suspicious(self) -> list[HttpPacket]:

@@ -111,25 +111,6 @@ class StreamingStats:
     attach_pairs_evaluated: int = 0
     compact_pairs_evaluated: int = 0
 
-    @property
-    def pairs_evaluated(self) -> int:
-        return self.attach_pairs_evaluated + self.compact_pairs_evaluated
-
-    def to_dict(self) -> dict:
-        return {
-            "items": self.items,
-            "batches": self.batches,
-            "attached": self.attached,
-            "new_clusters": self.new_clusters,
-            "blocks_merged": self.blocks_merged,
-            "compactions": self.compactions,
-            "blocks_compacted": self.blocks_compacted,
-            "attach_probes": self.attach_probes,
-            "attach_pairs_evaluated": self.attach_pairs_evaluated,
-            "compact_pairs_evaluated": self.compact_pairs_evaluated,
-            "pairs_evaluated": self.pairs_evaluated,
-        }
-
 
 @dataclass(slots=True)
 class BatchReport:
@@ -182,9 +163,6 @@ class StreamingClusterer:
         self._cluster_of: dict[int, int] = {}  # item index -> cluster id
         self._dirty: set[int] = set()  # item indices marking dirty blocks
         self._batches_since_compact = 0
-
-    def __len__(self) -> int:
-        return len(self.stream)
 
     @property
     def items(self) -> list:
@@ -342,16 +320,8 @@ class StreamingClusterer:
 
     # -- read side ----------------------------------------------------------------
 
-    @property
-    def n_clusters(self) -> int:
-        return len(self._members)
-
     def partition(self) -> list[list[int]]:
         """Current clusters as sorted member lists, ordered by smallest member."""
         return [
             sorted(self._members[cluster]) for cluster in sorted(self._members)
         ]
-
-    def clusters_of_items(self) -> dict[int, int]:
-        """Item index -> cluster id (copy)."""
-        return dict(self._cluster_of)

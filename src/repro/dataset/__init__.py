@@ -7,7 +7,7 @@
   used by the Fig 4 experiment.
 """
 
-from repro.dataset.split import sample_packets, split_by_sensitivity
+from repro.dataset.split import sample_packets
 from repro.dataset.stats import (
     DestinationRow,
     SensitiveRow,
@@ -28,6 +28,5 @@ __all__ = [
     "SensitiveRow",
     "destination_fanout",
     "fanout_summary",
-    "split_by_sensitivity",
     "sample_packets",
 ]

@@ -2,7 +2,7 @@
 
 "We manually separated the dataset into a suspicious group and a normal
 group ... We selected N HTTP packets at random out of the suspicious group
-for signature generation."  Splitting delegates to the payload check;
+for signature generation."  Splitting is ``PayloadCheck.split``;
 sampling is seeded and without replacement.
 """
 
@@ -11,16 +11,8 @@ from __future__ import annotations
 from random import Random
 from typing import Sequence
 
-from repro.dataset.trace import Trace
 from repro.errors import DatasetError
 from repro.http.packet import HttpPacket
-from repro.sensitive.payload_check import PayloadCheck
-
-
-def split_by_sensitivity(trace: Trace, check: PayloadCheck) -> tuple[Trace, Trace]:
-    """Partition a trace into ``(suspicious, normal)`` traces."""
-    suspicious, normal = check.split(trace)
-    return Trace(suspicious), Trace(normal)
 
 
 def sample_packets(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import gzip
 import json
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import DatasetError
 from repro.http.packet import HttpPacket
@@ -42,9 +42,6 @@ class Trace:
     def __getitem__(self, index: int) -> HttpPacket:
         return self._packets[index]
 
-    def append(self, packet: HttpPacket) -> None:
-        self._packets.append(packet)
-
     def extend(self, packets: Iterable[HttpPacket]) -> None:
         self._packets.extend(packets)
 
@@ -54,10 +51,6 @@ class Trace:
         return self._packets
 
     # -- views -------------------------------------------------------------------
-
-    def filter(self, predicate: Callable[[HttpPacket], bool]) -> "Trace":
-        """A new trace with only the packets satisfying ``predicate``."""
-        return Trace(p for p in self._packets if predicate(p))
 
     def by_app(self) -> dict[str, list[HttpPacket]]:
         """Packets grouped by sending application."""
@@ -72,12 +65,6 @@ class Trace:
         for packet in self._packets:
             groups.setdefault(packet.destination.registered_domain, []).append(packet)
         return groups
-
-    def apps(self) -> set[str]:
-        return {p.app_id for p in self._packets}
-
-    def hosts(self) -> set[str]:
-        return {p.host for p in self._packets}
 
     # -- persistence --------------------------------------------------------------
 

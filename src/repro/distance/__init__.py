@@ -18,7 +18,7 @@ from repro.distance.blocking import (
     BlockingStats,
     assign_blocks,
 )
-from repro.distance.content import ContentDistance, header_distance
+from repro.distance.content import ContentDistance
 from repro.distance.destination import (
     destination_distance,
     host_distance,
@@ -43,7 +43,6 @@ __all__ = [
     "port_distance",
     "host_distance",
     "destination_distance",
-    "header_distance",
     "ContentDistance",
     "PacketDistance",
     "distance_matrix",

@@ -78,10 +78,6 @@ class BlockingStats:
     pairs_total: int = 0
     pairs_within: int = 0
 
-    @property
-    def pairs_pruned(self) -> int:
-        return self.pairs_total - self.pairs_within
-
 
 @dataclass(slots=True)
 class BlockAssignment:

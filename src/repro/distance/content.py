@@ -11,8 +11,6 @@ decoding loss.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.distance.ncd import Compressor, NcdCalculator
 from repro.http.packet import HttpPacket
 
@@ -43,37 +41,9 @@ class ContentDistance:
         self.use_body = use_body
 
     @property
-    def component_count(self) -> int:
-        """How many components are enabled (the maximum of the sum)."""
-        return sum((self.use_rline, self.use_cookie, self.use_body))
-
-    @property
     def calculator(self) -> NcdCalculator:
         """The shared NCD calculator (cache inspection / precomputation)."""
         return self._ncd
-
-    def fields(self, packet: HttpPacket) -> tuple[bytes, ...]:
-        """The enabled content fields of ``packet``, as compared bytes."""
-        parts: list[bytes] = []
-        if self.use_rline:
-            parts.append(packet.request_line.encode("latin-1"))
-        if self.use_cookie:
-            parts.append(packet.cookie.encode("latin-1"))
-        if self.use_body:
-            parts.append(packet.body)
-        return tuple(parts)
-
-    def precompute(self, packets: Iterable[HttpPacket]) -> int:
-        """Batch-fill ``C(x)`` for every enabled field of every packet.
-
-        Run once before a pairwise matrix build so the M(M-1)/2 pair loop
-        only pays for the concatenated ``C(xy)`` terms.  Returns the number
-        of newly compressed strings.
-        """
-        blobs: list[bytes] = []
-        for packet in packets:
-            blobs.extend(self.fields(packet))
-        return self._ncd.precompute(blobs)
 
     def rline_distance(self, x: HttpPacket, y: HttpPacket) -> float:
         """``d_rline``: NCD of the two request-lines."""
@@ -105,13 +75,3 @@ class ContentDistance:
         if self.use_body:
             total += self.body_distance(x, y)
         return total
-
-    def __call__(self, x: HttpPacket, y: HttpPacket) -> float:
-        return self.distance(x, y)
-
-
-def header_distance(
-    x: HttpPacket, y: HttpPacket, compressor: Compressor = Compressor.ZLIB
-) -> float:
-    """One-shot ``d_header`` without cache reuse (convenience wrapper)."""
-    return ContentDistance(compressor).distance(x, y)

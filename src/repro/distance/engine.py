@@ -137,26 +137,6 @@ class EngineStats:
         """Fraction of component evaluations served from the pair cache."""
         return self.pair_hits / self.pair_lookups if self.pair_lookups else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "n_items": self.n_items,
-            "n_pairs": self.n_pairs,
-            "workers_requested": self.workers_requested,
-            "workers_used": self.workers_used,
-            "chunks": self.chunks,
-            "pair_hits": self.pair_hits,
-            "pair_misses": self.pair_misses,
-            "chunks_retried": self.chunks_retried,
-            "chunks_quarantined": self.chunks_quarantined,
-            "faults_injected": self.faults_injected,
-            "recovered": self.recovered,
-            "pair_hit_rate": round(self.pair_hit_rate, 4),
-            "singles_hits": self.singles.hits,
-            "singles_misses": self.singles.misses,
-            "singles_precomputed": self.singles.precomputed,
-            "singles_hit_rate": round(self.singles.hit_rate, 4),
-        }
-
 
 @dataclass(slots=True)
 class _ChunkStats:
@@ -752,12 +732,6 @@ class PairStream:
         else:
             self._evaluator.add_items(new_items)
             self.items.extend(new_items)
-
-    def distance(self, i: int, j: int) -> float:
-        """Distance between items ``i`` and ``j`` (cached)."""
-        if i == j:
-            return 0.0
-        return float(self.distances([(i, j)])[0])
 
     def distances(self, pairs: Sequence[tuple[int, int]] | np.ndarray) -> np.ndarray:
         """Distances for ``pairs``; only cache misses are evaluated.

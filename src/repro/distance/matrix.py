@@ -85,14 +85,6 @@ class CondensedMatrix:
         condensed = lo * self.n - lo * (lo + 1) // 2 + (hi - lo - 1)
         return CondensedMatrix(m, self.values[condensed].astype(float, copy=True))
 
-    @property
-    def max(self) -> float:
-        return float(self.values.max()) if self.values.size else 0.0
-
-    @property
-    def min(self) -> float:
-        return float(self.values.min()) if self.values.size else 0.0
-
 
 def distance_matrix(
     items: Sequence,

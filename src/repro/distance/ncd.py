@@ -57,11 +57,6 @@ _COMPRESSED_LENGTH: dict[Compressor, Callable[[bytes], int]] = {
 }
 
 
-def compressed_length(data: bytes, compressor: Compressor = Compressor.ZLIB) -> int:
-    """``C(data)``: length in bytes of the compressed representation."""
-    return _COMPRESSED_LENGTH[compressor](data)
-
-
 def ncd(
     x: bytes,
     y: bytes,
@@ -107,21 +102,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     precomputed: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lazy lookups served from cache (0.0 when unused)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def add(self, other: "CacheStats") -> None:
-        """Accumulate another counter set (used to merge worker deltas)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.precomputed += other.precomputed
 
 
 class NcdCalculator:
@@ -186,10 +166,3 @@ class NcdCalculator:
         if self.clamp:
             value = min(1.0, max(0.0, value))
         return value
-
-    def cache_size(self) -> int:
-        return len(self._length_cache)
-
-    def clear_cache(self) -> None:
-        self._length_cache.clear()
-        self.stats = CacheStats()

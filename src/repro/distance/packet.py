@@ -9,7 +9,7 @@ content-only, and per-side weights.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.distance.content import ContentDistance
 from repro.distance.destination import destination_distance
@@ -34,8 +34,6 @@ class PacketDistance:
 
     The unweighted paper metric has range ``[0, 6]`` (three destination
     components + three content components, each in ``[0, 1]``).
-    :attr:`max_distance` reports the configured maximum so cut heights can
-    be expressed as fractions.
     """
 
     def __init__(
@@ -54,20 +52,6 @@ class PacketDistance:
         self.content_weight = content_weight
         self.registry = registry
         self.content = ContentDistance(compressor)
-
-    @property
-    def max_distance(self) -> float:
-        """Upper bound of :meth:`distance` under this configuration."""
-        return 3.0 * self.destination_weight + self.content.component_count * self.content_weight
-
-    def precompute(self, packets: Iterable[HttpPacket]) -> int:
-        """Batch-compress every content field once, ahead of the pair loop.
-
-        No-op (returns 0) for the destination-only ablation.
-        """
-        if not self.content_weight:
-            return 0
-        return self.content.precompute(packets)
 
     def distance(self, x: HttpPacket, y: HttpPacket) -> float:
         """``d_pkt``: weighted sum of destination and content distances."""

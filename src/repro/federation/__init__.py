@@ -16,10 +16,10 @@ buggy, replaying, and outright adversarial reporters:
   validating admission with a per-device dedup window, replay defense,
   DROP/DEGRADE shedding, and circuit-breaker quarantine with cooldown
   release;
-- :mod:`repro.federation.aggregate` — :class:`FederatedAggregator` over a
-  pluggable :class:`SupportStore` (in-memory or dir-backed): per-token
-  distinct-device support, per-device contribution caps, and the
-  k-anonymity min-support gate;
+- :mod:`repro.federation.aggregate` — :class:`FederatedAggregator` over an
+  in-memory :class:`InMemorySupportStore`: per-token distinct-device
+  support, per-device contribution caps, and the k-anonymity min-support
+  gate;
 - :mod:`repro.federation.fleet` — the round orchestrator: per-device
   report substreams -> faulty transport -> ingest -> aggregation ->
   signature generation.
@@ -33,10 +33,8 @@ class bit-for-bit.
 
 from repro.federation.aggregate import (
     AcceptOutcome,
-    DirSupportStore,
     FederatedAggregator,
     InMemorySupportStore,
-    SupportStore,
 )
 from repro.federation.faults import DeviceFaultKind, DeviceFaultPlan
 from repro.federation.fleet import FederationResult, run_federation
@@ -55,14 +53,12 @@ __all__ = [
     "DeviceFaultKind",
     "DeviceFaultPlan",
     "DeviceReport",
-    "DirSupportStore",
     "FederatedAggregator",
     "FederationResult",
     "FleetIngest",
     "InMemorySupportStore",
     "IngestConfig",
     "ReportStatus",
-    "SupportStore",
     "decode_report",
     "encode_report",
     "run_federation",

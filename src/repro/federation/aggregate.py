@@ -15,11 +15,7 @@ material* under two byzantine defenses:
   user's idiosyncratic traffic) never reach ``k`` distinct reporters, so
   they can never contaminate the fleet's signatures.
 
-Storage is pluggable behind :class:`SupportStore`, in the style of
-:class:`~repro.supervision.checkpoint.CheckpointStore`:
-:class:`InMemorySupportStore` for benches and tests,
-:class:`DirSupportStore` for an append-only JSONL journal a fresh process
-replays on construction — the cross-process aggregation-resume path.
+Support state lives in memory, in :class:`InMemorySupportStore`.
 
 Determinism contract: :meth:`FederatedAggregator.admitted_material` is a
 pure function of the *set* of accepted contributions — exemplars are
@@ -30,9 +26,7 @@ and shedding perturb) can never change the signature material.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 from repro.errors import FederationError
@@ -62,36 +56,8 @@ class _TokenSupport:
     exemplars: dict[str, tuple[int, dict[str, Any]]] = field(default_factory=dict)
 
 
-class SupportStore:
-    """Interface for per-token support state (see module docstring)."""
-
-    def add(self, token: str, device_id: str, seq: int, packet_record: dict[str, Any]) -> bool:
-        """Record one contribution; returns whether the pair was new."""
-        raise NotImplementedError
-
-    def support(self, token: str) -> int:
-        """Distinct devices supporting ``token``."""
-        raise NotImplementedError
-
-    def tokens(self) -> list[str]:
-        """All known tokens, sorted."""
-        raise NotImplementedError
-
-    def exemplars(self, token: str) -> list[tuple[str, int, dict[str, Any]]]:
-        """Retained ``(device_id, seq, packet record)`` exemplars, sorted."""
-        raise NotImplementedError
-
-    def device_supports(self, device_id: str, token: str) -> bool:
-        """Whether this device already supports ``token``."""
-        raise NotImplementedError
-
-    def device_token_count(self, device_id: str) -> int:
-        """Distinct tokens this device has contributed to."""
-        raise NotImplementedError
-
-
-class InMemorySupportStore(SupportStore):
-    """Dict-backed support state.
+class InMemorySupportStore:
+    """Dict-backed per-token support state.
 
     :param exemplars_per_token: packet exemplars retained per token; the
         smallest ``(device_id, seq)`` pairs win, so retention is
@@ -144,68 +110,17 @@ class InMemorySupportStore(SupportStore):
         return len(self._device_tokens.get(device_id, ()))
 
 
-class DirSupportStore(InMemorySupportStore):
-    """Support state persisted as an append-only JSONL journal.
-
-    Each *new* ``(token, device)`` pair appends one line to
-    ``<root>/support.jsonl``; a fresh process replays the journal on
-    construction and continues where the old one died.  Repeat
-    contributions are not journaled — replaying the journal reconstructs
-    exactly the support sets and exemplars.
-
-    :param root: journal directory (created if missing).
-    :param exemplars_per_token: as for :class:`InMemorySupportStore`.
-    """
-
-    def __init__(self, root: str | Path, exemplars_per_token: int = 8) -> None:
-        super().__init__(exemplars_per_token=exemplars_per_token)
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._journal_path = self.root / "support.jsonl"
-        self._replay()
-
-    def _replay(self) -> None:
-        if not self._journal_path.exists():
-            return
-        for line in self._journal_path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-                super().add(entry["token"], entry["device_id"], entry["seq"], entry["packet"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FederationError(f"corrupt support journal line: {line!r}") from exc
-
-    def add(self, token: str, device_id: str, seq: int, packet_record: dict[str, Any]) -> bool:
-        new_pair = super().add(token, device_id, seq, packet_record)
-        if new_pair:
-            line = json.dumps(
-                {"token": token, "device_id": device_id, "seq": seq, "packet": packet_record},
-                sort_keys=True,
-            )
-            with self._journal_path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-        return new_pair
-
-
 class FederatedAggregator:
     """Distinct-device support counting behind the contribution cap.
 
-    :param store: support storage (default: a fresh in-memory store).
     :param contribution_cap: distinct tokens one device may introduce.
     :param obs: optional observability bundle (``fed_agg_*`` counters).
     """
 
-    def __init__(
-        self,
-        store: SupportStore | None = None,
-        *,
-        contribution_cap: int = 64,
-        obs: Observability | None = None,
-    ) -> None:
+    def __init__(self, *, contribution_cap: int = 64, obs: Observability | None = None) -> None:
         if contribution_cap < 1:
             raise FederationError("contribution_cap must be >= 1")
-        self.store = store or InMemorySupportStore()
+        self.store = InMemorySupportStore()
         self.contribution_cap = contribution_cap
         self.obs = obs or NULL_OBS
         self.counts: dict[str, int] = {outcome.value: 0 for outcome in AcceptOutcome}
@@ -224,9 +139,6 @@ class FederatedAggregator:
         return outcome
 
     # -- the k-anonymity gate ------------------------------------------------------
-
-    def support(self, token: str) -> int:
-        return self.store.support(token)
 
     def admitted_tokens(self, min_support: int) -> list[str]:
         """Tokens seen on at least ``min_support`` distinct devices, sorted."""

@@ -117,16 +117,6 @@ class DeviceFaultPlan:
             flood=0.15 * rate,
         )
 
-    @property
-    def total_rate(self) -> float:
-        """Combined probability that *some* fault fires per report."""
-        return sum(self.rates.values())
-
-    @property
-    def faults_recorded(self) -> int:
-        """Non-clean outcomes recorded so far."""
-        return sum(count for kind, count in self.counts.items() if kind is not DeviceFaultKind.NONE)
-
     def record(self, kind: DeviceFaultKind) -> None:
         """Tally one observed outcome (uploader-side bookkeeping)."""
         self.counts[kind] += 1

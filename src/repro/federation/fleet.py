@@ -36,7 +36,7 @@ from typing import Any
 from repro.core.pipeline import PipelineConfig
 from repro.errors import FederationError
 from repro.eval.crossval import generate_from
-from repro.federation.aggregate import FederatedAggregator, SupportStore
+from repro.federation.aggregate import FederatedAggregator
 from repro.federation.faults import DeviceFaultKind, DeviceFaultPlan
 from repro.federation.ingest import FleetIngest, IngestConfig
 from repro.federation.report import DeviceReport, encode_report, token_for
@@ -128,22 +128,6 @@ class FederationResult:
     material: list[HttpPacket] = field(default_factory=list)
     fabricated_pool: list[HttpPacket] = field(default_factory=list)
 
-    def summary(self) -> dict[str, Any]:
-        """JSON-ready digest for CLI output and bench reports."""
-        return {
-            "n_devices": self.n_devices,
-            "reports_per_device": self.reports_per_device,
-            "min_support": self.min_support,
-            "n_signatures": len(self.signatures),
-            "admitted_tokens": len(self.admitted_tokens),
-            "material_size": self.material_size,
-            "sends": self.sends,
-            "final_tick": round(self.final_tick, 3),
-            "ingest": self.ingest_stats,
-            "aggregate": self.aggregate_stats,
-            "faults": dict(sorted(self.fault_counts.items())),
-        }
-
 
 def _compile_script(
     device_index: int,
@@ -215,7 +199,6 @@ def run_federation(
     min_support: int = 3,
     fault_plan: DeviceFaultPlan | None = None,
     ingest_config: IngestConfig | None = None,
-    store: SupportStore | None = None,
     contribution_cap: int = 64,
     profile: LoadProfile | None = None,
     pipeline_config: PipelineConfig | None = None,
@@ -232,7 +215,6 @@ def run_federation(
         distinct supporting devices to become signature material).
     :param fault_plan: injected fleet faults (default: fault-free).
     :param ingest_config: admission tuning.
-    :param store: support storage (default: fresh in-memory).
     :param contribution_cap: distinct tokens one device may introduce.
     :param profile: offered-load shape for the device substreams.
     :param pipeline_config: cluster + generate configuration.
@@ -253,7 +235,7 @@ def run_federation(
         raise FederationError("corpus has no suspicious packets for devices to report")
     loadgen = FleetLoadGenerator(corpus, profile, seed=seed, packets=suspicious)
     ingest = FleetIngest(ingest_config, obs=obs)
-    aggregator = FederatedAggregator(store, contribution_cap=contribution_cap, obs=obs)
+    aggregator = FederatedAggregator(contribution_cap=contribution_cap, obs=obs)
     retry_policy = RetryPolicy(max_attempts=_MAX_ATTEMPTS, base_delay=1.0, multiplier=2.0,
                                max_delay=ingest.config.quarantine_release_ticks)
 

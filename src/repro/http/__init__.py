@@ -11,7 +11,6 @@ triple (IP, port, host).  This package provides:
 - :func:`repro.http.serializer.serialize_request` — canonical wire form.
 """
 
-from repro.http.cookies import format_cookies, parse_cookie_header
 from repro.http.message import HttpRequest
 from repro.http.packet import Destination, HttpPacket
 from repro.http.parser import parse_request
@@ -24,8 +23,6 @@ __all__ = [
     "Destination",
     "parse_request",
     "serialize_request",
-    "parse_cookie_header",
-    "format_cookies",
     "parse_url",
     "percent_decode",
     "percent_encode",

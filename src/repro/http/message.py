@@ -81,14 +81,6 @@ class HttpRequest:
                 return value
         return default
 
-    def header_all(self, name: str) -> list[str]:
-        wanted = name.lower()
-        return [value for key, value in self.headers if key.lower() == wanted]
-
-    def has_header(self, name: str) -> bool:
-        wanted = name.lower()
-        return any(key.lower() == wanted for key, __ in self.headers)
-
     def set_header(self, name: str, value: str) -> None:
         """Replace the first occurrence of ``name`` or append it."""
         wanted = name.lower()
@@ -113,11 +105,6 @@ class HttpRequest:
     # ``body`` is a plain dataclass field.
 
     # -- convenience views ---------------------------------------------------
-
-    @property
-    def host(self) -> str:
-        """The ``Host`` header value (authority the request was sent to)."""
-        return self.header("Host")
 
     @property
     def path(self) -> str:

@@ -89,31 +89,8 @@ class QueryString:
             pairs.append((percent_decode(key), percent_decode(value) if sep else ""))
         return cls(pairs)
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        """First value for ``key`` or ``default``."""
-        for k, v in self.pairs:
-            if k == key:
-                return v
-        return default
-
-    def get_all(self, key: str) -> list[str]:
-        return [v for k, v in self.pairs if k == key]
-
-    def add(self, key: str, value: str) -> None:
-        self.pairs.append((key, value))
-
     def keys(self) -> list[str]:
         return [k for k, _v in self.pairs]
-
-    def encode(self) -> str:
-        """Render back to ``a=1&b=two`` wire text."""
-        return "&".join(f"{percent_encode(k)}={percent_encode(v)}" for k, v in self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, key: object) -> bool:
-        return any(k == key for k, _v in self.pairs)
 
 
 def parse_url(url: str) -> tuple[str, str, str]:

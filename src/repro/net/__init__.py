@@ -9,17 +9,15 @@ These are the primitives the paper's *HTTP packet destination distance*
 """
 
 from repro.net.editdist import levenshtein, normalized_levenshtein
-from repro.net.fqdn import Fqdn, registered_domain
+from repro.net.fqdn import registered_domain
 from repro.net.ipv4 import IPv4Address, common_prefix_length
 from repro.net.registry import IpRegistry, registry_corrected_ip_distance
-from repro.net.ports import WELL_KNOWN_PORTS, ports_match
+from repro.net.ports import ports_match
 
 __all__ = [
     "IPv4Address",
     "common_prefix_length",
-    "WELL_KNOWN_PORTS",
     "ports_match",
-    "Fqdn",
     "registered_domain",
     "levenshtein",
     "normalized_levenshtein",

@@ -12,7 +12,6 @@ sufficient for the domains appearing in the paper's dataset (``.com``,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from repro.errors import ParseError
 
@@ -77,38 +76,3 @@ def registered_domain_of_normalized(cleaned: str) -> str:
     if tuple(labels[-2:]) in _MULTI_LABEL_SUFFIXES:
         return ".".join(labels[-3:])
     return ".".join(labels[-2:])
-
-
-@dataclass(frozen=True, slots=True)
-class Fqdn:
-    """A normalized fully-qualified domain name.
-
-    >>> Fqdn.parse("Ads.AdMob.Com").registered
-    'admob.com'
-    """
-
-    name: str
-
-    @classmethod
-    def parse(cls, text: str) -> "Fqdn":
-        return cls(normalize_host(text))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.name.split("."))
-
-    @property
-    def registered(self) -> str:
-        """The registrable domain (aggregation key for Table II)."""
-        return registered_domain(self.name)
-
-    @property
-    def subdomain(self) -> str:
-        """Everything left of the registered domain, possibly empty."""
-        reg = self.registered
-        if self.name == reg:
-            return ""
-        return self.name[: -(len(reg) + 1)]
-
-    def __str__(self) -> str:
-        return self.name

@@ -81,14 +81,6 @@ class IPv4Address:
         _set_value(address, int.from_bytes(socket.inet_aton(text), "big"))
         return address
 
-    @classmethod
-    def from_octets(cls, a: int, b: int, c: int, d: int) -> "IPv4Address":
-        """Build an address from four integer octets."""
-        for octet in (a, b, c, d):
-            if not 0 <= octet <= 255:
-                raise AddressError("octet out of range", f"{a}.{b}.{c}.{d}")
-        return cls((a << 24) | (b << 16) | (c << 8) | d)
-
     @property
     def octets(self) -> tuple[int, int, int, int]:
         """The four octets, most significant first."""
@@ -97,10 +89,6 @@ class IPv4Address:
 
     def __str__(self) -> str:
         return ".".join(str(o) for o in self.octets)
-
-    def bits(self) -> str:
-        """The address as a 32-character binary string (for debugging)."""
-        return format(self.value, "032b")
 
     def in_network(self, network: "IPv4Address", prefix_len: int) -> bool:
         """Whether this address falls inside ``network/prefix_len``."""

@@ -1,9 +1,7 @@
 """TCP port utilities and the paper's boolean port comparison.
 
 The destination distance treats port numbers as an all-or-nothing signal:
-"The distance between port numbers is a Boolean (matching or not)."  The
-registry of well-known service ports here is used by the traffic simulator
-(to emit realistic destinations) and by validation code.
+"The distance between port numbers is a Boolean (matching or not)."
 """
 
 from __future__ import annotations
@@ -12,16 +10,6 @@ from repro.errors import AddressError
 
 #: Highest valid TCP port number.
 MAX_PORT = 65535
-
-#: Ports the simulated applications actually use, mapped to service names.
-WELL_KNOWN_PORTS: dict[int, str] = {
-    80: "http",
-    443: "https",
-    8080: "http-alt",
-    8000: "http-dev",
-    3128: "proxy",
-}
-
 
 def validate_port(port: int) -> int:
     """Return ``port`` if it is a valid TCP port, else raise.
@@ -42,9 +30,3 @@ def ports_match(port_a: int, port_b: int) -> bool:
     silently comparing garbage.
     """
     return validate_port(port_a) == validate_port(port_b)
-
-
-def service_name(port: int) -> str:
-    """Human-readable service label for a port (``"http"``, ``"tcp/1234"``)."""
-    validate_port(port)
-    return WELL_KNOWN_PORTS.get(port, f"tcp/{port}")

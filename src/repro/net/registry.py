@@ -63,9 +63,6 @@ class IpRegistry:
         self._allocations.sort(key=lambda a: -a.prefix_len)
         return allocation
 
-    def __len__(self) -> int:
-        return len(self._allocations)
-
     def lookup(self, address: IPv4Address) -> Allocation | None:
         """The most specific allocation containing ``address``, if any."""
         for allocation in self._allocations:

@@ -110,10 +110,6 @@ class Observability:
         """Set a last-write-wins level."""
         self.metrics.set_gauge(name, value)
 
-    def counter(self, name: str) -> int:
-        """The current value of a counter (0 if never incremented)."""
-        return self.metrics.counters.get(name, 0)
-
     # -- export -------------------------------------------------------------------
 
     def profile(self) -> StageProfile:
@@ -149,12 +145,6 @@ class _NullObservability(Observability):
 
     def set_gauge(self, name: str, value: float) -> None:
         return None
-
-    def counter(self, name: str) -> int:
-        return 0
-
-    def profile(self) -> StageProfile:
-        raise RuntimeError("observability is disabled; no profile exists")
 
 
 #: The span every disabled bundle opens: a reusable context yielding ``None``.

@@ -23,10 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-TRACEPARENT_VERSION = "00"
-#: Sampled flag, always set: every traced request is recorded.
-TRACEPARENT_FLAGS = "01"
-
 _HEX = set("0123456789abcdef")
 
 
@@ -55,10 +51,6 @@ class TraceContext:
             raise ValueError(f"invalid trace_id {self.trace_id!r}")
         if not _is_hex(self.span_id, 16) or self.span_id == "0" * 16:
             raise ValueError(f"invalid span_id {self.span_id!r}")
-
-    def to_traceparent(self) -> str:
-        """The ``version-traceid-spanid-flags`` header value."""
-        return f"{TRACEPARENT_VERSION}-{self.trace_id}-{self.span_id}-{TRACEPARENT_FLAGS}"
 
 
 def parse_traceparent(header: str | None) -> TraceContext | None:

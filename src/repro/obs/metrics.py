@@ -12,10 +12,9 @@ serving gateway).  Three primitive families:
   is the upper edge of the bucket the quantile falls in, clamped to the
   exact observed maximum.
 
-Everything snapshots with **sorted keys** and defined empty-case values,
-so two same-seed runs export byte-identical artifacts and exports diff
-cleanly across commits.  :meth:`Metrics.to_prometheus` renders the whole
-registry in the Prometheus text exposition format.
+:meth:`Metrics.to_prometheus` renders the whole registry in the
+Prometheus text exposition format, in sorted-name order with defined
+empty-case values, so two same-seed runs export byte-identical text.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any
 
 #: Default bucket upper edges for histograms registered without explicit
 #: bounds (a generic 1-2-5 ladder; last bucket is +inf).
@@ -138,32 +136,6 @@ class Metrics:
         self.histogram(name, bounds).observe(value)
 
     # -- readers ------------------------------------------------------------------
-
-    def snapshot(self) -> dict[str, Any]:
-        """A JSON-serializable, key-sorted summary of the whole registry.
-
-        Empty histograms report all-zero moments, never NaN.
-        """
-        histograms = {}
-        for name, h in sorted(self.histograms.items()):
-            histograms[name] = {
-                "count": h.count,
-                "mean": round(h.total / h.count, 4) if h.count else 0.0,
-                "min": h.min_value,
-                "max": h.max_value,
-                "p50": h.percentile(0.50),
-                "p95": h.percentile(0.95),
-                "p99": h.percentile(0.99),
-                "buckets": {
-                    **{str(bound): n for bound, n in zip(h.bounds, h.counts)},
-                    "+inf": h.counts[-1],
-                },
-            }
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "histograms": histograms,
-        }
 
     def to_prometheus(self, prefix: str = "repro") -> str:
         """Render the registry in the Prometheus text exposition format.

@@ -79,9 +79,6 @@ class StageProfile:
                 stats.self_wall_s += max(0.0, span.wall_s - child_wall.get(span.span_id, 0.0))
         return profile
 
-    def stage(self, name: str) -> StageStats | None:
-        return self.stages.get(name)
-
     def to_dict(self) -> dict[str, Any]:
         """Key-sorted JSON form (byte-stable for same-seed runs when the
         tracer ran without wall clock)."""

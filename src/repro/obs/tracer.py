@@ -197,12 +197,3 @@ class Tracer:
         """Every finished span, in deterministic span-start order."""
         with self._lock:
             return [span for span in self.spans if span.closed]
-
-    def spans_named(self, name: str) -> list[Span]:
-        """All closed spans with one name, in start order."""
-        return [span for span in self.closed_spans if span.name == name]
-
-    def children_of(self, span: Span) -> list[Span]:
-        """Direct children of ``span``, in start order."""
-        with self._lock:
-            return [s for s in self.spans if s.parent_id == span.span_id]

@@ -128,14 +128,6 @@ class Quarantine:
             return False
         return True
 
-    def release(self, member: str) -> bool:
-        """Manually release one member; returns whether it was banned."""
-        if member in self._banned_at:
-            del self._banned_at[member]
-            self.releases += 1
-            return True
-        return False
-
     def banned_members(self, now: float) -> list[str]:
         """Members still banned at ``now``, sorted (expired bans released)."""
         return sorted(member for member in list(self._banned_at) if self.is_banned(member, now))

@@ -90,10 +90,6 @@ class CircuitBreaker:
         self._opened_at = 0.0
         self.trips = 0
 
-    @property
-    def consecutive_failures(self) -> int:
-        return self._consecutive_failures
-
     def state(self, now: float) -> BreakerState:
         """The effective state at logical time ``now``."""
         if self._state is BreakerState.OPEN and now - self._opened_at >= self.cooldown:

@@ -108,16 +108,6 @@ class WorkerFaultPlan:
             deadline_ticks=deadline_ticks,
         )
 
-    @property
-    def total_rate(self) -> float:
-        """Combined probability that *some* fault fires per attempt."""
-        return sum(self.rates.values())
-
-    @property
-    def faults_recorded(self) -> int:
-        """Parent-side count of non-clean outcomes recorded so far."""
-        return sum(count for kind, count in self.counts.items() if kind is not ChunkFaultKind.NONE)
-
     def outcome(self, chunk_index: int, attempt: int) -> ChunkFaultKind:
         """The fault (if any) for one evaluation attempt.
 

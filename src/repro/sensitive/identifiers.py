@@ -26,11 +26,6 @@ class IdentifierKind(enum.Enum):
     SIM_SERIAL = "SIM_SERIAL"
     CARRIER = "CARRIER"
 
-    @property
-    def is_udid(self) -> bool:
-        """Whether the paper considers this a unique *device* identifier."""
-        return self is not IdentifierKind.CARRIER
-
 
 #: Japanese mobile carriers of the 2012 study period; the corpus device
 #: population samples from these.
@@ -75,13 +70,6 @@ def luhn_check_digit(digits: str) -> int:
                 value -= 9
         total += value
     return (10 - total % 10) % 10
-
-
-def luhn_valid(digits: str) -> bool:
-    """Whether a full identifier (check digit included) passes Luhn."""
-    if not digits.isdigit() or len(digits) < 2:
-        return False
-    return luhn_check_digit(digits[:-1]) == int(digits[-1])
 
 
 def make_imei(rng: Random) -> str:

@@ -85,8 +85,3 @@ def transform_variants(value: str, transform: Transform) -> set[str]:
     """
     transformed = transform_value(value, transform)
     return {v for v in _encodings(transformed) if len(v) >= 4}
-
-
-def all_wire_spellings(value: str, transforms: tuple[Transform, ...] = tuple(Transform)) -> dict[Transform, set[str]]:
-    """Map each transform to its spelling set for ``value``."""
-    return {t: transform_variants(value, t) for t in transforms}

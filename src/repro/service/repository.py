@@ -269,11 +269,6 @@ class InMemorySignatureRepository(SignatureRepository):
         with self._lock:
             return sorted(self._documents)
 
-    # test hook: simulate at-rest corruption of one stored version
-    def corrupt(self, set_version: int, text: str) -> None:
-        with self._lock:
-            self._documents[set_version] = text
-
 
 class InMemoryReportRepository(ReportRepository):
     """Dict-backed accepted-report store."""
@@ -486,8 +481,3 @@ def open_repositories(
         return InMemorySignatureRepository(), InMemoryReportRepository(), None
     store = SqliteStore(db_path)
     return SqliteSignatureRepository(store), SqliteReportRepository(store), store
-
-
-def iter_rows(store: SqliteStore, table: str) -> Iterator[tuple[Any, ...]]:
-    """Debug/test helper: every row of ``table`` on this thread's connection."""
-    yield from store.connection().execute(f"SELECT * FROM {table}")  # noqa: S608

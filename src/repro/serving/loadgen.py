@@ -23,8 +23,8 @@ Two stream shapes exist:
   the stream for ``device-00003`` is a pure function of
   ``(corpus, profile, seed, device id)``: growing the fleet from 10 to
   10\\ :sup:`4` devices never perturbs any existing device's packets or
-  ticks.  :meth:`FleetLoadGenerator.fleet_events` merges those substreams
-  into one tick-ordered arrival stream — the federation ingest workload.
+  ticks.  The federation round replays these substreams as each device's
+  report stream.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class FleetLoadGenerator:
         resulting guarantee is the one fleet simulations need: adding or
         removing *other* devices, or generating their streams first, can
         never shift this device's stream.  ``seq`` here is the device-local
-        report index (0-based); the merged fleet stream renumbers globally.
+        report index (0-based).
         """
         if device_index < 0:
             raise SimulationError(f"device_index must be >= 0, got {device_index}")
@@ -180,23 +180,3 @@ class FleetLoadGenerator:
             packet = packets[rng.randrange(len(packets))]
             events.append(ScreeningEvent(seq=seq, tick=tick, device_id=device, packet=packet))
         return events
-
-    def fleet_events(self, n_devices: int, events_per_device: int) -> list[ScreeningEvent]:
-        """All devices' substreams merged into one tick-ordered stream.
-
-        Ties break on ``(tick, device_id, device-local seq)`` so the merge
-        is total and deterministic; ``seq`` is renumbered globally over the
-        merged order.  Because each substream is independent, the merged
-        stream for ``n_devices + 1`` devices is the ``n_devices`` stream
-        with the new device's events spliced in — nothing else moves.
-        """
-        if n_devices < 1:
-            raise SimulationError("need at least one device")
-        merged: list[ScreeningEvent] = []
-        for device_index in range(n_devices):
-            merged.extend(self.device_events(device_index, events_per_device))
-        merged.sort(key=lambda event: (event.tick, event.device_id, event.seq))
-        return [
-            ScreeningEvent(seq=seq, tick=event.tick, device_id=event.device_id, packet=event.packet)
-            for seq, event in enumerate(merged)
-        ]

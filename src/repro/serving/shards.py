@@ -60,9 +60,6 @@ class MatcherShard:
             else:
                 self._unscoped.append(entry)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def best_match(
         self, text: str, domain: str
     ) -> tuple[tuple[int, int], ConjunctionSignature] | None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.http.packet import HttpPacket
 from repro.signatures.conjunction import ConjunctionSignature
@@ -130,14 +130,6 @@ class SignatureMatcher:
 
     def is_sensitive(self, packet: HttpPacket) -> bool:
         return self.match(packet).matched
-
-    def screen(self, packets: Iterable[HttpPacket]) -> list[MatchResult]:
-        """Screen a packet stream, one result per packet, in order."""
-        return [self.match(packet) for packet in packets]
-
-    def detected(self, packets: Iterable[HttpPacket]) -> list[HttpPacket]:
-        """Just the packets that fired any signature."""
-        return [packet for packet in packets if self.is_sensitive(packet)]
 
 
 class ProbabilisticMatcher(SignatureMatcher):

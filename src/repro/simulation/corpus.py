@@ -1,8 +1,9 @@
 """The calibrated corpus: population + device + captured trace.
 
-:func:`paper_corpus` reproduces the paper's experimental input at full
-scale (1,188 apps, ~108k packets, ~22% sensitive); :func:`mini_corpus`
-builds a proportionally scaled-down corpus for tests and quick examples.
+:func:`build_corpus` with its default size reproduces the paper's
+experimental input at full scale (1,188 apps, ~108k packets, ~22%
+sensitive); :func:`mini_corpus` builds a proportionally scaled-down
+corpus for tests and quick examples.
 The published headline figures are kept here as constants so benches and
 tests can assert band tolerances against a single source of truth.
 """
@@ -115,11 +116,6 @@ def build_corpus(
     collector = TrafficCollector(device, seed=seed, session_config=session_config)
     trace = collector.collect(apps)
     return Corpus(apps=apps, device=device, trace=trace)
-
-
-def paper_corpus(seed: int = 0) -> Corpus:
-    """The full-scale corpus matching the paper's experimental setup."""
-    return build_corpus(PAPER_TOTAL_APPS, seed)
 
 
 def mini_corpus(seed: int = 0, n_apps: int = 90) -> Corpus:

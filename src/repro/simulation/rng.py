@@ -35,26 +35,6 @@ def poisson(rng: Random, mean: float) -> int:
     return count
 
 
-def zipf_sample(rng: Random, n: int, exponent: float = 1.0) -> int:
-    """Sample an index in ``0..n-1`` with Zipfian weight ``1/(k+1)^s``.
-
-    Used for skewed choices (popular sites get visited more).  Weights are
-    computed on the fly; for the small ``n`` the simulator uses this is
-    cheaper than caching distributions per call site.
-    """
-    if n < 1:
-        raise ValueError("zipf_sample needs n >= 1")
-    weights = [1.0 / (k + 1) ** exponent for k in range(n)]
-    total = sum(weights)
-    point = rng.random() * total
-    cumulative = 0.0
-    for index, weight in enumerate(weights):
-        cumulative += weight
-        if point <= cumulative:
-            return index
-    return n - 1
-
-
 def derive_rng(seed: int, *labels: str) -> Random:
     """A child RNG deterministically derived from a seed and labels.
 

@@ -8,7 +8,7 @@ expected failure, not the exceptional one.
 is restartable without being non-deterministic; this package holds what
 it and its supervisor need:
 
-- :mod:`repro.supervision.checkpoint` — a content-addressed, verified
+- :mod:`repro.supervision.checkpoint` — a content-addressed, verified, in-memory
   checkpoint store keyed by ``sha256(seed + config + inputs + stage)``;
   corrupt blobs degrade to recomputation;
 - :mod:`repro.supervision.crash` — seeded inter-stage crash injection

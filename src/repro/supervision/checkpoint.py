@@ -16,12 +16,11 @@ make this safe:
 - **Payloads are verified.**  Every blob is stored with the SHA-256 of its
   bytes; :meth:`CheckpointStore.load` re-hashes on read and treats a
   mismatch as *missing* (counted in :attr:`CheckpointStore.corrupt_detected`),
-  so a torn write or bit-flipped file degrades to recomputation, never to
-  silently wrong downstream stages.
+  so a bit-flipped blob degrades to recomputation, never to silently wrong
+  downstream stages.
 
-The store is in-memory by default; passing ``root`` persists blobs as
-``<key>.ckpt`` files plus an append-only ``journal.jsonl``, which a fresh
-process re-reads on construction — the cross-process resume path.
+The store lives in memory: a restart inside one process (the supervisor's
+resume path) finds it, a new process starts empty.
 """
 
 from __future__ import annotations
@@ -30,10 +29,7 @@ import hashlib
 import json
 import pickle
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
-
-from repro.errors import SupervisionError
 
 
 def checkpoint_key(seed: int, config: Any, stage: str) -> str:
@@ -57,67 +53,21 @@ class JournalEntry:
     :param stage: pipeline stage name.
     :param key: the stage's :func:`checkpoint_key`.
     :param checksum: SHA-256 of the pickled payload bytes.
-    :param n_bytes: payload size, for health reporting.
     """
 
     stage: str
     key: str
     checksum: str
-    n_bytes: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "stage": self.stage,
-            "key": self.key,
-            "checksum": self.checksum,
-            "n_bytes": self.n_bytes,
-        }
 
 
 class CheckpointStore:
-    """Verified, journaled storage for stage outputs.
+    """Verified, journaled in-memory storage for stage outputs."""
 
-    :param root: optional directory for persistence.  When given, blobs
-        land in ``<root>/<key>.ckpt`` and the journal in
-        ``<root>/journal.jsonl``; an existing journal is re-read so a new
-        process resumes where the old one died.
-    """
-
-    def __init__(self, root: str | Path | None = None) -> None:
-        self.root = Path(root) if root is not None else None
+    def __init__(self) -> None:
         self._blobs: dict[str, bytes] = {}
         self._index: dict[str, JournalEntry] = {}
         self.journal: list[JournalEntry] = []
         self.corrupt_detected = 0
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._replay_journal()
-
-    def _replay_journal(self) -> None:
-        journal_path = self.root / "journal.jsonl"
-        if not journal_path.exists():
-            return
-        for line in journal_path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                entry = JournalEntry(
-                    stage=record["stage"],
-                    key=record["key"],
-                    checksum=record["checksum"],
-                    n_bytes=record["n_bytes"],
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise SupervisionError(f"corrupt checkpoint journal line: {line!r}") from exc
-            self.journal.append(entry)
-            self._index[entry.key] = entry
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._index
 
     @property
     def stages(self) -> list[str]:
@@ -127,19 +77,10 @@ class CheckpointStore:
     def save(self, key: str, stage: str, value: Any) -> JournalEntry:
         """Checkpoint one stage output and journal it."""
         payload = pickle.dumps(value)
-        entry = JournalEntry(
-            stage=stage,
-            key=key,
-            checksum=hashlib.sha256(payload).hexdigest(),
-            n_bytes=len(payload),
-        )
+        entry = JournalEntry(stage=stage, key=key, checksum=hashlib.sha256(payload).hexdigest())
         self._blobs[key] = payload
         self._index[key] = entry
         self.journal.append(entry)
-        if self.root is not None:
-            (self.root / f"{key}.ckpt").write_bytes(payload)
-            with (self.root / "journal.jsonl").open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
         return entry
 
     def load(self, key: str) -> Any | None:
@@ -152,22 +93,10 @@ class CheckpointStore:
         entry = self._index.get(key)
         if entry is None:
             return None
-        payload = self._blobs.get(key)
-        if payload is None and self.root is not None:
-            blob_path = self.root / f"{key}.ckpt"
-            if blob_path.exists():
-                payload = blob_path.read_bytes()
-        if payload is None:
-            return None
+        payload = self._blobs[key]
         if hashlib.sha256(payload).hexdigest() != entry.checksum:
             self.corrupt_detected += 1
             del self._index[key]
-            self._blobs.pop(key, None)
+            del self._blobs[key]
             return None
         return pickle.loads(payload)
-
-    def clear(self) -> None:
-        """Forget every checkpoint (in-memory state only; files are kept)."""
-        self._blobs.clear()
-        self._index.clear()
-        self.journal.clear()

@@ -68,11 +68,6 @@ class CrashPlan:
         """A plan with explicit crash points only."""
         return cls(seed=seed, crash_after=stages)
 
-    @property
-    def pending(self) -> list[str]:
-        """Explicit crash points that have not fired yet."""
-        return [stage for stage in self.crash_after if stage not in self._fired]
-
     def should_crash(self, stage: str) -> bool:
         """Whether the boundary after ``stage`` kills this run.
 

@@ -18,7 +18,7 @@ replays exactly for a seed (DESIGN.md §6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.errors import SupervisionError
 from repro.obs import NULL_OBS, Observability
@@ -81,11 +81,6 @@ class Supervisor:
         self.obs = obs or NULL_OBS
         self._tick = 0.0
 
-    @property
-    def tick(self) -> float:
-        """The supervisor's logical clock."""
-        return self._tick
-
     def run(self, n_sample: int, seed: int = 0) -> SupervisedResult:
         """Drive the pipeline to a result, resuming after every crash.
 
@@ -126,13 +121,3 @@ class Supervisor:
             f"pipeline still crashing after {self.max_restarts} restarts "
             f"(crash points: {crashes})"
         )
-
-    def health(self) -> dict[str, Any]:
-        """A point-in-time health snapshot for operators and tests."""
-        return {
-            "breaker_state": self.breaker.state(self._tick).value,
-            "consecutive_failures": self.breaker.consecutive_failures,
-            "trips": self.breaker.trips,
-            "tick": self._tick,
-            "checkpointed_stages": self.pipeline.store.stages,
-        }

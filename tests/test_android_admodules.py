@@ -11,7 +11,6 @@ from repro.android.admodules import (
     FLURRY,
     MICROAD,
     ZQAPK,
-    build_ad_services,
 )
 from repro.android.app import Application
 from repro.android.device import Device
@@ -40,7 +39,7 @@ def session(spec, app, device, n=40, seed=0):
 
 class TestCatalog:
     def test_all_services_instantiate(self):
-        services = build_ad_services()
+        services = [Service(spec) for spec in AD_SERVICES]
         assert len(services) == len(AD_SERVICES)
 
     def test_names_unique(self):

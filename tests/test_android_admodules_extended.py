@@ -48,7 +48,8 @@ class TestNend:
 
     def test_api_key_is_app_stable(self, device):
         packets = session(NEND, build_app(), device)
-        keys = {p.request.query.get("apikey") for p in packets if p.request.query.get("apikey")}
+        queries = [dict(p.request.query.pairs) for p in packets]
+        keys = {query["apikey"] for query in queries if query.get("apikey")}
         assert len(keys) == 1
 
 
@@ -152,10 +153,11 @@ class TestAdlantisLocation:
         packets = session(
             ADLANTIS, build_app(READ_PHONE_STATE, ACCESS_FINE_LOCATION), device, n=40
         )
-        lats = [p.request.query.get("lat") for p in packets if "lat" in p.request.query]
+        queries = [dict(p.request.query.pairs) for p in packets]
+        lats = [query["lat"] for query in queries if "lat" in query]
         assert lats
         assert all(abs(float(lat) - device.location.latitude) < 0.01 for lat in lats)
 
     def test_no_location_without_permission(self, device):
         packets = session(ADLANTIS, build_app(READ_PHONE_STATE), device, n=40)
-        assert not any("lat" in p.request.query for p in packets)
+        assert not any("lat" in p.request.query.keys() for p in packets)

@@ -65,14 +65,6 @@ class TestAudit:
         assert binder.log[0].granted
         assert not binder.log[1].granted
 
-    def test_denials_filter(self):
-        binder = Binder(audit=True)
-        binder.check(manifest(INTERNET), "imei")
-        binder.check(manifest(INTERNET), "android_id")
-        denials = binder.denials()
-        assert len(denials) == 1
-        assert denials[0].resource == "imei"
-
     def test_no_audit_by_default(self):
         binder = Binder()
         binder.check(manifest(INTERNET), "imei")

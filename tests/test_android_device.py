@@ -46,11 +46,6 @@ class TestGetters:
         for kind in IdentifierKind:
             assert device.read_identifier(m, kind) == device.identity.value_of(kind)
 
-    def test_can_read_probes_without_raising(self, device):
-        m = manifest(INTERNET)
-        assert device.can_read(m, IdentifierKind.ANDROID_ID)
-        assert not device.can_read(m, IdentifierKind.IMEI)
-
 
 class TestMetadata:
     def test_user_agent_mentions_device(self, device):

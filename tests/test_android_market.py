@@ -63,7 +63,7 @@ class TestStructure:
             a for a in population
             if not a.services and not a.browser_services and len(a.own_services) == 1
         ]
-        single_host_loners = [a for a in loners if len(a.destination_hosts()) == 1]
+        single_host_loners = [a for a in loners if len(a.own_services[0].spec.hosts) == 1]
         assert single_host_loners  # some loner apps exist
 
     def test_browser_app_has_many_sites(self, population):

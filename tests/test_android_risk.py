@@ -66,10 +66,6 @@ class TestAssess:
         assessment = assess(app)
         assert any("admaker" in r for r in assessment.reasons)
 
-    def test_is_dangerous_threshold(self):
-        assert not assess(app_with(INTERNET)).is_dangerous
-        assert assess(app_with(INTERNET, READ_CONTACTS)).is_dangerous
-
 
 class TestPopulation:
     def test_rank_most_dangerous_first(self):

@@ -87,9 +87,6 @@ class TestExactMatch:
         assert detector.is_sensitive(make_packet(target="/x?imei=1&ts=111"))
         assert not detector.is_sensitive(make_packet(target="/x?imei=1&ts=222"))
 
-    def test_len(self):
-        assert len(ExactMatchDetector([make_packet(), make_packet()])) == 1  # identical
-
     def test_near_zero_recall_on_fresh_traffic(self, small_corpus, small_split):
         suspicious, __ = small_split
         train = list(suspicious)[:30]
@@ -112,7 +109,7 @@ class TestVariants:
     def test_all_named_variants_resolve(self):
         for name in VARIANTS:
             config = ablation_config(name)
-            assert config.distance.max_distance > 0
+            assert config.distance.destination_weight + config.distance.content_weight > 0
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ReproError):

@@ -48,6 +48,15 @@ class TestLabel:
         assert "suspicious:" in out
         assert "ANDROID_ID" in out
 
+    def test_empty_trace_is_one_error_line(self, workspace, capsys, tmp_path):
+        __, __, identity = workspace
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["label", "--trace", str(empty), "--identity", str(identity)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "the trace holds no packets; nothing to label\n"
+
 
 class TestGenerateAndScreen:
     def test_generate_writes_signatures(self, workspace, capsys):
@@ -100,6 +109,32 @@ class TestGenerateAndScreen:
         assert main(["screen", "--trace", str(trace), "--signatures", str(sigs)]) == 0
         out = capsys.readouterr().out
         assert "TP" not in out  # no metrics without identity
+
+    def test_screen_ground_truth_without_sensitive_packets(self, workspace, capsys, tmp_path):
+        from repro.dataset.trace import Trace
+        from repro.sensitive.identifiers import DeviceIdentity
+        from repro.sensitive.payload_check import PayloadCheck
+        from repro.signatures.conjunction import ConjunctionSignature
+        from repro.signatures.store import SignatureStore
+
+        __, trace, identity = workspace
+        check = PayloadCheck(DeviceIdentity.from_dict(json.loads(identity.read_text())))
+        __, normal = check.split(Trace.load_jsonl(trace))
+        clean = tmp_path / "clean.jsonl"
+        Trace(normal[:50]).save_jsonl(clean)
+        sigs = tmp_path / "signatures.json"
+        SignatureStore.save([ConjunctionSignature(tokens=("imei=1234",), label="IMEI")], sigs)
+        code = main(
+            [
+                "screen", "--trace", str(clean), "--signatures", str(sigs),
+                "--identity", str(identity), "--sample", "40",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("screened 50 packets with 1 signatures\nflagged  0")
+        assert "TP" not in captured.out
+        assert captured.err == "no sensitive packets in the trace; ground-truth metrics need one\n"
 
 
 class TestReportCommands:

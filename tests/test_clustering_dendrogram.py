@@ -81,10 +81,3 @@ class TestTraversal:
         assert order[0] == 6  # root first
         assert set(order) == {4, 5, 6}
         assert order == sorted(order, key=lambda n: (d.height(n), n), reverse=True)
-
-
-class TestExport:
-    def test_linkage_array_shape(self):
-        arr = simple_tree().to_linkage_array()
-        assert len(arr) == 3
-        assert arr[0] == [0.0, 1.0, 1.0, 2.0]

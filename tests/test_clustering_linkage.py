@@ -50,7 +50,7 @@ class TestBasic:
         points = [0.0, 1.0, 2.0, 3.0]  # many ties
         a = agglomerate(matrix_from_points(points))
         b = agglomerate(matrix_from_points(points))
-        assert a.to_linkage_array() == b.to_linkage_array()
+        assert a.merges == b.merges
 
 
 class TestGroupAverageSemantics:

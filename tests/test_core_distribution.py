@@ -66,7 +66,7 @@ class TestChannel:
 
     def test_corrupt_newest_row_serves_previous_version(self):
         repository = published("a=1", "b=2")
-        repository.corrupt(2, "{not an envelope")
+        repository._documents[2] = "{not an envelope"
         result = SignatureFetcher(repository).fetch()
         assert result.status is FetchStatus.FRESH and result.set_version == 1
         assert list(result.signatures) == sigs("a=1")

@@ -52,32 +52,32 @@ class TestPolicyStoreLookup:
 
     def test_default_is_prompt(self):
         app = FlowControlApp([signature()])
-        assert app.policies.lookup("jp.app.one", "adnet.com") is PolicyAction.PROMPT
+        assert app.policies.lookup_rule("jp.app.one", "adnet.com")[0] is PolicyAction.PROMPT
 
     def test_app_wide_rule_beats_default(self):
         app = FlowControlApp([signature()])
         app.policies.set_rule("jp.app.one", PolicyAction.BLOCK)
-        assert app.policies.lookup("jp.app.one", "adnet.com") is PolicyAction.BLOCK
-        assert app.policies.lookup("jp.app.one", "other.jp") is PolicyAction.BLOCK
+        assert app.policies.lookup_rule("jp.app.one", "adnet.com")[0] is PolicyAction.BLOCK
+        assert app.policies.lookup_rule("jp.app.one", "other.jp")[0] is PolicyAction.BLOCK
 
     def test_domain_rule_beats_app_wide(self):
         app = FlowControlApp([signature()])
         app.policies.set_rule("jp.app.one", PolicyAction.BLOCK)
         app.policies.set_rule("jp.app.one", PolicyAction.ALLOW, domain="adnet.com")
-        assert app.policies.lookup("jp.app.one", "adnet.com") is PolicyAction.ALLOW
+        assert app.policies.lookup_rule("jp.app.one", "adnet.com")[0] is PolicyAction.ALLOW
         # other domains still fall through to the app-wide rule
-        assert app.policies.lookup("jp.app.one", "other.jp") is PolicyAction.BLOCK
+        assert app.policies.lookup_rule("jp.app.one", "other.jp")[0] is PolicyAction.BLOCK
 
     def test_domain_rule_does_not_leak_across_apps(self):
         app = FlowControlApp([signature()])
         app.policies.set_rule("jp.app.one", PolicyAction.ALLOW, domain="adnet.com")
-        assert app.policies.lookup("jp.app.two", "adnet.com") is PolicyAction.PROMPT
+        assert app.policies.lookup_rule("jp.app.two", "adnet.com")[0] is PolicyAction.PROMPT
 
     def test_rule_overwrite_takes_effect(self):
         app = FlowControlApp([signature()])
         app.policies.set_rule("jp.app.one", PolicyAction.ALLOW)
         app.policies.set_rule("jp.app.one", PolicyAction.BLOCK)
-        assert app.policies.lookup("jp.app.one", "adnet.com") is PolicyAction.BLOCK
+        assert app.policies.lookup_rule("jp.app.one", "adnet.com")[0] is PolicyAction.BLOCK
 
 
 class TestEmptySignatureSet:

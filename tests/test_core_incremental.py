@@ -46,11 +46,11 @@ class TestUpdate:
         incset = IncrementalSignatureSet(min_residue=6)
         report = incset.update([module_packet("alpha", i) for i in range(3)])
         assert not report.added
-        assert incset.pending == 3
+        assert len(incset._carryover) == 3
         # Next batch adds enough mass; carryover is consumed.
         report = incset.update([module_packet("alpha", i) for i in range(3, 8)])
         assert report.added
-        assert incset.pending == 0
+        assert len(incset._carryover) == 0
 
     def test_matcher_reflects_current_set(self):
         incset = IncrementalSignatureSet()
@@ -75,11 +75,11 @@ class TestRetirement:
         retired = incset.retire_unmatched(min_matches=1)
         assert not any(s.scope_domain == "alpha.com" for s in retired)
 
-    def test_match_counts_exposed(self):
+    def test_updates_count_matches_per_signature(self):
         incset = IncrementalSignatureSet()
         incset.update([module_packet("alpha", i) for i in range(8)])
         incset.update([module_packet("alpha", i) for i in range(8, 12)])
-        counts = incset.match_counts()
+        counts = incset._match_counts
         assert sum(counts.values()) == 4
 
 
@@ -96,13 +96,13 @@ class TestConsolidationMaterial:
         incset.update([module_packet("alpha", i) for i in range(8)])
         incset.update([module_packet("alpha", i) for i in range(8, 16)])  # exemplars
         incset.consolidate()
-        first = incset.consolidation_material
+        first = len(incset._material)
         assert first >= 6
         incset.update([module_packet("beta", i) for i in range(8)])
         incset.update([module_packet("beta", i) for i in range(8, 16)])
         incset.consolidate()
         # Earlier material is still in the pool.
-        assert incset.consolidation_material > first
+        assert len(incset._material) > first
 
     def test_material_bounded_by_cap(self):
         incset = IncrementalSignatureSet(max_consolidation_material=10)
@@ -112,13 +112,13 @@ class TestConsolidationMaterial:
         incset.update([module_packet("beta", i) for i in range(8)])
         incset.update([module_packet("beta", i) for i in range(8, 16)])
         incset.consolidate()
-        assert incset.consolidation_material <= 10
+        assert len(incset._material) <= 10
 
     def test_consolidation_below_mass_is_a_noop(self):
         incset = IncrementalSignatureSet(min_residue=6)
         incset.update([module_packet("alpha", i) for i in range(3)])
         assert incset.consolidate() == 0
-        assert incset.consolidation_material == 0
+        assert len(incset._material) == 0
 
     def test_window_is_newest_material_clustered_in_full(self, monkeypatch):
         """Each consolidation clusters the newest ``max_consolidation_material``

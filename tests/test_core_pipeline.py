@@ -36,7 +36,7 @@ class TestPipeline:
         assert redetected >= 0.7 * 40
 
     def test_sweep_metrics_shape(self, pipeline):
-        results = pipeline.sweep([20, 60], seed=0)
+        results = [pipeline.run(n, seed=i) for i, n in enumerate([20, 60])]
         assert len(results) == 2
         tp_small, tp_large = (r.metrics.true_positive_rate for r in results)
         # Larger samples cover more modules; allow small non-monotonic noise.

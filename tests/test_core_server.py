@@ -86,38 +86,6 @@ class TestPublish:
 
 
 class TestQuarantine:
-    def test_ingest_raw_parses_good_records(self, server, identity):
-        records = [leaky_packet(identity, i).to_dict() for i in range(3)]
-        records.append(clean_packet(7).to_dict())
-        n_suspicious, n_normal = server.ingest_raw(records)
-        assert (n_suspicious, n_normal) == (3, 1)
-        assert server.quarantine.total == 0
-
-    def test_malformed_records_quarantined_not_fatal(self, server, identity):
-        good = leaky_packet(identity, 1).to_dict()
-        truncated = dict(good, raw=good["raw"][:3])  # mid request-line
-        missing_key = {k: v for k, v in good.items() if k != "raw"}
-        bad_ip = dict(good, ip="999.999.1.1")
-        not_a_dict = "garbage"
-        n_suspicious, n_normal = server.ingest_raw(
-            [good, truncated, missing_key, bad_ip, not_a_dict]
-        )
-        assert (n_suspicious, n_normal) == (1, 0)
-        assert server.quarantine.total == 3 + 1
-        assert len(server.suspicious) == 1
-
-    def test_quarantine_counters_by_reason(self, server, identity):
-        good = leaky_packet(identity, 1).to_dict()
-        server.ingest_raw([dict(good, raw="")])
-        assert server.quarantine.total == 1
-        assert sum(server.quarantine.summary().values()) == 1
-
-    def test_quarantine_is_bounded(self, identity):
-        small = SignatureServer(PayloadCheck(identity), quarantine_capacity=2)
-        good = leaky_packet(identity, 1).to_dict()
-        small.ingest_raw([dict(good, raw="") for __ in range(5)])
-        assert len(small.quarantine) == 2
-        assert small.quarantine.total == 5
 
     def test_split_quarantines_canonicalization_failures(self, identity):
         from repro.errors import HttpParseError

@@ -37,8 +37,8 @@ class TestRedaction:
         redactor = TraceRedactor(identity)
         a = redactor.redact_packet(make_packet(target=f"/a?imei={identity.imei}"))
         b = redactor.redact_packet(make_packet(target=f"/b?imei={identity.imei}"))
-        token_a = a.request.query.get("imei")
-        token_b = b.request.query.get("imei")
+        token_a = dict(a.request.query.pairs).get("imei")
+        token_b = dict(b.request.query.pairs).get("imei")
         assert token_a == token_b
 
     def test_non_sensitive_content_untouched(self, identity):

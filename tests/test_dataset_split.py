@@ -2,22 +2,9 @@
 
 import pytest
 
-from repro.dataset.split import holdout_split, sample_packets, split_by_sensitivity
-from repro.dataset.trace import Trace
+from repro.dataset.split import holdout_split, sample_packets
 from repro.errors import DatasetError
-from repro.sensitive.payload_check import PayloadCheck
 from tests.conftest import make_packet
-
-
-class TestSplit:
-    def test_split_by_sensitivity(self, identity):
-        check = PayloadCheck(identity)
-        leaky = make_packet(target=f"/x?imei={identity.imei}")
-        clean = make_packet(target="/x?q=1")
-        suspicious, normal = split_by_sensitivity(Trace([leaky, clean, clean]), check)
-        assert isinstance(suspicious, Trace)
-        assert len(suspicious) == 1
-        assert len(normal) == 2
 
 
 class TestSample:

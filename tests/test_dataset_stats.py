@@ -41,7 +41,7 @@ class TestDestinationTable:
 
     def test_min_apps_filter(self, identity):
         trace = build_trace(identity)
-        trace.append(make_packet(host="once.example.com", app_id="a"))
+        trace.extend([make_packet(host="once.example.com", app_id="a")])
         rows = destination_table(trace, min_apps=2)
         assert all(r.apps >= 2 for r in rows)
 

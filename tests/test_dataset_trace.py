@@ -26,15 +26,9 @@ class TestContainer:
 
     def test_append_extend(self):
         trace = Trace()
-        trace.append(make_packet())
+        trace.extend([make_packet()])
         trace.extend([make_packet(), make_packet()])
         assert len(trace) == 3
-
-    def test_filter(self):
-        trace = build_trace()
-        filtered = trace.filter(lambda p: p.app_id == "app1")
-        assert len(filtered) == 2
-        assert isinstance(filtered, Trace)
 
     def test_by_app(self):
         groups = build_trace().by_app()
@@ -45,11 +39,6 @@ class TestContainer:
         groups = build_trace().by_domain()
         assert set(groups) == {"one.com", "two.net"}
         assert len(groups["one.com"]) == 2
-
-    def test_apps_hosts(self):
-        trace = build_trace()
-        assert trace.apps() == {"app1", "app2"}
-        assert trace.hosts() == {"a.one.com", "b.one.com", "c.two.net"}
 
 
 class TestPersistence:

@@ -130,8 +130,7 @@ class TestExactBlocking:
         assert stats.pairs_within == sum(
             len(b) * (len(b) - 1) // 2 for b in assignment.blocks
         )
-        assert stats.pairs_pruned == stats.pairs_total - stats.pairs_within
-        assert 0 < stats.pairs_pruned < stats.pairs_total
+        assert 0 < stats.pairs_within < stats.pairs_total
         assert stats.largest_block == max(len(b) for b in assignment.blocks)
 
     def test_zero_destination_weight_is_one_vacuous_block(self):
@@ -140,7 +139,7 @@ class TestExactBlocking:
             packets, PacketDistance.content_only(), BlockingConfig()
         )
         assert assignment.stats.n_blocks == 1
-        assert assignment.stats.pairs_pruned == 0
+        assert assignment.stats.pairs_within == assignment.stats.pairs_total
 
     def test_incremental_add_matches_one_shot(self):
         packets = corpus_packets(7, n=40)

@@ -98,20 +98,12 @@ class TestCacheAccounting:
         engine.matrix(packets)
         assert engine.stats.singles.precomputed > 0
         assert engine.stats.singles.misses == 0
-        assert engine.stats.singles.hit_rate == 1.0
+        assert engine.stats.singles.hits > 0
 
     def test_parallel_accounting_aggregates_workers(self, packets):
         engine = DistanceEngine(PacketDistance.paper(), workers=2, chunk_pairs=8)
         built = engine.matrix(packets)
         assert engine.stats.pair_lookups == 4 * built.values.shape[0]
-
-    def test_stats_serialize(self, packets):
-        engine = DistanceEngine(PacketDistance.paper(), workers=2, chunk_pairs=8)
-        engine.matrix(packets)
-        data = engine.stats.to_dict()
-        assert data["workers_used"] == 2
-        assert data["singles_misses"] == 0
-        assert 0.0 < data["pair_hit_rate"] < 1.0
 
 
 class TestErrorPaths:
@@ -172,7 +164,8 @@ def _no_pool():
 def _chunk_spans(obs):
     return [
         (s.attrs["chunk"], s.attrs["pairs"], s.start_tick, s.end_tick)
-        for s in obs.tracer.spans_named("engine_chunk")
+        for s in obs.tracer.closed_spans
+        if s.name == "engine_chunk"
     ]
 
 
@@ -268,23 +261,15 @@ class TestNcdPrecompute:
         calc = NcdCalculator()
         new = calc.precompute([b"alpha", b"beta", b"alpha", b""])
         assert new == 2
-        assert calc.cache_size() == 2
+        assert len(calc._length_cache) == 2
         assert calc.stats.precomputed == 2
         # Lazy lookups after precompute are pure hits.
         calc.distance(b"alpha", b"beta")
         assert calc.stats.misses == 0
         assert calc.stats.hits == 2
 
-    def test_clear_cache_resets_stats(self):
-        calc = NcdCalculator()
-        calc.precompute([b"alpha"])
-        calc.distance(b"alpha", b"alpha-prime")
-        calc.clear_cache()
-        assert calc.cache_size() == 0
-        assert calc.stats.lookups == 0 and calc.stats.precomputed == 0
-
     def test_hit_rate(self):
         calc = NcdCalculator()
         calc.distance(b"xx", b"yy")  # two misses
         calc.distance(b"xx", b"yy")  # two hits
-        assert calc.stats.hit_rate == 0.5
+        assert (calc.stats.hits, calc.stats.misses) == (2, 2)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.distance.ncd import Compressor, NcdCalculator, compressed_length, ncd
+from repro.distance.ncd import Compressor, NcdCalculator, ncd
 
 payload = st.binary(min_size=0, max_size=200)
 
@@ -57,11 +57,11 @@ class TestCompressors:
 
     @pytest.mark.parametrize("compressor", list(Compressor))
     def test_compressed_length_positive(self, compressor):
-        assert compressed_length(b"hello", compressor) > 0
+        assert NcdCalculator(compressor).compressed_length(b"hello") > 0
 
     def test_compression_actually_compresses(self):
         data = b"ab" * 500
-        assert compressed_length(data) < len(data)
+        assert NcdCalculator().compressed_length(data) < len(data)
 
 
 class TestCalculator:
@@ -70,14 +70,12 @@ class TestCalculator:
         a, b = b"aaa bbb ccc" * 5, b"aaa bbb ddd" * 5
         assert calc.distance(a, b) == pytest.approx(ncd(a, b))
 
-    def test_cache_grows_and_clears(self):
+    def test_cache_grows_once_per_distinct_string(self):
         calc = NcdCalculator()
         calc.distance(b"one one one", b"two two two")
-        assert calc.cache_size() == 2
+        assert len(calc._length_cache) == 2
         calc.distance(b"one one one", b"three three")
-        assert calc.cache_size() == 3  # b"one..." reused
-        calc.clear_cache()
-        assert calc.cache_size() == 0
+        assert len(calc._length_cache) == 3  # b"one..." reused
 
     def test_edge_cases_match_function(self):
         calc = NcdCalculator()

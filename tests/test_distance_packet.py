@@ -8,8 +8,6 @@ from tests.conftest import make_packet
 
 
 class TestPaperMetric:
-    def test_max_distance(self):
-        assert PacketDistance.paper().max_distance == 6.0
 
     def test_identical_packets_near_zero(self):
         p = make_packet(target="/ad?u=abcdef123456", body=b"k=v&l=w")
@@ -49,7 +47,6 @@ class TestAblations:
         p = make_packet(target="/completely?different=1", body=b"AAAA")
         q = make_packet(target="/other/path", body=b"ZZZZ")
         assert metric.distance(p, q) == 0.0  # same destination
-        assert metric.max_distance == 3.0
 
     def test_content_only_ignores_destination(self):
         metric = PacketDistance.content_only()

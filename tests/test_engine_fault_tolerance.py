@@ -130,19 +130,10 @@ class TestFaultRecovery:
             METRIC, chunk_pairs=500, fault_plan=plan, retry=retry, obs=obs
         )
         engine.matrix(ITEMS[:20])  # 190 pairs -> 1 chunk, hangs, recomputed
-        spans = obs.tracer.spans_named("engine_chunk_recompute")
+        spans = [s for s in obs.tracer.closed_spans if s.name == "engine_chunk_recompute"]
         assert len(spans) == 1
         # the hung attempt costs its full deadline on the logical clock
         assert spans[0].start_tick >= 50
-
-    def test_stats_surface_in_to_dict(self):
-        plan = WorkerFaultPlan.uniform(0.5, seed=7)
-        engine = DistanceEngine(METRIC, chunk_pairs=16, fault_plan=plan)
-        engine.matrix(ITEMS)
-        snapshot = engine.stats.to_dict()
-        for key in ("chunks_retried", "chunks_quarantined", "faults_injected", "recovered"):
-            assert key in snapshot
-        assert snapshot["recovered"] is True
 
     def test_obs_counters_and_retry_spans(self):
         plan = WorkerFaultPlan(seed=5, crash=1.0)
@@ -152,10 +143,11 @@ class TestFaultRecovery:
             METRIC, chunk_pairs=16, fault_plan=plan, retry=retry, obs=obs
         )
         engine.matrix(ITEMS)
-        assert obs.counter("engine_faults_injected") == engine.stats.faults_injected
-        assert obs.counter("engine_chunks_retried") == engine.stats.chunks_retried
-        assert obs.counter("engine_chunks_quarantined") == engine.stats.chunks_quarantined
-        retry_spans = obs.tracer.spans_named("engine_chunk_retry")
+        counters = obs.metrics.counters
+        assert counters.get("engine_faults_injected", 0) == engine.stats.faults_injected
+        assert counters.get("engine_chunks_retried", 0) == engine.stats.chunks_retried
+        assert counters.get("engine_chunks_quarantined", 0) == engine.stats.chunks_quarantined
+        retry_spans = [s for s in obs.tracer.closed_spans if s.name == "engine_chunk_retry"]
         assert len(retry_spans) == engine.stats.chunks_retried
         assert all(span.attrs["reason"] == "crash" for span in retry_spans)
 
@@ -204,7 +196,7 @@ class TestPairStreamUnderFaults:
         assert engine.stats.workers_used == 1  # one chunk: in-process at any worker count
         assert engine.stats.faults_injected == (2 if kind == "crash" else 1)
         assert engine.stats.chunks_quarantined == 1
-        assert len(obs.tracer.spans_named("engine_chunk_recompute")) == 1
+        assert len([s for s in obs.tracer.closed_spans if s.name == "engine_chunk_recompute"]) == 1
         # The recomputed values are cached: asking again injects nothing.
         assert stream.distances(self.PAIRS).tobytes() == values.tobytes()
         assert engine.stats.faults_injected == (2 if kind == "crash" else 1)
@@ -214,5 +206,5 @@ class TestPairStreamUnderFaults:
         stream = PairStream(DistanceEngine(METRIC, obs=obs))
         stream.extend(ITEMS)
         stream.distances(self.PAIRS)
-        (span,) = obs.tracer.spans_named("engine_chunk")
+        (span,) = [s for s in obs.tracer.closed_spans if s.name == "engine_chunk"]
         assert span.attrs == {"chunk": 0, "pairs": 16}

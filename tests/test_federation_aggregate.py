@@ -1,11 +1,10 @@
-"""FederatedAggregator and SupportStore: caps, k-gate, journal replay."""
+"""FederatedAggregator and its support store: caps, k-gate, exemplar retention."""
 
 import pytest
 
 from repro.errors import FederationError
 from repro.federation.aggregate import (
     AcceptOutcome,
-    DirSupportStore,
     FederatedAggregator,
     InMemorySupportStore,
 )
@@ -22,19 +21,19 @@ class TestAcceptOutcomes:
     def test_new_pair_counted(self):
         agg = FederatedAggregator()
         assert agg.accept(report("device-00001", "t1")) is AcceptOutcome.COUNTED
-        assert agg.support("t1") == 1
+        assert agg.store.support("t1") == 1
 
     def test_same_device_same_token_is_repeat(self):
         agg = FederatedAggregator()
         agg.accept(report("device-00001", "t1", seq=1))
         assert agg.accept(report("device-00001", "t1", seq=2)) is AcceptOutcome.REPEAT
-        assert agg.support("t1") == 1  # support is distinct devices, not reports
+        assert agg.store.support("t1") == 1  # support is distinct devices, not reports
 
     def test_distinct_devices_accumulate_support(self):
         agg = FederatedAggregator()
         for i in range(5):
             agg.accept(report(f"device-{i:05d}", "t1"))
-        assert agg.support("t1") == 5
+        assert agg.store.support("t1") == 5
 
     def test_contribution_cap_blocks_new_tokens(self):
         agg = FederatedAggregator(contribution_cap=2)
@@ -43,7 +42,7 @@ class TestAcceptOutcomes:
         assert agg.accept(report("device-00001", "t3")) is AcceptOutcome.CAPPED
         # Repeats of already-held tokens stay free at the cap.
         assert agg.accept(report("device-00001", "t1", seq=9)) is AcceptOutcome.REPEAT
-        assert agg.support("t3") == 0
+        assert agg.store.support("t3") == 0
 
     def test_cap_is_per_device(self):
         agg = FederatedAggregator(contribution_cap=1)
@@ -126,42 +125,3 @@ class TestExemplarRetention:
     def test_exemplar_budget_validated(self):
         with pytest.raises(FederationError):
             InMemorySupportStore(exemplars_per_token=0)
-
-
-class TestDirSupportStore:
-    def test_journal_replay_reconstructs_state(self, tmp_path):
-        store = DirSupportStore(tmp_path / "agg")
-        store.add("t1", "device-00001", 1, {"p": 1})
-        store.add("t1", "device-00002", 3, {"p": 2})
-        store.add("t2", "device-00001", 2, {"p": 3})
-
-        revived = DirSupportStore(tmp_path / "agg")
-        assert revived.tokens() == ["t1", "t2"]
-        assert revived.support("t1") == 2
-        assert revived.exemplars("t1") == store.exemplars("t1")
-        assert revived.device_token_count("device-00001") == 2
-
-    def test_repeats_not_journaled(self, tmp_path):
-        store = DirSupportStore(tmp_path / "agg")
-        for _ in range(5):
-            store.add("t1", "device-00001", 1, {"p": 1})
-        journal = (tmp_path / "agg" / "support.jsonl").read_text(encoding="utf-8")
-        assert len(journal.splitlines()) == 1
-
-    def test_corrupt_journal_raises(self, tmp_path):
-        root = tmp_path / "agg"
-        DirSupportStore(root).add("t1", "device-00001", 1, {"p": 1})
-        with (root / "support.jsonl").open("a", encoding="utf-8") as handle:
-            handle.write("{not json\n")
-        with pytest.raises(FederationError):
-            DirSupportStore(root)
-
-    def test_aggregator_resumes_over_journal(self, tmp_path):
-        # The cross-process resume path: a fresh aggregator over the same
-        # journal dir continues with full replay-defense-free state.
-        agg = FederatedAggregator(DirSupportStore(tmp_path / "agg"))
-        for i in range(3):
-            agg.accept(report(f"device-{i:05d}", "popular"))
-        revived = FederatedAggregator(DirSupportStore(tmp_path / "agg"))
-        assert revived.support("popular") == 3
-        assert revived.accept(report("device-00000", "popular")) is AcceptOutcome.REPEAT

@@ -29,7 +29,7 @@ class TestRates:
 
     def test_uniform_splits_total_rate(self):
         plan = DeviceFaultPlan.uniform(0.4, seed=3)
-        assert plan.total_rate == pytest.approx(0.4)
+        assert sum(plan.rates.values()) == pytest.approx(0.4)
         assert all(rate > 0 for rate in plan.rates.values())
 
     def test_uniform_full_rate_always_faults(self):
@@ -97,7 +97,8 @@ class TestDraws:
         plan.record(DeviceFaultKind.POISON)
         plan.record(DeviceFaultKind.FLOOD)
         assert plan.counts[DeviceFaultKind.POISON] == 2
-        assert plan.faults_recorded == 3  # NONE is not a fault
+        assert plan.counts[DeviceFaultKind.FLOOD] == 1
+        assert plan.counts[DeviceFaultKind.NONE] == 1
 
 
 class TestMangle:

@@ -1,11 +1,8 @@
 """run_federation: the end-to-end crowdsourcing round."""
 
-import json
-
 import pytest
 
 from repro.errors import FederationError
-from repro.federation.aggregate import DirSupportStore
 from repro.federation.faults import DeviceFaultPlan
 from repro.federation.fleet import run_federation
 from repro.obs import Observability
@@ -31,12 +28,6 @@ class TestRound:
     def test_signatures_generated(self, round_result):
         assert round_result.signatures
         assert round_result.signature_bytes
-
-    def test_summary_is_json_ready(self, round_result):
-        summary = round_result.summary()
-        json.dumps(summary)
-        assert summary["n_devices"] == 12
-        assert summary["sends"] == round_result.sends
 
     def test_fault_free_round_has_no_junk(self, round_result):
         assert round_result.fault_counts.get("malform", 0) == 0
@@ -117,18 +108,7 @@ class TestFleetVersusSingleDevice:
         assert precision(fleet.signatures) >= precision(single.signatures)
 
 
-class TestPluggableStore:
-    def test_dir_store_round(self, small_corpus, tmp_path):
-        result = run_federation(
-            small_corpus,
-            seed=3,
-            n_devices=6,
-            reports_per_device=4,
-            min_support=2,
-            store=DirSupportStore(tmp_path / "fed"),
-        )
-        assert (tmp_path / "fed" / "support.jsonl").exists()
-        assert result.admitted_tokens
+class TestObservability:
 
     def test_obs_counters_emitted(self, small_corpus):
         obs = Observability.create(seed=3)
@@ -136,8 +116,8 @@ class TestPluggableStore:
             small_corpus, seed=3, n_devices=4, reports_per_device=3,
             min_support=2, obs=obs,
         )
-        assert obs.counter("fed_ingest_accepted") == 12
-        assert obs.counter("fed_agg_counted") > 0
+        assert obs.metrics.counters.get("fed_ingest_accepted", 0) == 12
+        assert obs.metrics.counters.get("fed_agg_counted", 0) > 0
 
 
 class TestValidation:

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.federation.aggregate import FederatedAggregator, InMemorySupportStore
+from repro.federation.aggregate import FederatedAggregator
 from repro.federation.ingest import FleetIngest, IngestConfig, ReportStatus
 from repro.federation.report import DeviceReport, encode_report, token_for
 from tests.conftest import make_packet
@@ -98,8 +98,7 @@ class TestContributionCap:
     @settings(max_examples=40, deadline=None)
     @given(stream=contribution_streams, cap=st.integers(min_value=1, max_value=4))
     def test_no_device_exceeds_cap(self, stream, cap):
-        store = InMemorySupportStore()
-        agg = FederatedAggregator(store, contribution_cap=cap)
+        agg = FederatedAggregator(contribution_cap=cap)
         for i, (device, token) in enumerate(stream):
             agg.accept(
                 DeviceReport(
@@ -110,7 +109,7 @@ class TestContributionCap:
                 )
             )
         for device in range(6):
-            assert store.device_token_count(f"device-{device:05d}") <= cap
+            assert agg.store.device_token_count(f"device-{device:05d}") <= cap
 
     @settings(max_examples=40, deadline=None)
     @given(stream=contribution_streams, cap=st.integers(min_value=1, max_value=4))
@@ -129,4 +128,4 @@ class TestContributionCap:
         for device, token in stream:
             devices_per_token.setdefault(f"token-{token}", set()).add(f"device-{device:05d}")
         for token, devices in devices_per_token.items():
-            assert agg.support(token) <= len(devices)
+            assert agg.store.support(token) <= len(devices)

@@ -38,18 +38,10 @@ class TestHeaders:
         assert make().header("X-Missing") == ""
         assert make().header("X-Missing", "d") == "d"
 
-    def test_header_all(self):
-        req = make(headers=[("X", "1"), ("x", "2")])
-        assert req.header_all("X") == ["1", "2"]
-
-    def test_has_header(self):
-        assert make().has_header("host")
-        assert not make().has_header("cookie")
-
     def test_set_header_replaces_first(self):
         req = make(headers=[("X", "1"), ("X", "2")])
         req.set_header("x", "9")
-        assert req.header_all("X") == ["9", "2"]
+        assert req.headers == [("X", "9"), ("X", "2")]
 
     def test_set_header_appends_when_missing(self):
         req = make()
@@ -77,29 +69,26 @@ class TestContentFields:
 
 
 class TestViews:
-    def test_host(self):
-        assert make().host == "h.example.com"
 
     def test_path_and_query(self):
         req = make(target="/a/b?k=v&k2=v2")
         assert req.path == "/a/b"
-        assert req.query.get("k") == "v"
-        assert req.query.get("k2") == "v2"
+        assert req.query.pairs == [("k", "v"), ("k2", "v2")]
 
     def test_form_requires_content_type(self):
         req = make(body=b"a=1&b=2")
-        assert len(req.form()) == 0
+        assert req.form().pairs == []
 
     def test_form_parses_urlencoded(self):
         req = make(
             headers=[("Host", "h"), ("Content-Type", "application/x-www-form-urlencoded")],
             body=b"a=1&b=two+words",
         )
-        assert req.form().get("b") == "two words"
+        assert req.form().pairs == [("a", "1"), ("b", "two words")]
 
     def test_copy_is_independent(self):
         req = make()
         clone = req.copy()
         clone.set_header("X", "1")
-        assert not req.has_header("X")
-        assert clone.has_header("X")
+        assert req.header("X") == ""
+        assert clone.header("X") == "1"

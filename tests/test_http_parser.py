@@ -16,7 +16,7 @@ class TestBasic:
         assert req.method == "GET"
         assert req.target == "/p?a=1"
         assert req.version == "HTTP/1.1"
-        assert req.host == "h.example.com"
+        assert req.header("Host") == "h.example.com"
         assert req.body == b""
 
     def test_post_with_body(self):
@@ -29,7 +29,7 @@ class TestBasic:
 
     def test_bare_lf_line_endings(self):
         req = parse_request(b"GET / HTTP/1.1\nHost: h\n\nignored-no-length")
-        assert req.host == "h"
+        assert req.header("Host") == "h"
 
     def test_missing_version_defaults(self):
         req = parse_request(b"GET /old\r\nHost: h\r\n\r\n")
@@ -61,7 +61,7 @@ class TestTolerance:
         # The padded blank line is the head/body split in the worst case;
         # here it has spaces so it is treated as a continuation-free skip.
         req = parse_request(raw)
-        assert req.host == "h"
+        assert req.header("Host") == "h"
 
 
 class TestHeadBodySplit:
@@ -72,7 +72,7 @@ class TestHeadBodySplit:
         # body, making "line1" parse as a (colonless) header line.
         raw = b"POST /u HTTP/1.1\nHost: x.com\n\nline1\r\n\r\nline2"
         req = parse_request(raw)
-        assert req.host == "x.com"
+        assert req.header("Host") == "x.com"
         assert req.body == b"line1\r\n\r\nline2"
 
     def test_crlf_head_with_bare_lf_pair_in_body(self):

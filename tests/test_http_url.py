@@ -67,40 +67,13 @@ class TestQueryString:
         q = QueryString.parse("b=2&a=1&b=3")
         assert q.pairs == [("b", "2"), ("a", "1"), ("b", "3")]
 
-    def test_get_first(self):
-        q = QueryString.parse("b=2&b=3")
-        assert q.get("b") == "2"
-
-    def test_get_default(self):
-        assert QueryString.parse("a=1").get("zz", "d") == "d"
-
-    def test_get_all(self):
-        assert QueryString.parse("b=2&a=1&b=3").get_all("b") == ["2", "3"]
-
     def test_bare_key(self):
         q = QueryString.parse("flag&a=1")
-        assert q.get("flag") == ""
-
-    def test_contains_and_len(self):
-        q = QueryString.parse("a=1&b=2")
-        assert "a" in q
-        assert "c" not in q
-        assert len(q) == 2
+        assert q.pairs == [("flag", ""), ("a", "1")]
 
     def test_decodes_values(self):
         q = QueryString.parse("msg=hello+world%21")
-        assert q.get("msg") == "hello world!"
-
-    def test_encode_roundtrip(self):
-        q = QueryString.parse("a=1&b=two+words")
-        assert QueryString.parse(q.encode()).pairs == q.pairs
-
-    def test_add_preserves_order(self):
-        q = QueryString()
-        q.add("z", "1")
-        q.add("a", "2")
-        assert q.keys() == ["z", "a"]
+        assert q.pairs == [("msg", "hello world!")]
 
     def test_empty(self):
-        assert len(QueryString.parse("")) == 0
-        assert QueryString.parse("").encode() == ""
+        assert QueryString.parse("").pairs == []

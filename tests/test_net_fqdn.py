@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ParseError
-from repro.net.fqdn import Fqdn, normalize_host, registered_domain
+from repro.net.fqdn import normalize_host, registered_domain
 
 
 class TestNormalize:
@@ -42,19 +42,3 @@ class TestRegisteredDomain:
 
     def test_case_insensitive(self):
         assert registered_domain("ADS.ADMOB.COM") == "admob.com"
-
-
-class TestFqdn:
-    def test_parse_and_str(self):
-        f = Fqdn.parse("Ads.AdMob.Com")
-        assert str(f) == "ads.admob.com"
-
-    def test_labels(self):
-        assert Fqdn.parse("a.b.c").labels == ("a", "b", "c")
-
-    def test_registered(self):
-        assert Fqdn.parse("ads.admob.com").registered == "admob.com"
-
-    def test_subdomain(self):
-        assert Fqdn.parse("googleads.g.doubleclick.net").subdomain == "googleads.g"
-        assert Fqdn.parse("admob.com").subdomain == ""

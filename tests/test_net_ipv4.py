@@ -29,13 +29,6 @@ class TestParsing:
         with pytest.raises(AddressError):
             IPv4Address.parse(bad)
 
-    def test_from_octets(self):
-        assert IPv4Address.from_octets(10, 0, 0, 1) == IPv4Address.parse("10.0.0.1")
-
-    def test_from_octets_rejects_out_of_range(self):
-        with pytest.raises(AddressError):
-            IPv4Address.from_octets(10, 0, 0, 256)
-
     def test_value_out_of_range_rejected(self):
         with pytest.raises(AddressError):
             IPv4Address(2**32)
@@ -51,9 +44,6 @@ class TestParsing:
     def test_hashable(self):
         a = IPv4Address.parse("10.0.0.1")
         assert {a: 1}[IPv4Address.parse("10.0.0.1")] == 1
-
-    def test_bits(self):
-        assert IPv4Address.parse("128.0.0.0").bits() == "1" + "0" * 31
 
 
 class TestPrefix:

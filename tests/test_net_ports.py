@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AddressError
-from repro.net.ports import MAX_PORT, ports_match, service_name, validate_port
+from repro.net.ports import MAX_PORT, ports_match, validate_port
 
 
 def test_validate_accepts_range_bounds():
@@ -37,17 +37,3 @@ def test_ports_match_validates_both_operands():
         ports_match(80, 0)
     with pytest.raises(AddressError):
         ports_match(-1, 80)
-
-
-def test_service_name_known():
-    assert service_name(80) == "http"
-    assert service_name(443) == "https"
-
-
-def test_service_name_unknown_falls_back():
-    assert service_name(12345) == "tcp/12345"
-
-
-def test_service_name_validates():
-    with pytest.raises(AddressError):
-        service_name(0)

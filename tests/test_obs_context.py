@@ -12,9 +12,7 @@ from repro.signatures.conjunction import ConjunctionSignature
 class TestTraceContext:
     def test_traceparent_round_trip(self):
         context = TraceContext(trace_id="ab" * 16, span_id="cd" * 8)
-        header = context.to_traceparent()
-        assert header == f"00-{'ab' * 16}-{'cd' * 8}-01"
-        assert parse_traceparent(header) == context
+        assert parse_traceparent(f"00-{'ab' * 16}-{'cd' * 8}-01") == context
 
     def test_invalid_ids_rejected(self):
         with pytest.raises(ValueError):

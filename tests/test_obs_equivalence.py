@@ -25,7 +25,7 @@ class TestPipelineUnchanged:
             assert a.metrics == b.metrics
             assert [s.to_dict() for s in a.signatures] == [s.to_dict() for s in b.signatures]
         # ...and the traced run actually recorded something.
-        assert obs.tracer.spans_named("distance_matrix")
+        assert [s for s in obs.tracer.closed_spans if s.name == "distance_matrix"]
         assert obs.metrics.counters["pipeline_runs"] == 2
 
 
@@ -37,7 +37,7 @@ class TestEngineUnchanged:
         obs = Observability.create(seed=0)
         observed = DistanceEngine(PacketDistance.paper(), workers=1, obs=obs).matrix(packets)
         assert np.array_equal(plain.values, observed.values)
-        chunks = obs.tracer.spans_named("engine_chunk")
+        chunks = [s for s in obs.tracer.closed_spans if s.name == "engine_chunk"]
         assert chunks and sum(s.attrs["pairs"] for s in chunks) == len(packets) * (
             len(packets) - 1
         ) // 2
@@ -54,4 +54,4 @@ class TestEngineUnchanged:
         observed = engine.matrix(packets)
         assert plain_engine.stats.workers_used == engine.stats.workers_used == 2
         assert np.array_equal(plain.values, observed.values)
-        assert len(obs.tracer.spans_named("engine_chunk")) == 5
+        assert len([s for s in obs.tracer.closed_spans if s.name == "engine_chunk"]) == 5

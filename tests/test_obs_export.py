@@ -145,4 +145,4 @@ class TestScenarioDeterminism:
         assert stage_names <= set(stages["stages"])
         for name in stage_names:
             assert stages["stages"][name]["self_ticks"] > 0, name
-        assert artifacts.profile.stage("pipeline_run").self_ticks > 0
+        assert artifacts.profile.stages["pipeline_run"].self_ticks > 0

@@ -1,6 +1,5 @@
 """The shared metrics registry: counters, gauges, histograms, Prometheus."""
 
-import json
 import re
 
 import pytest
@@ -44,62 +43,6 @@ class TestHistogramRegistry:
         m.observe("sizes", 3.0)
         assert m.histograms["sizes"].bounds == DEFAULT_BOUNDS
         assert m.histograms["sizes"].count == 1
-
-
-class TestSnapshot:
-    def test_sorted_and_json_serializable(self):
-        m = Metrics()
-        m.inc("zebra")
-        m.inc("alpha")
-        m.set_gauge("gz", 1)
-        m.set_gauge("ga", 2)
-        m.observe("h", 1.0, bounds=(1.0, 2.0))
-        snapshot = m.snapshot()
-        assert list(snapshot["counters"]) == ["alpha", "zebra"]
-        assert list(snapshot["gauges"]) == ["ga", "gz"]
-        json.dumps(snapshot)
-
-    def test_empty_registry_has_defined_shape(self):
-        snapshot = Metrics().snapshot()
-        assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def test_empty_histogram_fully_defined(self):
-        # Regression: every moment/percentile of an empty histogram is a
-        # defined zero (never NaN/None), so exports stay diffable.
-        m = Metrics()
-        m.histogram("h", (1.0, 2.0))
-        d = m.snapshot()["histograms"]["h"]
-        assert d == {
-            "count": 0,
-            "mean": 0.0,
-            "min": 0.0,
-            "max": 0.0,
-            "p50": 0.0,
-            "p95": 0.0,
-            "p99": 0.0,
-            "buckets": {"1.0": 0, "2.0": 0, "+inf": 0},
-        }
-        assert json.dumps(d)  # JSON-clean, no NaN
-
-    def test_histogram_shape(self):
-        m = Metrics()
-        for value in (0.5, 1.5, 3.0, 8.0):
-            m.observe("h", value, bounds=(1.0, 2.0, 4.0))
-        m.observe("one", 0.5, bounds=(1.0, 2.0))
-        histograms = m.snapshot()["histograms"]
-        assert histograms["h"]["mean"] == pytest.approx(3.25)
-        assert histograms["one"]["buckets"] == {"1.0": 1, "2.0": 0, "+inf": 0}
-        assert histograms["one"]["p50"] == 0.5  # bucket edge clamped to observed max
-
-    def test_insertion_order_does_not_change_snapshot(self):
-        a, b = Metrics(), Metrics()
-        a.inc("x")
-        a.inc("y", 2)
-        b.inc("y", 2)
-        b.inc("x")
-        assert json.dumps(a.snapshot(), sort_keys=True) == json.dumps(
-            b.snapshot(), sort_keys=True
-        )
 
 
 class TestPrometheus:

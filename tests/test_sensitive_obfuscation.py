@@ -70,7 +70,7 @@ class TestLeakPackets:
     def test_request_ids_fresh(self):
         rng = Random(3)
         packets = obfuscated_leak_packets("deadbeefcafe0123", Obfuscation.NONE, 6, rng)
-        rids = {p.request.query.get("rid") for p in packets}
+        rids = {dict(p.request.query.pairs).get("rid") for p in packets}
         assert len(rids) == 6
 
     def test_signatures_survive_stable_obfuscation(self):

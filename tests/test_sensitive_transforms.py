@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.sensitive.transforms import (
     Transform,
-    all_wire_spellings,
     transform_value,
     transform_variants,
 )
@@ -62,10 +61,6 @@ class TestVariants:
         variants = transform_variants("x-value", Transform.MD5)
         assert digest in variants
         assert digest.upper() in variants
-
-    def test_all_wire_spellings_keys(self):
-        spellings = all_wire_spellings("value123")
-        assert set(spellings) == set(Transform)
 
 
 @given(st.text(min_size=4, max_size=24))

@@ -72,7 +72,6 @@ from repro.service.repository import (
     SqliteReportRepository,
     SqliteSignatureRepository,
     SqliteStore,
-    iter_rows,
 )
 from repro.service.server import (
     MAX_HEAD_LINE_BYTES,
@@ -495,7 +494,7 @@ def packets(draw, values=_ascii) -> HttpPacket:
     octets = draw(st.lists(st.integers(0, 255), min_size=4, max_size=4))
     return HttpPacket(
         destination=Destination(
-            IPv4Address.from_octets(*octets),
+            IPv4Address.parse(".".join(map(str, octets))),
             draw(st.integers(1, 65535)),
             ".".join(draw(st.lists(_labels, min_size=1, max_size=4))),
         ),
@@ -1330,7 +1329,7 @@ class TestRepositoryVerifiesOnce:
     @given(steps=_repository_steps)
     def test_in_memory(self, steps):
         repo = InMemorySignatureRepository()
-        run_repository_steps(repo, repo.corrupt, steps)
+        run_repository_steps(repo, repo._documents.__setitem__, steps)
 
     @seed(2506)
     @settings(max_examples=150, deadline=None)
@@ -1381,7 +1380,7 @@ class TestRepositoryVerifiesOnce:
         for __ in range(5):
             assert repo.latest()[1].set_version == 1
         assert len(calls) == 1  # the store's own verification
-        repo.corrupt(1, _envelope(1, 2))
+        repo._documents[1] = _envelope(1, 2)
         for __ in range(5):
             assert repo.latest()[1].signatures == tuple(_SIGNATURE_SETS[2])
         assert len(calls) == 2
@@ -1450,7 +1449,8 @@ class TestReportTextsOracle:
                 repo = SqliteReportRepository(store)
                 for seq, record in enumerate(records, start=1):
                     assert repo.add("dev", seq, "tok", record) is True
-                stored = [row[3] for row in iter_rows(store, "device_reports")]
+                rows = store.connection().execute("SELECT * FROM device_reports")
+                stored = [row[3] for row in rows]
             finally:
                 store.close()
         assert stored == [_oracle_stored_record(record) for record in records]

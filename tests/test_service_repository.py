@@ -19,7 +19,6 @@ from repro.service.repository import (
     SqliteReportRepository,
     SqliteSignatureRepository,
     SqliteStore,
-    iter_rows,
     open_repositories,
 )
 from repro.service.server import SignatureService
@@ -104,7 +103,7 @@ class TestSignatureRepository:
 class TestCorruptionDegradation:
     def corrupt_version(self, repo, version: int) -> None:
         if isinstance(repo, InMemorySignatureRepository):
-            repo.corrupt(version, '{"garbage": true}')
+            repo._documents[version] = '{"garbage": true}'
         else:
             repo.store_backend.write(
                 "UPDATE signature_envelopes SET document = ? WHERE set_version = ?",
@@ -137,7 +136,7 @@ class TestCorruptionDegradation:
         sig_repo.store(document)
         tampered = document.replace("udid=abc0", "udid=evil0")
         if isinstance(sig_repo, InMemorySignatureRepository):
-            sig_repo.corrupt(1, tampered)
+            sig_repo._documents[1] = tampered
         else:
             sig_repo.store_backend.write(
                 "UPDATE signature_envelopes SET document = ? WHERE set_version = 1",
@@ -212,7 +211,7 @@ class TestCorruptRowPayloads:
         good = envelope_doc(1)
         repo.store(good)
         repo.store(envelope_doc(2))
-        repo.corrupt(2, payload)
+        repo._documents[2] = payload
         self.check_reads(repo, good)
 
     def test_blob_row_is_a_corrupt_read(self, tmp_path):
@@ -288,7 +287,8 @@ class TestSqliteStore:
         assert store.migrations_applied == len(MIGRATIONS) - 2
         assert store.schema_version() == len(MIGRATIONS)
         assert "idx_device_reports_token" not in _index_names(store)
-        assert sorted(iter_rows(store, "device_reports")) == sorted(rows)
+        stored = store.connection().execute("SELECT * FROM device_reports")
+        assert sorted(stored) == sorted(rows)
         repo = SqliteReportRepository(store)
         assert repo.add("dev-1", 1, "tok-1", {"seq": 1}) is False
         assert repo.count() == len(rows)
@@ -413,7 +413,8 @@ class TestReportTransaction:
             added = [repo.add("dev", seq, "tok", {"seq": seq}) for seq in (1, 2, 1, 3)]
         assert added == [True, True, False, True]
         assert [s for s in statements if s in ("COMMIT", "ROLLBACK")] == ["COMMIT"]
-        assert sorted(row[1] for row in iter_rows(store, "device_reports")) == [1, 2, 3]
+        stored = store.connection().execute("SELECT seq FROM device_reports")
+        assert sorted(row[0] for row in stored) == [1, 2, 3]
         store.close()
 
     def test_writes_before_an_error_are_committed(self, tmp_path):
@@ -476,7 +477,7 @@ class TestOneCommitPerPost:
             "accepted": 3,
             "stored": 2,
         }
-        rows = sorted(iter_rows(service.store, "device_reports"))
+        rows = sorted(service.store.connection().execute("SELECT * FROM device_reports"))
         assert rows == [
             ("dev-a", i + 1, record["token"], json.dumps(record, sort_keys=True))
             for i, record in enumerate(records)

@@ -105,21 +105,20 @@ def traced(tmp_path):
 
 
 CONTEXT = TraceContext(trace_id="ab" * 16, span_id="cd" * 8)
+TRACEPARENT = f"00-{CONTEXT.trace_id}-{CONTEXT.span_id}-01"
 
 
 class TestPropagation:
     def test_traceparent_continues_into_route_span(self, traced):
         service, request, __log = traced
-        status, __b, __h = request(
-            "GET", "/v1/signatures", headers={"traceparent": CONTEXT.to_traceparent()}
-        )
+        status, __b, __h = request("GET", "/v1/signatures", headers={"traceparent": TRACEPARENT})
         assert status == 200
-        (route,) = service.tracer.spans_named("fetch")
+        (route,) = [s for s in service.tracer.closed_spans if s.name == "fetch"]
         assert route.context == CONTEXT
         assert route.parent_id is None
         assert route.attrs["status"] == 200
         # the repository read nests under the route span
-        (child,) = service.tracer.spans_named("repository_read")
+        (child,) = [s for s in service.tracer.closed_spans if s.name == "repository_read"]
         assert child.parent_id == route.span_id
         assert child.context is None
 
@@ -129,7 +128,7 @@ class TestPropagation:
             "GET", "/v1/signatures", headers={"traceparent": "garbage-header"}
         )
         assert status == 200
-        (route,) = service.tracer.spans_named("fetch")
+        (route,) = [s for s in service.tracer.closed_spans if s.name == "fetch"]
         assert route.context is None
 
     def test_screen_span_tree_carries_gateway_attrs(self, traced, small_corpus):
@@ -139,11 +138,11 @@ class TestPropagation:
         ).encode()
         status, __b, __h = request(
             "POST", "/v1/screen", body,
-            headers={"traceparent": CONTEXT.to_traceparent()},
+            headers={"traceparent": TRACEPARENT},
         )
         assert status == 200
-        (route,) = service.tracer.spans_named("screen")
-        (gateway_span,) = service.tracer.spans_named("gateway_screen")
+        (route,) = [s for s in service.tracer.closed_spans if s.name == "screen"]
+        (gateway_span,) = [s for s in service.tracer.closed_spans if s.name == "gateway_screen"]
         assert route.context == CONTEXT
         assert gateway_span.parent_id == route.span_id
         assert gateway_span.attrs["n_events"] == 6
@@ -152,7 +151,7 @@ class TestPropagation:
     def test_tracing_adds_no_response_headers(self, traced):
         __s, request, __log = traced
         __status, __b, headers = request(
-            "GET", "/v1/signatures", headers={"traceparent": CONTEXT.to_traceparent()}
+            "GET", "/v1/signatures", headers={"traceparent": TRACEPARENT}
         )
         assert not any(name.lower().startswith("trace") for name in headers)
 
@@ -221,7 +220,7 @@ class TestByteIdentity:
             try:
                 for n, (method, path, body) in enumerate(requests):
                     connection = http.client.HTTPConnection(host, port, timeout=10.0)
-                    headers = {"traceparent": CONTEXT.to_traceparent()}
+                    headers = {"traceparent": TRACEPARENT}
                     if body is not None:
                         headers["Content-Type"] = "application/json"
                     connection.request(method, path, body=body, headers=headers)
@@ -324,9 +323,7 @@ class TestHealthz:
 class TestAccessLog:
     def test_jsonl_lines_carry_route_status_ms_trace(self, traced):
         service, request, access_log = traced
-        request(
-            "GET", "/v1/signatures", headers={"traceparent": CONTEXT.to_traceparent()}
-        )
+        request("GET", "/v1/signatures", headers={"traceparent": TRACEPARENT})
         request("GET", "/healthz")
         lines = [
             json.loads(line) for line in access_log.read_text().splitlines() if line
@@ -376,9 +373,7 @@ class TestTraceDirectory:
             ("GET", "/v1/signatures?since=1", None),
         ]
         for method, path, body in calls:
-            status, __b, __h = request(
-                method, path, body, headers={"traceparent": CONTEXT.to_traceparent()}
-            )
+            status, __b, __h = request(method, path, body, headers={"traceparent": TRACEPARENT})
             assert status in (200, 304), (path, status)
 
         slo = replay_access_log(access_log).report()

@@ -84,24 +84,6 @@ class TestDeviceSubstreams:
         assert [(e.tick, e.seq) for e in before] == [(e.tick, e.seq) for e in after]
         assert [e.packet for e in before] == [e.packet for e in after]
 
-    def test_fleet_merge_is_growth_stable(self, small_corpus):
-        # The 10-device merged stream is the 9-device stream with
-        # device-00009's events spliced in — nothing else moves.
-        loadgen = FleetLoadGenerator(small_corpus, seed=5)
-        small = loadgen.fleet_events(9, 10)
-        large = loadgen.fleet_events(10, 10)
-        kept = [e for e in large if e.device_id != "device-00009"]
-        assert [(e.tick, e.device_id) for e in kept] == [
-            (e.tick, e.device_id) for e in small
-        ]
-
-    def test_fleet_events_tick_ordered_and_renumbered(self, small_corpus):
-        events = FleetLoadGenerator(small_corpus, seed=5).fleet_events(4, 6)
-        assert len(events) == 24
-        assert [e.seq for e in events] == list(range(24))
-        ticks = [e.tick for e in events]
-        assert ticks == sorted(ticks)
-
     def test_distinct_devices_have_distinct_streams(self, small_corpus):
         loadgen = FleetLoadGenerator(small_corpus, seed=5)
         a = loadgen.device_events(0, 20)
@@ -129,8 +111,6 @@ class TestDeviceSubstreams:
             loadgen.device_events(-1, 10)
         with pytest.raises(SimulationError):
             loadgen.device_events(0, 0)
-        with pytest.raises(SimulationError):
-            loadgen.fleet_events(0, 10)
 
 
 class TestValidation:

@@ -79,7 +79,7 @@ class TestShape:
     def test_round_robin_sizes_balanced(self):
         signatures = [sig(f"tok{i}=v") for i in range(10)]
         sharded = ShardedMatcher(signatures, n_shards=3)
-        sizes = sorted(len(shard) for shard in sharded.shards)
+        sizes = sorted(len(shard.entries) for shard in sharded.shards)
         assert sizes == [3, 3, 4]
         assert len(sharded) == 10
 

@@ -1,7 +1,5 @@
 """Serving telemetry: the gateway's counters and histograms in its Metrics registry."""
 
-import json
-
 import pytest
 
 from repro.obs.metrics import Histogram, Metrics
@@ -32,11 +30,7 @@ class TestHistogram:
     def test_empty_histogram(self):
         h = Histogram(bounds=(1.0, 2.0))
         assert h.percentile(0.99) == 0.0
-        m = Metrics()
-        m.histogram("h", (1.0, 2.0))
-        d = m.snapshot()["histograms"]["h"]
-        assert d["count"] == 0
-        assert d["mean"] == 0.0
+        assert h.count == 0
 
 
 class TestTelemetry:
@@ -51,15 +45,6 @@ class TestTelemetry:
             gateway.metrics.inc("admitted", -1)
         assert counters["admitted"] == 5
 
-    def test_snapshot_is_json_serializable(self):
-        gateway = boot_gateway()
-        gateway.run([one_event()])
-        snapshot = gateway.metrics.snapshot()
-        text = json.dumps(snapshot)
-        assert "latency_ticks" in text
-        assert snapshot["counters"]["batches"] == 1
-        assert snapshot["histograms"]["latency_ticks"]["count"] == 1
-
     def test_snapshot_order_independent_of_insertion(self):
         # Regression: counter insertion order must not leak into the
         # snapshot, whether the gateway or its caller counted first.
@@ -68,16 +53,15 @@ class TestTelemetry:
         boot_gateway(a).run([one_event()])
         boot_gateway(b).run([one_event()])
         b.inc("zeta")
-        assert json.dumps(a.snapshot()) == json.dumps(b.snapshot())
-        counters = list(a.snapshot()["counters"])
-        assert counters == sorted(counters) and "zeta" in counters
+        assert a.to_prometheus() == b.to_prometheus()
+        assert "repro_zeta 1" in a.to_prometheus()
 
     def test_empty_telemetry_snapshot_defined(self):
-        snapshot = boot_gateway().metrics.snapshot()
-        assert snapshot["counters"] == {}
-        assert set(snapshot["histograms"]) == GATEWAY_HISTOGRAMS
-        for h in snapshot["histograms"].values():
-            assert h["count"] == 0 and h["p99"] == 0.0
+        metrics = boot_gateway().metrics
+        assert metrics.counters == {}
+        assert set(metrics.histograms) == GATEWAY_HISTOGRAMS
+        for h in metrics.histograms.values():
+            assert h.count == 0 and h.percentile(0.99) == 0.0
 
     def test_shared_registry_merges_counters(self):
         metrics = Metrics()

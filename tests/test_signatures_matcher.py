@@ -39,18 +39,6 @@ class TestExactMatcher:
         p = make_packet(host="whatever.org")
         assert len(matcher.candidates_for(p)) == 1
 
-    def test_screen_order(self):
-        matcher = SignatureMatcher([sig("udid=abc")])
-        packets = [make_packet(target="/p?udid=abc"), make_packet(target="/q?x=1")]
-        results = matcher.screen(packets)
-        assert [r.matched for r in results] == [True, False]
-
-    def test_detected_filters(self):
-        matcher = SignatureMatcher([sig("udid=abc")])
-        leaky = make_packet(target="/p?udid=abc")
-        clean = make_packet(target="/q?x=1")
-        assert matcher.detected([leaky, clean, leaky]) == [leaky, leaky]
-
     def test_len(self):
         assert len(SignatureMatcher([sig("a=bcd"), sig("e=fgh")])) == 2
 

@@ -33,7 +33,7 @@ class TestDeterminism:
 
 class TestShape:
     def test_every_app_sends_traffic(self, small_corpus):
-        assert len(small_corpus.trace.apps()) == small_corpus.n_apps
+        assert len({p.app_id for p in small_corpus.trace}) == small_corpus.n_apps
 
     def test_sensitive_fraction_band(self, small_corpus, small_split):
         suspicious, __ = small_split

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation.rng import derive_rng, poisson, zipf_sample
+from repro.simulation.rng import derive_rng, poisson
 
 
 class TestPoisson:
@@ -41,32 +41,6 @@ class TestPoisson:
         value = poisson(Random(seed), mean)
         assert isinstance(value, int)
         assert value >= 0
-
-
-class TestZipf:
-    def test_needs_positive_n(self):
-        with pytest.raises(ValueError):
-            zipf_sample(Random(1), 0)
-
-    def test_in_range(self):
-        rng = Random(5)
-        for __ in range(200):
-            assert 0 <= zipf_sample(rng, 7) < 7
-
-    def test_rank_zero_most_popular(self):
-        rng = Random(5)
-        counts = [0] * 5
-        for __ in range(3000):
-            counts[zipf_sample(rng, 5)] += 1
-        assert counts[0] > counts[1] > counts[3]
-
-    def test_exponent_flattens(self):
-        rng = Random(5)
-        flat_counts = [0] * 5
-        for __ in range(3000):
-            flat_counts[zipf_sample(rng, 5, exponent=0.0)] += 1
-        # With exponent 0 the distribution is uniform-ish.
-        assert max(flat_counts) < 2 * min(flat_counts)
 
 
 class TestDeriveRng:

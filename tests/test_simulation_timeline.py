@@ -61,7 +61,7 @@ class TestDayTraces:
         assert [p.request.target for p in a] != [p.request.target for p in b]
 
     def test_activity_rate_respected(self, simulator):
-        active_counts = [len(simulator.day_trace(day).apps()) for day in range(4)]
+        active_counts = [len({p.app_id for p in simulator.day_trace(day)}) for day in range(4)]
         mean_active = sum(active_counts) / len(active_counts)
         assert mean_active == pytest.approx(0.7 * len(simulator.apps), rel=0.25)
 

@@ -117,10 +117,11 @@ class TestCrashAndResume:
         assert result.stages_replayed == ["collect", "payload_check", "sample", "distance_matrix"]
         assert result.stages_executed == ["linkage", "cut", "signature_gen"]
         for stage in PIPELINE_STAGES:
-            assert len(obs.tracer.spans_named(stage)) == 1, f"{stage} ran twice"
-        assert obs.counter("pipeline_stage_executed") == len(PIPELINE_STAGES)
-        assert obs.counter("pipeline_stage_replayed") == 4
-        assert obs.counter("pipeline_injected_crashes") == 1
+            ran = [s for s in obs.tracer.closed_spans if s.name == stage]
+            assert len(ran) == 1, f"{stage} ran twice"
+        assert obs.metrics.counters.get("pipeline_stage_executed", 0) == len(PIPELINE_STAGES)
+        assert obs.metrics.counters.get("pipeline_stage_replayed", 0) == 4
+        assert obs.metrics.counters.get("pipeline_injected_crashes", 0) == 1
 
     def test_cross_instance_resume_via_shared_store(self, small_corpus, labeler, baseline):
         store = CheckpointStore()
@@ -130,23 +131,6 @@ class TestCrashAndResume:
         fresh = checkpointed(small_corpus, labeler, store)
         result = fresh.run(N_SAMPLE, seed=SEED)
         assert result.stages_replayed == ["collect", "payload_check", "sample"]
-        assert SignatureStore.dumps(result.signatures) == baseline[0]
-
-    def test_disk_backed_resume_across_store_objects(
-        self, small_corpus, labeler, baseline, tmp_path
-    ):
-        crashy = checkpointed(
-            small_corpus,
-            labeler,
-            CheckpointStore(root=tmp_path),
-            crash_plan=CrashPlan.after("linkage"),
-        )
-        with pytest.raises(InjectedCrash):
-            crashy.run(N_SAMPLE, seed=SEED)
-        # a brand-new store object replays journal.jsonl from disk
-        fresh = checkpointed(small_corpus, labeler, CheckpointStore(root=tmp_path))
-        result = fresh.run(N_SAMPLE, seed=SEED)
-        assert result.stages_executed == ["cut", "signature_gen"]
         assert SignatureStore.dumps(result.signatures) == baseline[0]
 
 
