@@ -20,7 +20,6 @@ Quickstart::
 """
 
 from repro.core.distribution import (
-    ChannelHealth,
     FetchResult,
     FetchStatus,
     SignatureFetcher,
@@ -92,7 +91,6 @@ __all__ = [
     "SignatureFetcher",
     "FetchResult",
     "FetchStatus",
-    "ChannelHealth",
     "FaultPlan",
     "FaultKind",
     "RetryPolicy",

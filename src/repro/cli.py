@@ -258,13 +258,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if not rates or any(not 0.0 <= rate < 1.0 for rate in rates):
         print(f"--rates must be one or more values in [0, 1), got {args.rates!r}", file=sys.stderr)
         return 2
-    if args.target == "federation":
-        # Checked here rather than by catching FederationError, which also
-        # reports real delivery faults.
-        for flag, value in (("--devices", args.devices), ("--reports", args.reports)):
-            if value < 1:
-                print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
-                return 2
     corpus = build_corpus(n_apps=args.apps, seed=args.seed)
     if args.target == "pipeline":
         from repro.eval.chaos import (
@@ -534,6 +527,48 @@ SERIAL_WORKERS_HELP = (
 )
 
 
+#: Numeric flags checked before any command starts work, as ``(flag,
+#: lowest, highest or None)`` per command; a value out of range would
+#: otherwise surface as a traceback from deep inside the run.
+FLAG_RANGES: dict[str, tuple[tuple[str, int, int | None], ...]] = {
+    "corpus": (("--apps", 1, None),),
+    "generate": (("--sample", 1, None), ("--workers", 0, None)),
+    "risk": (("--apps", 1, None), ("--top", 0, None)),
+    "report": (("--apps", 1, None),),
+    "fig4": (("--apps", 1, None),),
+    "arena": (
+        ("--apps", 1, None), ("--rounds", 1, None), ("--train", 1, None), ("--workers", 0, None),
+    ),
+    "service": (("--port", 0, 65535), ("--apps", 1, None), ("--sample", 1, None)),
+    "chaos": (("--apps", 1, None),),
+    "trace": (("--apps", 1, None), ("--sample", 1, None), ("--workers", 0, None)),
+    "metrics": (("--apps", 1, None), ("--events", 1, None), ("--sample", 1, None)),
+}
+
+#: The ``chaos`` flags only one ``--target`` reads.  The distribution
+#: target's ``--devices`` is left to ``run_chaos_sweep``, whose message
+#: the verb prints.
+CHAOS_TARGET_RANGES: dict[str, tuple[tuple[str, int, int | None], ...]] = {
+    "distribution": (("--sample", 1, None),),
+    "pipeline": (("--sample", 1, None),),
+    "federation": (("--devices", 1, None), ("--reports", 1, None), ("--min-support", 1, None)),
+}
+
+
+def flag_range_error(args: argparse.Namespace) -> str | None:
+    """The first out-of-range numeric flag of a parsed command line, as a message."""
+    ranges = FLAG_RANGES.get(args.command, ())
+    if args.command == "chaos":
+        ranges += CHAOS_TARGET_RANGES[args.target]
+    for flag, lowest, highest in ranges:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if highest is not None and not lowest <= value <= highest:
+            return f"{flag} must be in [{lowest}, {highest}], got {value}"
+        if value < lowest:
+            return f"{flag} must be >= {lowest}, got {value}"
+    return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -726,6 +761,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    problem = flag_range_error(args)
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -408,7 +408,7 @@ class SignatureService:
                     return 400, {"error": str(exc)}
                 generation = self.gateway.generation
                 set_version = self.gateway.set_version
-                fragments = self.gateway.matcher.fragments
+                fragments = self.gateway.fragments
                 if span is not None:
                     span.attrs["generation"] = generation
                     span.attrs["set_version"] = set_version

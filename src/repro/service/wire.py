@@ -193,7 +193,8 @@ def encode_screen_reply(
 
     :param fragments: ``id(signature) -> json.dumps(signature.to_dict(),
         sort_keys=True)`` for the live matcher's signatures
-        (:attr:`~repro.serving.shards.ShardedMatcher.fragments`); a
+        (:attr:`ScreeningGateway.fragments
+        <repro.serving.gateway.ScreeningGateway.fragments>`); a
         signature it lacks, such as one from an earlier generation, is
         rendered on the spot.
     """

@@ -14,9 +14,9 @@ the same logical-tick clock as the rest of the repo (DESIGN.md §6):
   company.  Batch service time is ``batch_overhead_ticks +
   per_packet_ticks * len(batch)``, so batching amortizes overhead and the
   queue provides backpressure when arrivals outpace service;
-- **screening** — each batch runs on a :class:`~repro.serving.shards.ShardedMatcher`
-  whose verdicts are bit-identical to the scalar
-  :meth:`SignatureMatcher.match <repro.signatures.matcher.SignatureMatcher.match>`;
+- **screening** — each batch runs through
+  :meth:`SignatureMatcher.match_batch <repro.signatures.matcher.SignatureMatcher.match_batch>`,
+  the same first-hit scan every other screening path uses;
 - **hot reload** — :class:`ReloadEvent`\\ s carry
   :class:`~repro.signatures.store.SignatureEnvelope`\\ s (the verified
   over-the-wire form from :mod:`repro.core.distribution`).  A reload is an
@@ -35,6 +35,7 @@ latency, queue-depth and batch-size histograms.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,9 +43,8 @@ from repro.baselines.keyword import KeywordDetector
 from repro.errors import SimulationError
 from repro.obs.metrics import Metrics
 from repro.serving.loadgen import ScreeningEvent
-from repro.serving.shards import ShardedMatcher
 from repro.signatures.conjunction import ConjunctionSignature
-from repro.signatures.matcher import MatchResult
+from repro.signatures.matcher import MatchResult, SignatureMatcher
 from repro.signatures.store import SignatureEnvelope
 
 
@@ -83,33 +83,25 @@ class GatewayConfig:
 
     :param queue_capacity: admission queue bound (arrivals beyond it shed).
     :param batch_size: maximum requests per micro-batch.
-    :param n_shards: signature partitions per matcher generation.
     :param shed_policy: overflow behaviour (see :class:`ShedPolicy`).
     :param batch_overhead_ticks: fixed cost of dispatching one batch.
     :param per_packet_ticks: marginal cost per request in a batch.
     :param max_batch_wait_ticks: how long a partial batch may wait for
         more arrivals before it is flushed anyway.
-    :param degraded_mode: keyword-detector escalation used when shedding
-        with ``DEGRADE`` (the conservative default mirrors
-        :meth:`FlowControlApp.degraded <repro.core.flowcontrol.FlowControlApp.degraded>`).
     """
 
     queue_capacity: int = 64
     batch_size: int = 8
-    n_shards: int = 2
     shed_policy: ShedPolicy = ShedPolicy.DEGRADE
     batch_overhead_ticks: float = 1.0
     per_packet_ticks: float = 0.25
     max_batch_wait_ticks: float = 4.0
-    degraded_mode: str = "conservative"
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
             raise SimulationError("queue_capacity must be >= 1")
         if self.batch_size < 1:
             raise SimulationError("batch_size must be >= 1")
-        if self.n_shards < 1:
-            raise SimulationError("n_shards must be >= 1")
         if self.batch_overhead_ticks < 0 or self.per_packet_ticks < 0:
             raise SimulationError("service costs must be non-negative")
         if self.max_batch_wait_ticks < 0:
@@ -196,8 +188,24 @@ class ScreeningGateway:
         self.run_id = run_id
         self.generation = 1
         self.set_version = set_version
-        self.matcher = ShardedMatcher(signatures, self.config.n_shards)
-        self._degraded_detector = KeywordDetector(self.config.degraded_mode)
+        self._install(signatures)
+        # Shedding with DEGRADE escalates like FlowControlApp.degraded().
+        self._degraded_detector = KeywordDetector("conservative")
+
+    def _install(self, signatures: Sequence[ConjunctionSignature]) -> None:
+        """Build one generation's matcher and, with it, its reply fragments.
+
+        ``fragments`` maps ``id(signature)`` to the signature's sorted-key
+        JSON, the text a verdict reply quotes
+        (:func:`repro.service.wire.encode_screen_reply`).  Both are
+        replaced together, so an id is only looked up while the matcher
+        holding that signature is live.
+        """
+        self.matcher = SignatureMatcher(signatures)
+        self.fragments = {
+            id(signature): json.dumps(signature.to_dict(), sort_keys=True)
+            for signature in self.matcher.signatures
+        }
 
     # -- reload -------------------------------------------------------------------
 
@@ -211,7 +219,7 @@ class ScreeningGateway:
             return False
         self.generation += 1
         self.set_version = envelope.set_version
-        self.matcher = ShardedMatcher(list(envelope.signatures), self.config.n_shards)
+        self._install(envelope.signatures)
         self.metrics.inc("reloads_applied")
         return True
 

@@ -1,15 +1,15 @@
 """Signature matching engines.
 
 :class:`SignatureMatcher` is the exact conjunction matcher the paper
-evaluates: a packet is flagged when *any* signature matches.  Signatures
-are indexed by destination scope so a packet is only tested against the
-unscoped set plus the bucket of its own registered domain, and every
-signature carries a *filter literal* (its most selective token, chosen
-once in ``__init__``): a packet whose text does not even contain that
-literal is never handed to the full left-to-right conjunction scan.  The
-inverted literal→signatures map is exposed as :attr:`SignatureMatcher.by_literal`
-so batch/shard engines (:mod:`repro.serving.shards`) can share one
-prefilter index instead of rebuilding it per shard.
+evaluates: a packet is flagged when *any* signature matches, and the
+first firing signature is reported.  Signatures are indexed by
+destination scope so a packet is only tested against the bucket of its
+own registered domain and then the unscoped set, and every signature
+carries a *filter literal* (its most selective token, chosen once in
+``__init__``): a packet whose text does not even contain that literal is
+never handed to the full left-to-right conjunction scan.  The same scan
+serves single packets (:meth:`SignatureMatcher.match`) and the screening
+gateway's micro-batches (:meth:`SignatureMatcher.match_batch`).
 
 :class:`ProbabilisticMatcher` is the paper's future-work extension
 (probabilistic signatures a la Polygraph/Hamsa): it scores the
@@ -60,53 +60,47 @@ class SignatureMatcher:
 
     def __init__(self, signatures: Sequence[ConjunctionSignature]) -> None:
         self.signatures = list(signatures)
-        # Candidate indexes, built exactly once: destination-scope buckets
-        # of (filter_literal, signature) pairs plus the inverted
-        # literal -> signatures map shared with shard engines.
+        # Destination-scope buckets of (filter_literal, signature) pairs,
+        # built exactly once, each in signature-list order.
         self._by_domain: dict[str, list[tuple[str, ConjunctionSignature]]] = defaultdict(list)
         self._unscoped: list[tuple[str, ConjunctionSignature]] = []
-        self.by_literal: dict[str, list[ConjunctionSignature]] = defaultdict(list)
         for signature in self.signatures:
-            literal = filter_literal(signature)
-            self.by_literal[literal].append(signature)
+            entry = (filter_literal(signature), signature)
             if signature.scope_domain:
-                self._by_domain[signature.scope_domain].append((literal, signature))
+                self._by_domain[signature.scope_domain].append(entry)
             else:
-                self._unscoped.append((literal, signature))
+                self._unscoped.append(entry)
 
     def __len__(self) -> int:
         return len(self.signatures)
 
-    def candidates_for(
-        self, packet: HttpPacket, text: str | None = None
-    ) -> list[ConjunctionSignature]:
-        """Signatures whose scope admits this packet.
+    def candidates_for(self, packet: HttpPacket) -> list[ConjunctionSignature]:
+        """Signatures whose scope admits this packet, in screening order.
 
-        With ``text`` (the packet's canonical text), the precomputed
-        literal prefilter also drops every signature whose filter literal
-        is absent — a pure narrowing that can never exclude a matching
-        signature, so :meth:`match` results are unchanged.  Without it,
-        the full scope-admitted set is returned (the probabilistic matcher
-        scores partial coverage and must see all candidates).
+        No literal prefilter: the probabilistic matcher scores partial
+        coverage and must see every scope-admitted signature.
         """
         scoped = self._by_domain.get(packet.destination.registered_domain, [])
-        if text is None:
-            return [signature for __, signature in scoped] + [
-                signature for __, signature in self._unscoped
-            ]
-        return [
-            signature
-            for literal, signature in (*scoped, *self._unscoped)
-            if literal in text
-        ]
+        return [signature for __, signature in (*scoped, *self._unscoped)]
 
     def match(self, packet: HttpPacket) -> MatchResult:
-        """Screen one packet; first firing signature wins."""
+        """Screen one packet; first firing signature wins.
+
+        The destination bucket is screened before the unscoped set, each
+        in signature-list order, so a scoped signature beats an unscoped
+        one listed earlier.
+        """
         text = packet.canonical_text()
-        for signature in self.candidates_for(packet, text):
-            if signature.matches_text(text):
-                return MatchResult(matched=True, signature=signature, score=1.0)
+        scoped = self._by_domain.get(packet.destination.registered_domain, ())
+        for bucket in (scoped, self._unscoped):
+            for literal, signature in bucket:
+                if literal in text and signature.matches_text(text):
+                    return MatchResult(matched=True, signature=signature, score=1.0)
         return MatchResult(matched=False)
+
+    def match_batch(self, packets: Sequence[HttpPacket]) -> list[MatchResult]:
+        """Screen one gateway micro-batch, one result per packet, in batch order."""
+        return [self.match(packet) for packet in packets]
 
     def match_full_scan(self, packet: HttpPacket) -> MatchResult:
         """Prefilter-free reference: test every scope-admitted signature.

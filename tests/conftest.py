@@ -11,6 +11,7 @@ import pytest
 from repro.http.message import HttpRequest
 from repro.http.packet import Destination, HttpPacket
 from repro.sensitive.identifiers import DeviceIdentity
+from repro.signatures.conjunction import ConjunctionSignature
 from repro.simulation.corpus import Corpus, mini_corpus
 
 
@@ -36,6 +37,23 @@ def make_packet(
     return HttpPacket(
         destination=Destination.make(ip, port, host), request=request, app_id=app_id
     )
+
+
+def corpus_signatures(corpus: Corpus, limit: int = 30) -> list[ConjunctionSignature]:
+    """Signatures cut from real corpus packets, scoped and unscoped mixed."""
+    signatures = []
+    for index, packet in enumerate(corpus.trace.packets[::7]):
+        text = packet.canonical_text()
+        third = len(text) // 3
+        first, second = text[third : third + 6], text[2 * third : 2 * third + 6]
+        if len(first) < 6 or len(second) < 6:
+            continue
+        scope = packet.destination.registered_domain if index % 2 else ""
+        signatures.append(ConjunctionSignature(tokens=(first, second), scope_domain=scope))
+        if len(signatures) >= limit:
+            break
+    assert len(signatures) >= 10
+    return signatures
 
 
 def call_with_timeout(fn: Callable[[], Any], seconds: float) -> Any:

@@ -605,3 +605,67 @@ class TestArena:
         args = build_parser().parse_args(["arena", "--quick"])
         assert args.quick
         assert (args.apps, args.rounds) == (120, 6)  # clamped inside cmd_arena
+
+
+class TestFlagRanges:
+    """Out-of-range numeric flags are one stderr line and exit 2, before any work."""
+
+    # Files named here do not exist: the check runs before anything is read.
+    FILES = ["--trace", "missing.jsonl", "--identity", "missing.json"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corpus", "--apps", "0"],
+            ["risk", "--apps", "0"],
+            ["risk", "--top", "-1"],
+            ["report", "--apps", "0"],
+            ["fig4", "--apps", "0"],
+            ["trace", "--apps", "0"],
+            ["trace", "--sample", "0"],
+            ["trace", "--workers", "-1"],
+            ["chaos", "--apps", "0"],
+            ["chaos", "--sample", "0"],
+            ["chaos", "--target", "pipeline", "--sample", "0"],
+            ["chaos", "--target", "federation", "--min-support", "0"],
+            ["arena", "--apps", "0"],
+            ["arena", "--quick", "--rounds", "0"],
+            ["arena", "--quick", "--train", "0"],
+            ["arena", "--workers", "-1"],
+            ["service", "--apps", "0"],
+            ["service", "--sample", "0"],
+            ["service", "--port", "70000"],
+            ["service", "--port", "-1"],
+            ["generate", *FILES, "--sample", "0"],
+            ["generate", *FILES, "--workers", "-1"],
+            ["metrics", "--apps", "0"],
+            ["metrics", "--sample", "0"],
+            ["metrics", "--events", "0"],
+        ],
+        ids=lambda argv: " ".join(arg for arg in argv if arg not in TestFlagRanges.FILES),
+    )
+    def test_rejected_before_any_work(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        flag, value = argv[-2:]
+        assert captured.err.startswith(f"{flag} must be ")
+        assert captured.err.endswith(f", got {value}\n")
+        assert captured.err.count("\n") == 1
+
+    def test_port_message_names_the_range(self, capsys):
+        assert main(["service", "--port", "65536"]) == 2
+        assert capsys.readouterr().err == "--port must be in [0, 65535], got 65536\n"
+
+    def test_bounds_themselves_are_accepted(self):
+        from repro.cli import build_parser, flag_range_error
+
+        parser = build_parser()
+        for argv in (
+            ["risk", "--top", "0"],
+            ["service", "--port", "65535"],
+            ["generate", *self.FILES, "--sample", "1", "--workers", "0"],
+            ["chaos", "--target", "federation", "--sample", "0"],
+            ["screen", "--trace", "t", "--signatures", "s", "--sample", "0"],
+        ):
+            assert flag_range_error(parser.parse_args(argv)) is None, argv

@@ -40,7 +40,7 @@ class TestChannel:
         )
         result = fetcher.fetch()
         assert result.status is FetchStatus.DEGRADED
-        assert fetcher.health.drops == result.attempts == 3
+        assert fetcher.metrics.counters["fetch_drops"] == result.attempts == 3
         assert sum(plan.counts.values()) == 0  # no fault draw consumed
 
     def test_perfect_channel_delivers_latest(self):
@@ -48,7 +48,7 @@ class TestChannel:
         result = fetcher.fetch()
         assert result.status is FetchStatus.FRESH and result.set_version == 2
         assert list(result.signatures) == sigs("b=2")
-        assert fetcher.health.delay_ticks == 0.0 and fetcher.clock == 1.0
+        assert fetcher.clock == 1.0  # one attempt, no delay
 
     def test_stale_fault_serves_previous_version(self):
         plan = FaultPlan(seed=1, stale=1.0)
@@ -83,13 +83,13 @@ class TestChannel:
             results = [fetcher.fetch() for __ in range(6)]
             repository.publish(sigs("c=3"))
             results += [fetcher.fetch() for __ in range(6)]
-            return results, fetcher.health
+            return results, fetcher.metrics.counters
 
         in_memory = run(InMemorySignatureRepository())
         on_disk = run(SqliteSignatureRepository(SqliteStore(tmp_path / "signatures.db")))
         assert in_memory == on_disk
         statuses = {result.status for result in in_memory[0]}
-        assert FetchStatus.FRESH in statuses and in_memory[1].stale_reads > 0
+        assert FetchStatus.FRESH in statuses and in_memory[1]["fetch_stale_reads"] > 0
 
 
 class TestFetcher:
@@ -112,7 +112,7 @@ class TestFetcher:
             )
             result = fetcher.fetch()
             if result.status is FetchStatus.FRESH and result.attempts > 1:
-                assert fetcher.health.drops == result.attempts - 1
+                assert fetcher.metrics.counters["fetch_drops"] == result.attempts - 1
                 return
         pytest.fail("no seed produced drop-then-success within budget")
 
@@ -124,7 +124,7 @@ class TestFetcher:
         )
         result = fetcher.fetch()
         assert result.status is FetchStatus.DEGRADED
-        assert fetcher.health.integrity_failures == 3
+        assert fetcher.metrics.counters["fetch_integrity_failures"] == 3
         assert result.signatures == ()
 
     def test_truncated_envelope_detected(self):
@@ -135,7 +135,7 @@ class TestFetcher:
         )
         result = fetcher.fetch()
         assert result.status is FetchStatus.DEGRADED
-        assert fetcher.health.integrity_failures == 2
+        assert fetcher.metrics.counters["fetch_integrity_failures"] == 2
 
     def test_exhausted_retries_fall_back_to_last_known_good(self):
         repository = published("v1=x")
@@ -150,7 +150,7 @@ class TestFetcher:
         assert result.status is FetchStatus.CACHED
         assert result.set_version == 1
         assert any("v1=x" in s.tokens[0] for s in result.signatures)
-        assert fetcher.health.fallbacks == 1
+        assert fetcher.metrics.counters["fetch_cached"] == 1
 
     def test_degraded_when_nothing_ever_fetched(self):
         fetcher = SignatureFetcher(
@@ -161,7 +161,7 @@ class TestFetcher:
         result = fetcher.fetch()
         assert result.status is FetchStatus.DEGRADED
         assert result.signatures == () and result.set_version == 0
-        assert fetcher.health.degraded_sessions == 1
+        assert fetcher.metrics.counters["fetch_degraded"] == 1
 
     def test_stale_read_never_regresses_installed_version(self):
         fetcher = SignatureFetcher(
@@ -174,7 +174,7 @@ class TestFetcher:
         result = fetcher.fetch()
         assert result.status is FetchStatus.CACHED
         assert result.set_version == 2
-        assert fetcher.health.stale_reads == 2
+        assert fetcher.metrics.counters["fetch_stale_reads"] == 2
 
     def test_delay_advances_logical_clock(self):
         fetcher = SignatureFetcher(
@@ -182,8 +182,7 @@ class TestFetcher:
         )
         result = fetcher.fetch()
         assert result.status is FetchStatus.FRESH
-        assert fetcher.health.delay_ticks > 0.0
-        assert fetcher.clock > 1.0
+        assert fetcher.clock > 1.0  # one attempt plus its delay
 
     def test_fetch_is_deterministic(self):
         def run():
@@ -213,8 +212,8 @@ class TestCircuitBreaking:
         assert breaker.state(fetcher.clock) is BreakerState.OPEN
         second = fetcher.fetch()
         assert second.attempts == 0
-        assert fetcher.health.breaker_rejections >= 1
-        assert fetcher.health.breaker_state == BreakerState.OPEN.value
+        assert fetcher.metrics.counters["fetch_breaker_rejections"] >= 1
+        assert fetcher.breaker.state(fetcher.clock) is BreakerState.OPEN
 
     def test_breaker_recovers_after_cooldown(self):
         breaker = CircuitBreaker(failure_threshold=2, cooldown=3.0)

@@ -14,7 +14,8 @@ import pytest
 from repro.arena.defender import DefenderLoop
 from repro.arena.mutations import MutationFamily, plans_for
 from repro.eval.crossval import generate_from
-from repro.serving.shards import ShardedMatcher
+from repro.serving.gateway import GatewayConfig, ScreeningGateway
+from repro.serving.loadgen import ScreeningEvent
 from repro.signatures.matcher import SignatureMatcher, filter_literal
 
 
@@ -96,20 +97,30 @@ class TestPrefilterEquivalence:
 
 
 class TestShardedAgreement:
-    """The sharded production matcher agrees with the reference scan."""
+    """The gateway's batched scan agrees with the reference scan.
 
-    @pytest.mark.parametrize("n_shards", [1, 3])
+    The gateway screens through ``SignatureMatcher.match_batch``, the
+    method ``bench/`` still patches as ``ShardedMatcher.match_batch``.
+    """
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
     def test_sharded_matches_full_scan(
-        self, regenerated, mutated_streams, n_shards
+        self, regenerated, mutated_streams, batch_size
     ):
-        sharded = ShardedMatcher(regenerated, n_shards=n_shards)
         reference = SignatureMatcher(regenerated)
+        gateway = ScreeningGateway(
+            regenerated, config=GatewayConfig(batch_size=batch_size)
+        )
         for stream in mutated_streams:
-            for packet in stream:
-                assert (
-                    sharded.match(packet).matched
-                    == reference.match_full_scan(packet).matched
-                )
+            events = [
+                ScreeningEvent(seq=seq, tick=float(seq), device_id="d", packet=packet)
+                for seq, packet in enumerate(stream)
+            ]
+            results = gateway.run(events)
+            assert all(result.screened for result in results)
+            assert [result.match for result in results] == [
+                reference.match_full_scan(packet) for packet in stream
+            ]
 
 
 class TestLiteralInvariants:

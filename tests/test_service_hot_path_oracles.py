@@ -709,7 +709,7 @@ class TestScreenReplyWriter:
         gateway, results = run
         generation, version = gateway.generation, gateway.set_version
         expected = oracle_screen_reply(results, generation, version)
-        assert encode_screen_reply(results, generation, version, gateway.matcher.fragments) == expected
+        assert encode_screen_reply(results, generation, version, gateway.fragments) == expected
         # Without fragments every signature is rendered on the spot.
         assert encode_screen_reply(results, generation, version, {}) == expected
 
@@ -728,7 +728,7 @@ class TestScreenReplyWriter:
         assert {ServeOutcome.FLAGGED, ServeOutcome.CLEAN} <= outcomes
         assert outcomes & {ServeOutcome.SHED_DEGRADED_CLEAN, ServeOutcome.SHED_DEGRADED_FLAGGED}
         assert {result.generation for result in results} == {1, 2}
-        reply = encode_screen_reply(results, 2, 7, gateway.matcher.fragments)
+        reply = encode_screen_reply(results, 2, 7, gateway.fragments)
         assert reply == oracle_screen_reply(results, 2, 7)
         assert reply.isascii()
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.signatures.conjunction import ConjunctionSignature
 from repro.signatures.matcher import MatchResult, ProbabilisticMatcher, SignatureMatcher
-from tests.conftest import make_packet
+from tests.conftest import corpus_signatures, make_packet
 
 
 def sig(*tokens, scope=""):
@@ -41,6 +41,30 @@ class TestExactMatcher:
 
     def test_len(self):
         assert len(SignatureMatcher([sig("a=bcd"), sig("e=fgh")])) == 2
+
+
+class TestWinOrder:
+    """Which signature a packet reports when more than one fires."""
+
+    def test_scoped_beats_earlier_unscoped(self):
+        # The destination bucket is screened first, so the scoped signature
+        # wins even though the unscoped one is listed first.
+        signatures = [sig("x=1"), sig("x=1", scope="example.com")]
+        packet = make_packet(host="ads.example.com", target="/p?x=1")
+        winner = SignatureMatcher(signatures).match(packet).signature
+        assert winner is signatures[1]
+        assert SignatureMatcher(signatures).match_full_scan(packet).signature is winner
+
+    def test_first_listed_wins_within_class(self):
+        signatures = [sig("x=1", scope="example.com"), sig("=1", scope="example.com")]
+        packet = make_packet(host="ads.example.com", target="/p?x=1")
+        assert SignatureMatcher(signatures).match(packet).signature is signatures[0]
+
+    def test_clean_packet_everywhere(self):
+        signatures = [sig("absent-token"), sig("gone", scope="example.com")]
+        packet = make_packet(host="ads.example.com", target="/p?x=1")
+        result = SignatureMatcher(signatures).match(packet)
+        assert not result.matched and result.signature is None
 
 
 class TestProbabilisticMatcher:
@@ -87,7 +111,7 @@ class TestProbabilisticMatcher:
 
 
 class TestLiteralPrefilter:
-    """The inverted literal index narrows candidates without changing verdicts."""
+    """The filter literal skips conjunction scans without changing verdicts."""
 
     def corpus_packets(self, small_corpus):
         return small_corpus.trace.packets[:300]
@@ -101,8 +125,6 @@ class TestLiteralPrefilter:
         return MatchResult(matched=False)
 
     def test_equivalent_to_full_scan_over_corpus(self, small_corpus):
-        from tests.test_serving_shards import corpus_signatures
-
         matcher = SignatureMatcher(corpus_signatures(small_corpus))
         hits = 0
         for packet in self.corpus_packets(small_corpus):
@@ -111,30 +133,19 @@ class TestLiteralPrefilter:
             hits += expected.matched
         assert hits > 0  # the equivalence run saw real matches
 
-    def test_prefilter_is_pure_narrowing(self):
-        matcher = SignatureMatcher(
-            [sig("udid=abc"), sig("absent-token"), sig("udid=abc", scope="admob.com")]
-        )
-        p = make_packet(host="r.admob.com", target="/p?udid=abc")
-        text = p.canonical_text()
-        narrowed = matcher.candidates_for(p, text)
-        assert set(map(id, narrowed)) <= set(map(id, matcher.candidates_for(p)))
-        # every actually-matching signature survives the prefilter
-        for signature in matcher.candidates_for(p):
-            if signature.matches_text(text):
-                assert signature in narrowed
+    def test_prefilter_drops_absent_literals(self, monkeypatch):
+        scanned = []
+        matches_text = ConjunctionSignature.matches_text
 
-    def test_prefilter_drops_absent_literals(self):
-        matcher = SignatureMatcher([sig("udid=abc"), sig("never-present")])
-        p = make_packet(target="/p?udid=abc")
-        narrowed = matcher.candidates_for(p, p.canonical_text())
-        assert [s.tokens for s in narrowed] == [("udid=abc",)]
+        def spy(signature, text):
+            scanned.append(signature.tokens)
+            return matches_text(signature, text)
 
-    def test_inverted_index_shape(self):
-        short_long = sig("ab", "longest-literal")
-        other = sig("longest-literal")
-        matcher = SignatureMatcher([short_long, other])
-        assert matcher.by_literal["longest-literal"] == [short_long, other]
+        monkeypatch.setattr(ConjunctionSignature, "matches_text", spy)
+        matcher = SignatureMatcher([sig("never-present"), sig("udid=abc")])
+        assert matcher.match(make_packet(target="/p?udid=abc")).matched
+        # the absent literal kept its signature out of the conjunction scan
+        assert scanned == [("udid=abc",)]
 
     def test_probabilistic_matcher_sees_all_candidates(self):
         # Partial-coverage scoring must not be prefiltered: here the longest
